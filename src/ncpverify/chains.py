@@ -20,6 +20,11 @@ The four chain conditions:
         two crossing partitions; checked both by a structural criterion
         on members and by exhaustive interval search (the oracle).
 * IV  — lives in the condition-four module.
+
+For n <= 7 the same questions also come as functions of a chain's
+catalogue-index tuple (``*_of_indices``, ``dual_indices``,
+``canonical_indices``); the object-level functions wrap them, and the
+theorem5 scan calls them directly.
 """
 
 from __future__ import annotations
@@ -31,14 +36,12 @@ from ncpverify.core import (
     Partition,
     Symmetry,
     UniverseMismatch,
-    _masks_alternate,
     dihedral_group,
     kreweras_dual,
     leq,
-    popcount,
     require_noncrossing,
 )
-from ncpverify.lattice import catalogue
+from ncpverify.lattice import Catalogue, catalogue
 
 
 class InvalidChainError(ValueError):
@@ -217,44 +220,17 @@ def cond_ii(chain: Chain) -> bool:
     return not all(p.is_universal() for p in chain.members)
 
 
-def _four_members_cross(n: int, members: list[int]) -> bool:
-    """Do four of the given disjoint masks admit a crossing pairing?
-
-    For members a, b, c, d (any order) the three pairings (a+c vs b+d
-    up to relabeling) cover all arrangements of the alternation test.
-    """
-    for a, b, c, d in itertools.combinations(members, 4):
-        if (
-            _masks_alternate(a | b, c | d, n)
-            or _masks_alternate(a | c, b | d, n)
-            or _masks_alternate(a | d, b | c, n)
-        ):
-            return True
-    return False
-
-
 def cond_iii_criterion(chain: Chain) -> bool:
     """Structural test for condition III on the members themselves.
 
     Fires when (i) four members of the top partition cross in union,
     (ii) four members of some P sitting inside one part of the next
     member up cross in union, or (iii) the bottom partition has a part
-    of size >= 4.  Singleton members participate in (i) and (ii).
+    of size >= 4.  Singleton members participate in (i) and (ii).  The
+    clauses are catalogue tables, so this needs n <= 7.
     """
-    n = chain.n
-    top = chain.members[-1]
-    if _four_members_cross(n, list(top.parts)):
-        return True
-    for lower, upper in itertools.pairwise(chain.members):
-        groups: dict[int, list[int]] = {}
-        for part in lower.parts:
-            low = part & -part
-            container = upper.part_containing(low.bit_length())
-            groups.setdefault(container, []).append(part)
-        for members in groups.values():
-            if len(members) >= 4 and _four_members_cross(n, members):
-                return True
-    return any(popcount(p) >= 4 for p in chain.members[0].parts)
+    cat = catalogue(chain.n)
+    return cond_iii_criterion_of_indices(cat, chain_indices(cat, chain))
 
 
 def cond_iii_bruteforce(chain: Chain) -> bool:
@@ -267,12 +243,67 @@ def cond_iii_bruteforce(chain: Chain) -> bool:
     if chain.n > 7:
         raise ValueError("exhaustive interval search needs n <= 7")
     cat = catalogue(chain.n)
-    indices = [cat.index_of[p.parts] for p in chain.members]
-    if cat.crossing_pair_below(indices[0]) or cat.crossing_pair_above(indices[-1]):
-        return True
-    return any(
-        cat.crossing_pair_between(i, j) for i, j in itertools.pairwise(indices)
-    )
+    return cond_iii_literal_of_indices(cat, chain_indices(cat, chain))
+
+
+# -- chains as tuples of catalogue indices (n <= 7) -------------------------
+
+
+def chain_indices(cat: Catalogue, chain: Chain) -> tuple[int, ...]:
+    return tuple(cat.index_of[p.parts] for p in chain.members)
+
+
+def chain_from_indices(cat: Catalogue, indices) -> Chain:
+    return Chain._trusted(cat.n, tuple(cat.partitions[j] for j in indices))
+
+
+def index_key(cat: Catalogue, indices) -> tuple[int, ...]:
+    """The chain key as ints: orders like ``chain_key`` of the chain."""
+    position = cat.key_position
+    return tuple(position[j] for j in indices)
+
+
+def cond_ii_of_indices(cat: Catalogue, indices) -> bool:
+    universal = cat.universal
+    return not all(universal[j] for j in indices)
+
+
+def any_window(cat: Catalogue, table, indices) -> bool:
+    """Is some open interval the chain leaves marked in ``table``?
+
+    The intervals run from bottom to the first member, between
+    consecutive members, and from the last member to top.
+    """
+    lower = cat.bottom
+    for upper in indices:
+        if table[lower, upper]:
+            return True
+        lower = upper
+    return table[lower, cat.top]
+
+
+def cond_iii_criterion_of_indices(cat: Catalogue, indices) -> bool:
+    return any_window(cat, cat.criterion_windows, indices)
+
+
+def cond_iii_literal_of_indices(cat: Catalogue, indices) -> bool:
+    return any_window(cat, cat.crossing_windows, indices)
+
+
+def dual_indices(cat: Catalogue, indices) -> tuple[int, ...]:
+    """Memberwise clockwise Kreweras dual, re-sorted increasingly."""
+    dual = cat.dual_index
+    return tuple(dual[j] for j in reversed(indices))
+
+
+def canonical_indices(cat: Catalogue, indices) -> tuple[int, ...]:
+    """Least dihedral image; images share the rank tuple, so the least
+    index tuple is also the least key (see the ``lattice`` docstring)."""
+    return min(tuple(perm[j] for j in indices) for perm in cat.symmetries)
+
+
+def orbit_size_of_indices(cat: Catalogue, indices) -> int:
+    return len({tuple(perm[j] for j in indices) for perm in cat.symmetries})
 
 
 # -- duality and symmetry -------------------------------------------------
@@ -280,6 +311,9 @@ def cond_iii_bruteforce(chain: Chain) -> bool:
 
 def dual_chain(chain: Chain, orientation: str = "clockwise") -> Chain:
     """Memberwise Kreweras dual, re-sorted increasingly (duality reverses order)."""
+    if chain.n <= 7 and orientation == "clockwise":
+        cat = catalogue(chain.n)
+        return chain_from_indices(cat, dual_indices(cat, chain_indices(cat, chain)))
     duals = [kreweras_dual(p, orientation) for p in reversed(chain.members)]
     return Chain(chain.n, tuple(duals))
 
@@ -298,6 +332,9 @@ def chain_key(chain: Chain) -> tuple:
 
 def canonical_chain(chain: Chain) -> Chain:
     """Least dihedral image (same symmetry applied to every member)."""
+    if chain.n <= 7:
+        cat = catalogue(chain.n)
+        return chain_from_indices(cat, canonical_indices(cat, chain_indices(cat, chain)))
     return min(
         (apply_symmetry_chain(chain, g) for g in dihedral_group(chain.n)),
         key=chain_key,
@@ -305,6 +342,9 @@ def canonical_chain(chain: Chain) -> Chain:
 
 
 def chain_orbit_size(chain: Chain) -> int:
+    if chain.n <= 7:
+        cat = catalogue(chain.n)
+        return orbit_size_of_indices(cat, chain_indices(cat, chain))
     return len({chain_key(apply_symmetry_chain(chain, g)) for g in dihedral_group(chain.n)})
 
 

@@ -102,6 +102,10 @@ def _print_chain_analysis(chain: Chain, strict_patterns: bool, dominant: bool) -
 
 
 def _cmd_check(args) -> int:
+    # Checked before any output: the analysis needs the catalogue and the
+    # exhaustive condition-III search, both of which stop at n = 7.
+    if not 3 <= args.n <= 7:
+        raise ValueError(f"check supports 3 <= n <= 7, got n = {args.n}")
     chain = Chain.from_text(args.n, args.chain)
     _print_chain_analysis(chain, args.strict_patterns, args.dominant)
     if args.dual:

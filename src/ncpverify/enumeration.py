@@ -1,8 +1,9 @@
 """Exhaustive generators over NC(n): partitions, chains, maximal chains.
 
 Everything here is deterministic and restartable.  Partitions stream in
-(rank, canonical) order; chains are produced rank-set by rank-set with a
-depth-first sweep over the catalogue's order bitsets; maximal chains are
+(rank, canonical) order; chains are produced rank-set by rank-set, in
+depth-first order, as catalogue-index tuples grown over the order
+bitsets (``enumerate_chains`` wraps them as objects); maximal chains are
 grown bottom-up by merging two parts at a time (each cover of the
 lattice merges exactly two parts, so the merge tree hits every maximal
 chain exactly once).  Children of a merge step are visited in canonical
@@ -18,18 +19,21 @@ AND per maximal chain.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 
 from ncpverify.core import Partition, _masks_alternate, elements_of
 from ncpverify.chains import (
     Chain,
-    canonical_chain,
+    canonical_indices,
     canonical_prime_signature,
-    chain_key,
-    chain_orbit_size,
-    dual_chain,
+    chain_from_indices,
+    chain_indices,
+    dual_indices,
+    index_key,
     neighbor_mask,
+    orbit_size_of_indices,
     pack_primes,
     smallest_blocks,
 )
@@ -53,23 +57,29 @@ def rank_sets(n: int):
 
 
 def chain_index_tuples(cat: Catalogue, ranks):
-    """Catalogue-index tuples of every chain with the given rank set."""
-    buckets = [cat.rank_indices[r] for r in ranks]
+    """Catalogue-index tuples of every chain with the given rank set.
 
-    def extend(prefix: tuple[int, ...], reach: int, depth: int):
-        if depth == len(buckets):
-            yield prefix
-            return
-        for j in buckets[depth]:
-            if reach >> j & 1:
-                yield from extend(prefix + (j,), cat.above[j], depth + 1)
-
-    full_reach = (1 << len(cat.partitions)) - 1
-    yield from extend((), full_reach, 0)
+    Grown one rank at a time, in the order of a depth-first sweep; the
+    last rank is streamed, so only the shorter prefixes are held.
+    """
+    level: list[tuple[int, ...]] = [()]
+    for r in ranks[:-1]:
+        level = list(_grow(cat, level, r))
+    return _grow(cat, level, ranks[-1]) if ranks else iter(level)
 
 
-def chain_from_indices(cat: Catalogue, indices) -> Chain:
-    return Chain._trusted(cat.n, tuple(cat.partitions[j] for j in indices))
+def _grow(cat: Catalogue, prefixes, r: int):
+    """Each prefix extended by every rank-r partition above its last member."""
+    bucket = cat.rank_indices[r]
+    successors: dict[int, list[int]] = {}
+    for prefix in prefixes:
+        last = prefix[-1] if prefix else cat.bottom
+        following = successors.get(last)
+        if following is None:
+            reach = cat.above[last]
+            following = successors[last] = [j for j in bucket if reach >> j & 1]
+        for j in following:
+            yield prefix + (j,)
 
 
 def enumerate_chains(n: int, rank_filter=None):
@@ -85,11 +95,33 @@ def enumerate_chains(n: int, rank_filter=None):
             yield chain_from_indices(cat, indices)
 
 
+def all_chain_index_tuples(cat: Catalogue):
+    """Index tuples of every chain, in ``enumerate_chains`` order."""
+    for ranks in rank_sets(cat.n):
+        yield from chain_index_tuples(cat, ranks)
+
+
 def count_chains(n: int) -> int:
+    return sum(1 for _ in all_chain_index_tuples(catalogue(n)))
+
+
+def sample_chains(n: int, k: int, seed: int) -> list[Chain]:
+    """``random.Random(seed).sample(list(enumerate_chains(n)), k)``, streamed.
+
+    ``sample`` draws positions from the population's length alone, so
+    drawing from ``range(count)`` and picking those positions from the
+    index-tuple stream gives the same chains without building them all.
+    """
     cat = catalogue(n)
-    return sum(
-        1 for ranks in rank_sets(n) for _ in chain_index_tuples(cat, ranks)
-    )
+    count = count_chains(n)
+    positions = random.Random(seed).sample(range(count), min(k, count))
+    wanted = set(positions)
+    picked = {
+        position: indices
+        for position, indices in enumerate(all_chain_index_tuples(cat))
+        if position in wanted
+    }
+    return [chain_from_indices(cat, picked[position]) for position in positions]
 
 
 # -- maximal chains -------------------------------------------------------
@@ -214,29 +246,34 @@ class OrbitClass:
 
 
 def orbit_classes(chains) -> list[OrbitClass]:
-    """Group chains into dihedral orbit classes, in deterministic order."""
-    reps: dict[tuple, Chain] = {}
-    for chain in chains:
-        rep = canonical_chain(chain)
-        reps.setdefault(chain_key(rep), rep)
-    ordered = [
-        reps[key]
-        for key in sorted(
-            reps, key=lambda k: (len(reps[k].members), reps[k].ranks(), k)
-        )
-    ]
+    """Group chains (n <= 7) into dihedral orbit classes, in deterministic order.
+
+    The grouping runs on catalogue-index tuples; objects are built only
+    for the class representatives and their duals.
+    """
+    chains = list(chains)
+    if not chains:
+        return []
+    cat = catalogue(chains[0].n)
+    reps = {canonical_indices(cat, chain_indices(cat, chain)) for chain in chains}
+
+    def order(rep: tuple[int, ...]):
+        return len(rep), tuple(cat.partitions[j].rank for j in rep), index_key(cat, rep)
+
     classes: list[OrbitClass] = []
     seen_signatures: dict[tuple[int, ...], str] = {}
-    for rep in ordered:
+    for rep_indices in sorted(reps, key=order):
+        rep = chain_from_indices(cat, rep_indices)
         signature = canonical_prime_signature(rep)
         duplicate_of = seen_signatures.get(signature)
         if duplicate_of is None:
             seen_signatures[signature] = rep.text()
+        dual = canonical_indices(cat, dual_indices(cat, rep_indices))
         classes.append(
             OrbitClass(
                 representative=rep,
-                orbit_size=chain_orbit_size(rep),
-                dual_representative=canonical_chain(dual_chain(rep)),
+                orbit_size=orbit_size_of_indices(cat, rep_indices),
+                dual_representative=chain_from_indices(cat, dual),
                 prime_signature=smallest_blocks(rep).primes,
                 signature_duplicate_of=duplicate_of,
             )

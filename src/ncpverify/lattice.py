@@ -11,14 +11,40 @@ operations instead of a fresh search.
 Index convention: partitions are sorted by (rank, sort_key), so the
 all-singleton bottom is index 0 and the one-block top is the last index,
 and each rank occupies one contiguous slice.
+
+The catalogue also carries the tables that let the theorem5 scan run on
+tuples of indices instead of ``Partition`` objects:
+
+* ``symmetries`` -- the 2n dihedral symmetries (in ``dihedral_group``
+  order) as index permutations;
+* ``dual_index`` -- the clockwise Kreweras complement as an index map;
+* ``key_position`` -- each partition's place in ``sort_key`` order, so
+  a chain key is a tuple of ints;
+* ``crossing_windows`` / ``criterion_windows`` -- condition III per open
+  interval (lower, upper), memoised: the literal reading (two crossing
+  partitions inside) and the four-member criterion.  The intervals below
+  and above a chain are the ones from bottom and to top, so each reading
+  of a chain is an OR over one table.
+
+Within one rank, index order is ``sort_key`` order, so two chains with
+the same rank tuple compare by their index tuples exactly as they compare
+by their keys; dihedral images share the rank tuple, so the least image of
+a chain is the least index tuple.  The rule for callers is "objects only
+at the edges": the hot loops pass index tuples, and ``Partition`` or
+``Chain`` objects are built only for what gets parsed, printed or
+reported.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 from ncpverify.core import (
     Partition,
+    _masks_alternate,
+    _sorted_parts,
+    dihedral_group,
     is_noncrossing,
     kreweras_dual,
     leq,
@@ -51,6 +77,22 @@ def noncrossing_partitions(n: int):
     yield from found
 
 
+def _four_members_cross(n: int, members) -> bool:
+    """Do four of the given disjoint masks admit a crossing pairing?
+
+    For members a, b, c, d (any order) the three pairings (a+c vs b+d
+    up to relabeling) cover all arrangements of the alternation test.
+    """
+    for a, b, c, d in itertools.combinations(members, 4):
+        if (
+            _masks_alternate(a | b, c | d, n)
+            or _masks_alternate(a | c, b | d, n)
+            or _masks_alternate(a | d, b | c, n)
+        ):
+            return True
+    return False
+
+
 def iter_bits(mask: int):
     """Indices of set bits, ascending."""
     while mask:
@@ -66,6 +108,12 @@ class Catalogue:
     than partition i; ``crossing[i]`` holds the indices whose partition
     crosses partition i.  ``proper_mask`` selects ranks 1..n-2, i.e. the
     proper part of the lattice that chains live in.
+
+    ``symmetries[g][i]`` is the index of ``dihedral_group(n)[g]`` applied
+    to partition i; ``key_position[i]`` is the place of partition i when
+    all are sorted by ``sort_key``.  ``crossing_windows[i, j]`` and
+    ``criterion_windows[i, j]`` are the two condition-III readings of the
+    open interval between partitions i < j, filled on first lookup.
     """
 
     __slots__ = (
@@ -82,9 +130,10 @@ class Catalogue:
         "universal",
         "part_by_element",
         "dual_index",
-        "_crossing_above",
-        "_crossing_below",
-        "_between_memo",
+        "symmetries",
+        "key_position",
+        "crossing_windows",
+        "criterion_windows",
     )
 
     def __init__(self, n: int):
@@ -138,12 +187,22 @@ class Catalogue:
         self.dual_index = tuple(
             self.index_of[kreweras_dual(p).parts] for p in self.partitions
         )
+        self.symmetries = tuple(
+            tuple(
+                self.index_of[_sorted_parts(g.apply_mask(m) for m in p.parts)]
+                for p in self.partitions
+            )
+            for g in dihedral_group(n)
+        )
+        by_key = sorted(range(size), key=lambda i: self.partitions[i].sort_key())
+        position = [0] * size
+        for place, i in enumerate(by_key):
+            position[i] = place
+        self.key_position = tuple(position)
+        self.crossing_windows = _Memo(self._crossing_in_window)
+        self.criterion_windows = _Memo(self._criterion_in_window)
 
-        self._crossing_above: dict[int, bool] = {}
-        self._crossing_below: dict[int, bool] = {}
-        self._between_memo: dict[tuple[int, int], bool] = {}
-
-    # -- crossing-pair queries for condition III -------------------------
+    # -- condition III per open interval ---------------------------------
 
     def has_crossing_pair(self, region: int) -> bool:
         """True iff the index set ``region`` holds two mutually crossing partitions."""
@@ -152,26 +211,42 @@ class Catalogue:
                 return True
         return False
 
-    def crossing_pair_above(self, i: int) -> bool:
-        memo = self._crossing_above
-        if i not in memo:
-            memo[i] = self.has_crossing_pair(self.above[i] & self.proper_mask)
-        return memo[i]
+    def _crossing_in_window(self, window: tuple[int, int]) -> bool:
+        lower, upper = window
+        region = self.above[lower] & self.below[upper] & self.proper_mask
+        return self.has_crossing_pair(region)
 
-    def crossing_pair_below(self, i: int) -> bool:
-        memo = self._crossing_below
-        if i not in memo:
-            memo[i] = self.has_crossing_pair(self.below[i] & self.proper_mask)
-        return memo[i]
+    def _criterion_in_window(self, window: tuple[int, int]) -> bool:
+        """Four parts of ``lower`` inside one part of ``upper`` cross in union.
 
-    def crossing_pair_between(self, i: int, j: int) -> bool:
-        memo = self._between_memo
-        key = (i, j)
-        if key not in memo:
-            memo[key] = self.has_crossing_pair(
-                self.above[i] & self.below[j] & self.proper_mask
-            )
-        return memo[key]
+        From bottom this says ``upper`` has a part of size >= 4 (four
+        singletons always admit a crossing pairing); to top, that four
+        parts of ``lower`` cross in union.
+        """
+        lower, upper = window
+        groups: dict[int, list[int]] = {}
+        containers = self.part_by_element[upper]
+        for part in self.partitions[lower].parts:
+            container = containers[(part & -part).bit_length() - 1]
+            groups.setdefault(container, []).append(part)
+        return any(
+            len(members) >= 4 and _four_members_cross(self.n, members)
+            for members in groups.values()
+        )
+
+
+class _Memo(dict):
+    """A dict that computes a missing value once; hits stay plain lookups."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
 
 
 @lru_cache(maxsize=None)

@@ -30,7 +30,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,13 +37,17 @@ from ncpverify.chains import (
     Chain,
     canonical_chain,
     canonical_prime_signature,
+    chain_from_indices,
+    chain_indices,
     chain_key,
     cond_i,
     cond_i_of_ranks,
-    cond_ii,
-    cond_iii_bruteforce,
-    cond_iii_criterion,
+    cond_ii_of_indices,
+    cond_iii_criterion_of_indices,
+    cond_iii_literal_of_indices,
     dual_chain,
+    dual_indices,
+    index_key,
     smallest_blocks,
 )
 from ncpverify.condition4 import (
@@ -55,12 +58,18 @@ from ncpverify.condition4 import (
     pattern_refute,
 )
 from ncpverify.enumeration import (
-    enumerate_chains,
+    all_chain_index_tuples,
+    chain_index_tuples,
+    # Unused here, but part of this module's namespace that
+    # perfbench/test_perfbench.py rebinds.
+    enumerate_chains,  # noqa: F401
     maximal_chain_index,
     orbit_classes,
     rank_sets,
+    sample_chains,
 )
 from ncpverify.fixtures import FixtureSet, load_fixtures
+from ncpverify.lattice import catalogue
 
 __all__ = [
     "VERDICT_VERIFIED",
@@ -215,41 +224,47 @@ def run_theorem5(n: int = 7) -> PipelineReport:
     cond_i_sets = cond_i_rank_sets(n)
     reduced_sets = duality_reduced_rank_sets(n)
 
+    cat = catalogue(n)
     chains_scanned = 0
-    candidates: list[Chain] = []
+    # Candidate index tuple -> (criterion, literal) condition III on the
+    # chain and on its dual; every candidate passed II on both sides.
+    candidates: dict[tuple[int, ...], tuple[bool, bool, bool, bool]] = {}
     disagreements: list[str] = []
-
     disagreement_seen: set[str] = set()
 
-    def passes_iii(chain: Chain) -> bool:
-        criterion = cond_iii_criterion(chain)
-        literal = cond_iii_bruteforce(chain)
+    def iii(indices: tuple[int, ...]) -> tuple[bool, bool]:
+        criterion = cond_iii_criterion_of_indices(cat, indices)
+        literal = cond_iii_literal_of_indices(cat, indices)
         if criterion != literal:
-            text = chain.text()
+            text = chain_from_indices(cat, indices).text()
             if text not in disagreement_seen:
                 disagreement_seen.add(text)
                 disagreements.append(text)
-        return criterion or literal
+        return criterion, literal
 
     for ranks in cond_i_sets:
-        for chain in enumerate_chains(n, rank_filter=ranks):
+        for indices in chain_index_tuples(cat, ranks):
             chains_scanned += 1
-            if not cond_ii(chain):
+            if not cond_ii_of_indices(cat, indices):
                 continue
-            dual = dual_chain(chain)
-            if not cond_ii(dual):
+            dual = dual_indices(cat, indices)
+            if not cond_ii_of_indices(cat, dual):
                 continue
-            if not passes_iii(chain):
+            own = iii(indices)
+            if not any(own):
                 continue
-            if not passes_iii(dual):
+            other = iii(dual)
+            if not any(other):
                 continue
-            candidates.append(chain)
+            candidates[indices] = own + other
 
-    classes = orbit_classes(candidates)
+    candidate_chains = [chain_from_indices(cat, indices) for indices in candidates]
+    classes = orbit_classes(candidate_chains)
     kept = [
         cls
         for cls in classes
-        if chain_key(cls.representative) <= chain_key(cls.dual_representative)
+        if index_key(cat, chain_indices(cat, cls.representative))
+        <= index_key(cat, chain_indices(cat, cls.dual_representative))
     ]
 
     fixture_keys: dict[tuple, int] = {}
@@ -290,8 +305,12 @@ def run_theorem5(n: int = 7) -> PipelineReport:
         if matched is None:
             matched = fixture_keys.get(chain_key(dual_rep))
 
-        literal_iii = cond_iii_bruteforce(rep)
-        dual_literal_iii = cond_iii_bruteforce(dual_rep)
+        # The representative is itself a candidate (the filter is dihedral
+        # invariant), and condition III is invariant too, so the dual side
+        # recorded for it holds for the dual representative.
+        criterion_iii, literal_iii, dual_criterion_iii, dual_literal_iii = candidates[
+            chain_indices(cat, rep)
+        ]
         reports.append(
             ClassReport(
                 representative=rep.text(),
@@ -299,12 +318,12 @@ def run_theorem5(n: int = 7) -> PipelineReport:
                 orbit_size=cls.orbit_size,
                 dual_representative=dual_rep.text(),
                 cond_i=cond_i(rep),
-                cond_ii=cond_ii(rep),
-                cond_iii_criterion=cond_iii_criterion(rep),
+                cond_ii=True,
+                cond_iii_criterion=criterion_iii,
                 cond_iii_literal=literal_iii,
                 dual_cond_i=cond_i(dual_rep),
-                dual_cond_ii=cond_ii(dual_rep),
-                dual_cond_iii_criterion=cond_iii_criterion(dual_rep),
+                dual_cond_ii=True,
+                dual_cond_iii_criterion=dual_criterion_iii,
                 dual_cond_iii_literal=dual_literal_iii,
                 iv_satisfied=verdict_iv.satisfied,
                 iv_witness=verdict_iv.witness.text() if verdict_iv.witness else None,
@@ -354,7 +373,7 @@ def run_theorem5(n: int = 7) -> PipelineReport:
         cond_i_sets=cond_i_sets,
         reduced_sets=reduced_sets,
         chains_scanned=chains_scanned,
-        candidates=tuple(c.text() for c in candidates),
+        candidates=tuple(chain.text() for chain in candidate_chains),
         classes=tuple(reports),
         iii_disagreements=tuple(disagreements),
         unresolved=unresolved,
@@ -416,9 +435,7 @@ def validate_lemma3(
         for text in load_fixtures().all_chain_texts():
             add(Chain.from_text(7, text))
     if extra_random:
-        population = list(enumerate_chains(n))
-        rng = random.Random(seed)
-        for chain in rng.sample(population, min(extra_random, len(population))):
+        for chain in sample_chains(n, extra_random, seed):
             add(chain)
 
     chains_with_survivors = total_survivors = 0
@@ -481,18 +498,19 @@ def condition_iii_survey(n: int = 7, example_limit: int = 10) -> ConditionIIISur
             fixture_texts.add(chain.text())
             fixture_texts.add(dual_chain(chain).text())
 
+    cat = catalogue(n)
     checked = agreements = criterion_only = literal_only = 0
     criterion_examples: list[str] = []
     literal_examples: list[str] = []
     fixture_disagreements: list[str] = []
-    for chain in enumerate_chains(n):
+    for indices in all_chain_index_tuples(cat):
         checked += 1
-        criterion = cond_iii_criterion(chain)
-        literal = cond_iii_bruteforce(chain)
+        criterion = cond_iii_criterion_of_indices(cat, indices)
+        literal = cond_iii_literal_of_indices(cat, indices)
         if criterion == literal:
             agreements += 1
             continue
-        text = chain.text()
+        text = chain_from_indices(cat, indices).text()
         if criterion:
             criterion_only += 1
             if len(criterion_examples) < example_limit:

@@ -45,6 +45,17 @@ def test_check_incomparable_members(capsys):
     assert "not strictly increasing" in captured.err
 
 
+def test_check_rejects_n_beyond_catalogue_before_output(capsys):
+    for n in ("8", "9"):
+        for extra in ([], ["--dual"]):
+            code = main(["check", "--n", n, "--chain", "12,46", *extra])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_check_parse_error_reports_position(capsys):
     code = main(["check", "--chain", "12,,3"])
     captured = capsys.readouterr()
