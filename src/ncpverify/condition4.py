@@ -19,10 +19,10 @@ negative answer into a short, independently replayable argument:
   deduction sequence is recorded step by step.  The replay module
   re-checks such certificates from scratch.
 
-The search itself runs two ways: against a precomputed index of all
-n^(n-2) maximal chains (n <= 7; one AND per chain), or as a pruned
-depth-first merge search (n <= 9).  Both scan in canonical partition
-order, so the reported witness is deterministic and identical.
+The search itself is either an index scan over all n^(n-2) maximal
+chains (n <= 7; one AND per chain) or the maximal-chain walk pruned by
+the chain's own F' family (n <= 9).  Both scan in one order, canonical
+partition order, so the reported witness is deterministic and identical.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from ncpverify.chains import Chain, smallest_blocks
 from ncpverify.core import Partition, _masks_alternate, elements_of
-from ncpverify.enumeration import _merge_children, maximal_chain_index
+from ncpverify.enumeration import maximal_chain_index, walk_maximal_chains
 
 # Clause tables: CLAUSES[k][m-1] is the tuple of relations linking
 # F_i to F_{i+1}, F_{i+1} to F_{i+2}, ... (forward; backward mirrors).
@@ -112,13 +112,8 @@ def _relation_holds(rel: str, a: int, b: int, strict: bool) -> bool:
 
 def detect_patterns(chain: Chain, strict: bool = False) -> tuple[PatternHit, ...]:
     """Every satisfied pattern clause of the chain's F-family."""
-    fam = smallest_blocks(chain)
-    return detect_pattern_hits(fam.n, fam.blocks, strict)
-
-
-def detect_pattern_hits(
-    n: int, blocks: tuple[int, ...], strict: bool = False
-) -> tuple[PatternHit, ...]:
+    n = chain.n
+    blocks = smallest_blocks(chain).blocks
     hits = []
     for i in range(1, n + 1):
         for sign, step in (("+", 1), ("-", n - 1)):
@@ -174,15 +169,10 @@ class ExclusionTable:
 
 
 def pattern_exclusions(chain: Chain, strict: bool = False) -> ExclusionTable:
-    fam = smallest_blocks(chain)
-    hits = detect_pattern_hits(fam.n, fam.blocks, strict)
-    return _exclusions_of_hits(fam.n, hits)
-
-
-def _exclusions_of_hits(n: int, hits) -> ExclusionTable:
+    n = chain.n
     excluded = [0] * n
     contributing: list[list[PatternHit]] = [[] for _ in range(n)]
-    for hit in hits:
+    for hit in detect_patterns(chain, strict):
         excluded[hit.i - 1] |= exclusion_mask(n, hit)
         contributing[hit.i - 1].append(hit)
     return ExclusionTable(
@@ -238,47 +228,14 @@ def cond_iv(chain: Chain, method: str = "auto") -> WitnessOrRefutation:
                 return WitnessOrRefutation(True, idx.chain_at(pos), pos + 1, "index")
         return WitnessOrRefutation(False, None, len(idx), "index")
     if method == "dfs":
-        witness, checked = _search_compatible_maximal_chain(n, fam.primes)
-        return WitnessOrRefutation(witness is not None, witness, checked, "dfs")
-    raise ValueError(f"unknown method {method!r} (expected auto, index, or dfs)")
-
-
-def _search_compatible_maximal_chain(n: int, primes: tuple[int, ...]):
-    """Depth-first merge search pruned by neighbor disjointness.
-
-    When a merge gives element e its first non-singleton block B, that
-    block is C_e for every completion, so B & F_e' != 0 kills the whole
-    branch.  Elements still singleton at the bottom rank n-2 member
-    have C_e the full set, which forces F_e' to be empty.
-    """
-    members: list[Partition] = []
-    checked = 0
-
-    def grow(parts: tuple[int, ...]):
-        nonlocal checked
-        if len(members) == n - 2:
+        checked = 0
+        for members, enclosing in walk_maximal_chains(n, fam.primes):
             checked += 1
-            for p in parts:
-                if not p & (p - 1) and primes[p.bit_length() - 1]:
-                    return None
-            return Chain._trusted(n, tuple(members))
-        for child, a, b, merged in _merge_children(n, parts):
-            violated = False
-            for piece in (a, b):
-                if not piece & (piece - 1) and merged & primes[piece.bit_length() - 1]:
-                    violated = True
-                    break
-            if violated:
-                continue
-            members.append(Partition(n, child))
-            found = grow(child)
-            if found is not None:
-                return found
-            members.pop()
-        return None
-
-    witness = grow(tuple(1 << e for e in range(n)))
-    return witness, checked
+            if all(c & f == 0 for c, f in zip(enclosing, fam.primes)):
+                witness = Chain._trusted(n, tuple(Partition(n, parts) for parts in members))
+                return WitnessOrRefutation(True, witness, checked, "dfs")
+        return WitnessOrRefutation(False, None, checked, "dfs")
+    raise ValueError(f"unknown method {method!r} (expected auto, index, or dfs)")
 
 
 def verify_witness(chain: Chain, witness: Chain) -> bool:

@@ -3,17 +3,23 @@
 Everything here is deterministic and restartable.  Partitions stream in
 (rank, canonical) order; chains are produced rank-set by rank-set, in
 depth-first order, as catalogue-index tuples grown over the order
-bitsets (``enumerate_chains`` wraps them as objects); maximal chains are
-grown bottom-up by merging two parts at a time (each cover of the
-lattice merges exactly two parts, so the merge tree hits every maximal
-chain exactly once).  Children of a merge step are visited in canonical
-partition order, which fixes "the first witness" everywhere downstream.
+bitsets (``enumerate_chains`` wraps them as objects).
 
-For n <= 7 the full maximal-chain sweep is additionally cached as an
-index: for each of the n^(n-2) chains, the catalogue indices of its
-members, the enclosing-block family C_i, and the 2n-bit packed C'
-signature.  Deciding condition IV against the index is then a single
-AND per maximal chain.
+Maximal chains come from one walk, ``walk_maximal_chains``, grown
+bottom-up by merging two parts at a time (each cover of the lattice
+merges exactly two parts, so the merge tree hits every maximal chain
+exactly once).  Children of a merge step are visited in canonical
+partition order, which fixes "the first witness" everywhere downstream.
+The walk tracks each element's first non-singleton block C_e and is
+pruned by an F' family: a branch ends when a new C_e meets F_e'.  With
+the all-zero family it visits every maximal chain; the pruned
+condition-IV search passes the chain's own family.
+
+For n <= 7 the full walk is additionally cached as an index: for each
+of the n^(n-2) chains, the catalogue indices of its members, the
+enclosing-block family C_i, and the 2n-bit packed C' signature.
+Deciding condition IV against the index is then a single AND per
+maximal chain.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from ncpverify.core import Partition, _masks_alternate, elements_of
 from ncpverify.chains import (
     Chain,
     canonical_indices,
-    canonical_prime_signature,
     chain_from_indices,
     chain_indices,
     dual_indices,
@@ -35,7 +40,6 @@ from ncpverify.chains import (
     neighbor_mask,
     orbit_size_of_indices,
     pack_primes,
-    smallest_blocks,
 )
 from ncpverify.lattice import Catalogue, catalogue, noncrossing_partitions
 
@@ -65,7 +69,7 @@ def chain_index_tuples(cat: Catalogue, ranks):
     level: list[tuple[int, ...]] = [()]
     for r in ranks[:-1]:
         level = list(_grow(cat, level, r))
-    return _grow(cat, level, ranks[-1]) if ranks else iter(level)
+    return _grow(cat, level, ranks[-1])
 
 
 def _grow(cat: Catalogue, prefixes, r: int):
@@ -89,7 +93,7 @@ def enumerate_chains(n: int, rank_filter=None):
     cat = catalogue(n)
     sets = [tuple(sorted(rank_filter))] if rank_filter is not None else rank_sets(n)
     for ranks in sets:
-        if not all(1 <= r <= n - 2 for r in ranks):
+        if not ranks or not all(1 <= r <= n - 2 for r in ranks):
             raise ValueError(f"ranks {ranks} outside 1..{n - 2}")
         for indices in chain_index_tuples(cat, ranks):
             yield chain_from_indices(cat, indices)
@@ -141,23 +145,52 @@ def _merge_children(n: int, parts: tuple[int, ...]):
     return children
 
 
+def walk_maximal_chains(n: int, primes: tuple[int, ...]):
+    """Every maximal chain whose C' family can avoid the F' family ``primes``.
+
+    Per chain, in depth-first merge order: the member part-tuples (ranks
+    1..n-2) and (C_1..C_n), where C_e is the first non-singleton block of
+    e, or the full set.  A merge that gives e its first block B fixes C_e
+    for every completion, so the branch is cut when B meets F_e'.  An
+    element still singleton at the last member has C_e the full set,
+    which the caller checks against F_e'.  An all-zero family cuts
+    nothing.
+    """
+    full = (1 << n) - 1
+    first_block = [0] * n
+    members: list[tuple[int, ...]] = []
+    # A partition recurs at many nodes of the merge tree (407 distinct
+    # ones at the 9 185 inner nodes for n = 7), so its merges are kept.
+    children: dict[tuple[int, ...], list] = {}
+
+    def grow(parts: tuple[int, ...]):
+        if len(members) == n - 2:
+            yield tuple(members), tuple(block or full for block in first_block)
+            return
+        merges = children.get(parts)
+        if merges is None:
+            merges = children[parts] = _merge_children(n, parts)
+        for child, a, b, merged in merges:
+            newly = [p.bit_length() - 1 for p in (a, b) if not p & (p - 1)]
+            if any(merged & primes[e] for e in newly):
+                continue
+            for e in newly:
+                first_block[e] = merged
+            members.append(child)
+            yield from grow(child)
+            members.pop()
+            for e in newly:
+                first_block[e] = 0
+
+    yield from grow(tuple(1 << e for e in range(n)))
+
+
 def enumerate_maximal_chains(n: int):
     """Every maximal chain of the proper part (one member per rank 1..n-2)."""
     if not 3 <= n <= 9:
         raise ValueError("maximal-chain enumeration needs 3 <= n <= 9")
-    bottom = tuple(1 << e for e in range(n))
-    members: list[Partition] = []
-
-    def grow(parts: tuple[int, ...]):
-        if len(members) == n - 2:
-            yield Chain._trusted(n, tuple(members))
-            return
-        for child, _, _, _ in _merge_children(n, parts):
-            members.append(Partition(n, child))
-            yield from grow(child)
-            members.pop()
-
-    yield from grow(bottom)
+    for members, _ in walk_maximal_chains(n, (0,) * n):
+        yield Chain._trusted(n, tuple(Partition(n, parts) for parts in members))
 
 
 class MaximalChainIndex:
@@ -177,33 +210,12 @@ class MaximalChainIndex:
         self.enclosing: list[tuple[int, ...]] = []
         self.packed: list[int] = []
 
-        full = (1 << n) - 1
         neighbors = [neighbor_mask(n, i) for i in range(1, n + 1)]
-        first_block = [0] * (n + 1)
-        trail: list[tuple[int, ...]] = []
-
-        def grow(parts: tuple[int, ...]):
-            if len(trail) == n - 2:
-                enclosing = tuple(first_block[i] or full for i in range(1, n + 1))
-                primes = [enclosing[i - 1] & neighbors[i - 1] for i in range(1, n + 1)]
-                self.member_indices.append(tuple(trail))
-                self.enclosing.append(enclosing)
-                self.packed.append(pack_primes(n, primes))
-                return
-            for child, a, b, merged in _merge_children(n, parts):
-                newly = []
-                for piece in (a, b):
-                    if not piece & (piece - 1):
-                        e = piece.bit_length()
-                        first_block[e] = merged
-                        newly.append(e)
-                trail.append(cat.index_of[child])
-                grow(child)
-                trail.pop()
-                for e in newly:
-                    first_block[e] = 0
-
-        grow(tuple(1 << e for e in range(n)))
+        index_of = cat.index_of.__getitem__
+        for members, enclosing in walk_maximal_chains(n, (0,) * n):
+            self.member_indices.append(tuple(map(index_of, members)))
+            self.enclosing.append(enclosing)
+            self.packed.append(pack_primes(n, [c & m for c, m in zip(enclosing, neighbors)]))
 
     def __len__(self) -> int:
         return len(self.packed)
@@ -230,19 +242,11 @@ def maximal_chain_index(n: int) -> MaximalChainIndex:
 
 @dataclass(frozen=True)
 class OrbitClass:
-    """One dihedral orbit of chains, with the data the pipeline reports.
-
-    ``prime_signature`` is recomputed from the canonical representative;
-    ``signature_duplicate_of`` points at the text of an earlier class
-    whose F' family coincides up to symmetry (such classes add nothing
-    to a condition-IV verdict, which reads only the F' family).
-    """
+    """One dihedral orbit of chains, with the data the pipeline reports."""
 
     representative: Chain
     orbit_size: int
     dual_representative: Chain
-    prime_signature: tuple[int, ...]
-    signature_duplicate_of: str | None
 
 
 def orbit_classes(chains) -> list[OrbitClass]:
@@ -261,21 +265,13 @@ def orbit_classes(chains) -> list[OrbitClass]:
         return len(rep), tuple(cat.partitions[j].rank for j in rep), index_key(cat, rep)
 
     classes: list[OrbitClass] = []
-    seen_signatures: dict[tuple[int, ...], str] = {}
     for rep_indices in sorted(reps, key=order):
-        rep = chain_from_indices(cat, rep_indices)
-        signature = canonical_prime_signature(rep)
-        duplicate_of = seen_signatures.get(signature)
-        if duplicate_of is None:
-            seen_signatures[signature] = rep.text()
         dual = canonical_indices(cat, dual_indices(cat, rep_indices))
         classes.append(
             OrbitClass(
-                representative=rep,
+                representative=chain_from_indices(cat, rep_indices),
                 orbit_size=orbit_size_of_indices(cat, rep_indices),
                 dual_representative=chain_from_indices(cat, dual),
-                prime_signature=smallest_blocks(rep).primes,
-                signature_duplicate_of=duplicate_of,
             )
         )
     return classes

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from math import comb
 
 import pytest
@@ -18,6 +19,7 @@ from ncpverify.apartments import (
 )
 from ncpverify.chains import Chain, smallest_blocks
 from ncpverify.core import Block, Partition, blocks_cross, mask_of
+from ncpverify.lattice import catalogue
 
 
 def test_tree_counts_match_closed_form():
@@ -92,6 +94,36 @@ def test_apartment_contains_path_tree():
     star = NCSpanningTree.from_text(7, "1-2,1-3,1-4,1-5,1-6,1-7")
     assert apartment_contains(star, Partition.from_text(7, "135"))
     assert not apartment_contains(star, Partition.from_text(7, "35"))
+
+
+def _parts_connected(tree, partition) -> bool:
+    # independent oracle: breadth-first search inside each part
+    n = tree.n
+    adjacent = {e: set() for e in range(1, n + 1)}
+    for a, b in tree.edges:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    for mask in partition.parts:
+        inside = {e for e in range(1, n + 1) if mask >> (e - 1) & 1}
+        start = min(inside)
+        seen, queue = {start}, deque([start])
+        while queue:
+            for w in (adjacent[queue.popleft()] & inside) - seen:
+                seen.add(w)
+                queue.append(w)
+        if seen != inside:
+            return False
+    return True
+
+
+def test_apartment_contains_matches_connectivity_oracle():
+    for n in (4, 5):
+        for tree in spanning_trees(n):
+            for p in catalogue(n).partitions:
+                assert apartment_contains(tree, p) == _parts_connected(tree, p), (
+                    tree.text(),
+                    p.text(),
+                )
 
 
 def test_tree_membership_bits_agrees_with_contains():

@@ -20,7 +20,7 @@ from ncpverify.condition4 import (
     verify_witness,
 )
 from ncpverify.core import dihedral_group, mask_of
-from ncpverify.enumeration import maximal_chain_index
+from ncpverify.enumeration import enumerate_chains, maximal_chain_index
 
 
 def test_pattern_hit_text_roundtrip():
@@ -112,6 +112,38 @@ def test_cond_iv_satisfied_with_witness():
     # an independently quoted witness also verifies
     quoted = Chain.from_text(7, "13<13,57<13,567<13,4567<134567")
     assert verify_witness(chain, quoted)
+
+
+def _verdict(outcome):
+    return outcome.satisfied, outcome.witness.text() if outcome.witness else None
+
+
+def test_index_scan_and_pruned_walk_agree(pipeline_report):
+    # both scan maximal chains in one order, so they stop at the same first
+    # compatible one: every chain for n <= 5 and the 119 n = 7 classes
+    chains = [c for n in range(3, 6) for c in enumerate_chains(n)]
+    chains += [Chain.from_text(7, cls.representative) for cls in pipeline_report.classes]
+    assert len(chains) == 3 + 28 + 315 + 119
+    for chain in chains:
+        index, walk = cond_iv(chain, method="index"), cond_iv(chain, method="dfs")
+        assert _verdict(index) == _verdict(walk), chain.text()
+
+
+def test_pruned_walk_goldens_n8():
+    # beyond the index (n = 8): (satisfied, witness, chains reached)
+    goldens = {
+        "13": (False, None, 216),
+        "24<246": (True, "57<567<48,567<45678<13,45678<123,45678", 29),
+        "12,46": (False, None, 540),
+        "1357": (True, "68<678<5678<24,5678<234,5678<2345678", 1),
+    }
+    for text, expected in goldens.items():
+        chain = Chain.from_text(8, text)
+        outcome = cond_iv(chain)
+        assert outcome.method == "dfs"
+        assert _verdict(outcome) + (outcome.checked,) == expected, text
+        if outcome.witness:
+            assert verify_witness(chain, outcome.witness)
 
 
 def test_verify_witness_rejects_non_witness():

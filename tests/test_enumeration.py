@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from ncpverify.chains import Chain, rank_set, smallest_blocks
 from ncpverify.core import is_noncrossing, rank
 from ncpverify.enumeration import (
@@ -55,17 +57,21 @@ def test_maximal_chain_structure():
         assert chain.ranks() == (1, 2, 3)  # one member of each proper rank
         seen.add(chain.text())
     assert len(seen) == 125
-    # streaming enumeration agrees with the index
-    assert sorted(c.text() for c in enumerate_maximal_chains(5)) == sorted(seen)
+    # streaming enumeration agrees with the index, chain for chain
+    for n in range(3, 7):
+        index = maximal_chain_index(n)
+        streamed = [c.text() for c in enumerate_maximal_chains(n)]
+        assert streamed == [index.chain_at(k).text() for k in range(len(index))]
 
 
 def test_maximal_chain_enclosing_smallest_blocks():
-    index = maximal_chain_index(4)
-    for k in range(len(index)):
-        chain = index.chain_at(k)
-        fam = smallest_blocks(chain)
-        assert index.enclosing[k] == tuple(fam.block(i) for i in range(1, 5))
-        assert index.packed[k] == fam.packed_primes()
+    for n, stride in ((4, 1), (7, 53)):
+        index = maximal_chain_index(n)
+        for k in range(0, len(index), stride):
+            chain = index.chain_at(k)
+            fam = smallest_blocks(chain)
+            assert index.enclosing[k] == tuple(fam.block(i) for i in range(1, n + 1))
+            assert index.packed[k] == fam.packed_primes()
 
 
 def test_chain_counts():
@@ -88,6 +94,10 @@ def test_rank_filtered_counts():
     allch = list(enumerate_chains(7))
     assert sum(1 for c in allch if rank_set(c).ranks == frozenset({1})) == 21
     assert sum(1 for c in allch if rank_set(c).ranks == frozenset({1, 2})) == 245
+    # an empty rank set names no chain and is refused like a rank outside 1..n-2
+    for ranks in ((), set(), {0}, {6}):
+        with pytest.raises(ValueError, match="outside"):
+            list(enumerate_chains(7, rank_filter=ranks))
 
 
 def test_rank_sets():
@@ -116,7 +126,6 @@ def test_orbit_classes_rank_one():
         ("47", 7, "123,4567"),
     ]
     assert sum(c.orbit_size for c in classes) == 21
-    assert classes[0].signature_duplicate_of is None
 
 
 def test_survivors_contains_witness():

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+
+import pytest
 
 from ncpverify.chains import Chain
 from ncpverify.condition4 import pattern_refute
@@ -79,3 +82,47 @@ def test_replay_rejects_tampered_propagation():
     result = replay_certificate(dataclasses.replace(cert, steps=tuple(steps)))
     assert result.ok is False
     assert "target" in result.failure
+
+
+def _forge_forced_index(steps):
+    eviction = next(s for s in steps if "forcedIndex" in s)
+    eviction.update(forcedIndex=4, excluded=[4])  # 4 has no forced block yet
+
+
+@pytest.mark.parametrize(
+    "text, tamper, failure",
+    [
+        # the forced block moved before the exclusions that pin it
+        ("12,46", lambda steps: steps.insert(0, steps.pop(2)), "not excluded"),
+        ("12,46", lambda steps: steps[-1].update(existing=[5, 7]), "stated existing"),
+        (
+            "12,46",
+            lambda steps: steps[-1].update(incoming=steps[-1]["existing"]),
+            "stated incoming",
+        ),
+        (
+            "12,46",
+            lambda steps: steps.append(
+                {"kind": "propagate", "source": 3, "target": 5, "block": [3, 5]}
+            ),
+            "continue after",
+        ),
+        ("23<12346", lambda steps: steps[-1].update(blocks=[[1, 6], [2, 7]]), "forced state"),
+        ("23<12346", lambda steps: steps[-1]["blocks"].__setitem__(0, [5, 6]), "forced state"),
+        ("16<12346", lambda steps: steps.pop(0), "no emptiness"),
+        ("16<16,34<123456", _forge_forced_index, "no forced block"),
+    ],
+)
+def test_replay_rejects_tampered_steps(text, tamper, failure):
+    payload = json.loads(_cert(text).to_json())
+    assert replay_certificate(json.dumps(payload)).ok
+    tamper(payload["steps"])
+    result = replay_certificate(json.dumps(payload))
+    assert result.ok is False
+    assert failure in result.failure
+
+
+def test_replay_rejects_empty_payload():
+    result = replay_certificate("{}")
+    assert result.ok is False
+    assert "lacks a universe size" in result.failure
