@@ -181,22 +181,6 @@ def smallest_blocks(chain: Chain) -> SmallestBlockFamily:
     return SmallestBlockFamily(n, tuple(blocks), primes)
 
 
-def family_from_masks(n: int, member_parts: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """F-block masks straight from member part-mask tuples (no objects)."""
-    full = (1 << n) - 1
-    out = []
-    for i in range(1, n + 1):
-        bit = 1 << (i - 1)
-        best = full
-        for parts in member_parts:
-            part = next(p for p in parts if p & bit)
-            if part & (part - 1):
-                best = part
-                break
-        out.append(best)
-    return tuple(out)
-
-
 # -- conditions I, II, III -----------------------------------------------
 
 

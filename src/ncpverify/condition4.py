@@ -9,7 +9,12 @@ negative answer into a short, independently replayable argument:
   (``(k,+,i)(m)``: clause m of the k-step family read forward from i;
   ``-`` reads backward).  Detection is exhaustive over k in 1..4, both
   directions, all base indices, under a non-strict reading of the
-  containments (``strict=True`` upgrades them to proper ones).
+  containments (``strict=True`` upgrades them to proper ones).  A
+  clause reads at most four relations between consecutive F_i (equal,
+  proper superset, proper subset, incomparable), so the relations from
+  a base index and a direction form an 8-bit key.  A table per reading,
+  built once from ``CLAUSES``, maps base index, direction and key to
+  the hits there.
 * exclusions -- a pattern (k,+,i) forbids i+1..i+k from C_i, and
   (k,-,i) forbids i-k..i-1, for every C that condition IV could accept.
   Unioning over hits gives each index an allowed-companion set.
@@ -19,10 +24,12 @@ negative answer into a short, independently replayable argument:
   deduction sequence is recorded step by step.  The replay module
   re-checks such certificates from scratch.
 
-The search itself is either an index scan over all n^(n-2) maximal
-chains (n <= 7; one AND per chain) or the maximal-chain walk pruned by
-the chain's own F' family (n <= 9).  Both scan in one order, canonical
-partition order, so the reported witness is deterministic and identical.
+The search itself is either an index scan over the distinct C'
+signatures of the n^(n-2) maximal chains (n <= 7; one AND per
+signature, 826 of them at n = 7, in order of first occurrence) or the
+maximal-chain walk pruned by the chain's own F' family (n <= 9).  Both
+find the first compatible chain in canonical partition order, so the
+reported witness is deterministic and identical.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ncpverify.chains import Chain, smallest_blocks
 from ncpverify.core import Partition, _masks_alternate, elements_of
@@ -98,38 +106,86 @@ class PatternHit:
         return cls(int(m[1]), m[2], int(m[3]), int(m[4]))
 
 
-def _hit_order(hit: PatternHit):
-    return (hit.i, hit.sign, hit.k, hit.variant)
+# Relation codes between a block and the next one read: equal, proper
+# superset, proper subset, incomparable.  Reading backward swaps the
+# middle two.  The codes a relation symbol accepts, per reading:
+_EQUAL, _SUPERSET, _SUBSET, _INCOMPARABLE = range(4)
+_REVERSED = (_EQUAL, _SUBSET, _SUPERSET, _INCOMPARABLE)
+_ACCEPTS = {
+    False: {"=": {_EQUAL}, ">=": {_EQUAL, _SUPERSET}, "<=": {_EQUAL, _SUBSET}},
+    True: {"=": {_EQUAL}, ">=": {_SUPERSET}, "<=": {_SUBSET}},
+}
 
 
-def _relation_holds(rel: str, a: int, b: int, strict: bool) -> bool:
-    if rel == "=":
-        return a == b
-    if rel == ">=":
-        return a | b == a and not (strict and a == b)
-    return a | b == b and not (strict and a == b)
+def _relation(a: int, b: int) -> int:
+    if a == b:
+        return _EQUAL
+    union = a | b
+    if union == a:
+        return _SUPERSET
+    if union == b:
+        return _SUBSET
+    return _INCOMPARABLE
+
+
+@lru_cache(maxsize=None)
+def _hit_table(n: int, strict: bool):
+    """``table[i-1][d][key]``: the hits at base i, direction d (0 is +),
+    whose clauses hold when the relations read are the 2-bit codes of
+    ``key``, the first relation lowest.  Hits appear in (k, clause) order.
+
+    The 256 keys give only 29 distinct clause sets (16 strict), so a row
+    holds one tuple per set, built from one hit per clause.
+    """
+    accepts = _ACCEPTS[strict]
+    matches = [
+        tuple(
+            (k, m)
+            for k, variants in CLAUSES.items()
+            for m, rels in enumerate(variants, 1)
+            if all(key >> 2 * t & 3 in accepts[rel] for t, rel in enumerate(rels))
+        )
+        for key in range(4**MAX_PATTERN_LENGTH)
+    ]
+    table = []
+    for i in range(1, n + 1):
+        rows = []
+        for sign in "+-":
+            hit = {
+                (k, m): PatternHit(k, sign, i, m)
+                for k, variants in CLAUSES.items()
+                for m in range(1, len(variants) + 1)
+            }
+            shared = {found: tuple(map(hit.__getitem__, found)) for found in set(matches)}
+            rows.append(tuple(map(shared.__getitem__, matches)))
+        table.append(rows)
+    return table
 
 
 def detect_patterns(chain: Chain, strict: bool = False) -> tuple[PatternHit, ...]:
-    """Every satisfied pattern clause of the chain's F-family."""
+    """Every satisfied pattern clause of the chain's F-family.
+
+    Hits come ordered by base index, then sign (+ first), length and
+    clause.
+    """
     n = chain.n
     blocks = smallest_blocks(chain).blocks
-    hits = []
-    for i in range(1, n + 1):
-        for sign, step in (("+", 1), ("-", n - 1)):
-            for k, variants in CLAUSES.items():
-                for m, rels in enumerate(variants, 1):
-                    if all(
-                        _relation_holds(
-                            rel,
-                            blocks[(i - 1 + step * t) % n],
-                            blocks[(i - 1 + step * (t + 1)) % n],
-                            strict,
-                        )
-                        for t, rel in enumerate(rels)
-                    ):
-                        hits.append(PatternHit(k, sign, i, m))
-    hits.sort(key=_hit_order)
+    # forward[j] relates F_(j+1) to the next block, backward[j] the next
+    # block to F_(j+1).  Two laps let every window of four relations be
+    # read without wrapping: forward by positive indices, backward by
+    # indices down to b - 4 >= -4.
+    forward = [_relation(blocks[j], blocks[(j + 1) % n]) for j in range(n)]
+    backward = [_REVERSED[code] for code in forward]
+    forward *= 2
+    backward *= 2
+    hits: list[PatternHit] = []
+    for b, (ahead, behind) in enumerate(_hit_table(n, strict)):
+        hits += ahead[
+            forward[b] | forward[b + 1] << 2 | forward[b + 2] << 4 | forward[b + 3] << 6
+        ]
+        hits += behind[
+            backward[b - 1] | backward[b - 2] << 2 | backward[b - 3] << 4 | backward[b - 4] << 6
+        ]
     return tuple(hits)
 
 
@@ -205,7 +261,8 @@ class WitnessOrRefutation:
 
     ``witness`` is the first compatible maximal chain in canonical
     order, or None when the search exhausted all of them.  ``checked``
-    counts maximal chains examined (index scan) or reached (pruned
+    counts the maximal chains up to and including the witness, all of
+    them when there is none (index scan), or the chains reached (pruned
     depth-first search).
     """
 
@@ -221,10 +278,13 @@ def cond_iv(chain: Chain, method: str = "auto") -> WitnessOrRefutation:
         method = "index" if n <= 7 else "dfs"
     fam = smallest_blocks(chain)
     if method == "index":
+        # The first compatible signature in first-occurrence order holds
+        # the least compatible position.
         idx = maximal_chain_index(n)
-        sig = fam.packed_primes()
-        for pos, packed in enumerate(idx.packed):
-            if packed & sig == 0:
+        demand = fam.packed_primes()
+        for sig, positions in idx.groups.items():
+            if sig & demand == 0:
+                pos = positions[0]
                 return WitnessOrRefutation(True, idx.chain_at(pos), pos + 1, "index")
         return WitnessOrRefutation(False, None, len(idx), "index")
     if method == "dfs":

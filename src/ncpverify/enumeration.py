@@ -17,15 +17,17 @@ condition-IV search passes the chain's own family.
 
 For n <= 7 the full walk is additionally cached as an index: for each
 of the n^(n-2) chains, the catalogue indices of its members, the
-enclosing-block family C_i, and the 2n-bit packed C' signature.
-Deciding condition IV against the index is then a single AND per
-maximal chain.
+enclosing-block family C_i, and the 2n-bit packed C' signature.  The
+chains share few families (5 103 at n = 7) and fewer signatures (826),
+so the index keeps each family once and groups the chains by
+signature: deciding condition IV is one AND per distinct signature.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -196,38 +198,66 @@ def enumerate_maximal_chains(n: int):
 class MaximalChainIndex:
     """Cached sweep of all maximal chains of the proper part of NC(n), n <= 7.
 
-    Per chain (in depth-first order): ``member_indices`` into the
-    catalogue, ``enclosing`` = (C_1..C_n) masks, and ``packed`` = the
-    2n-bit C' signature matching SmallestBlockFamily.packed_primes.
+    Per chain k, in depth-first order:
+
+    * ``chain_at(k)``: its members, read from ``member_indices``, the
+      catalogue indices of all chains in one flat ``array('H')`` (n - 2
+      per chain);
+    * ``enclosing[k]``: the family (C_1..C_n) of masks;
+    * ``packed[k]``: the 2n-bit C' signature matching
+      SmallestBlockFamily.packed_primes.
+
+    Chains with equal families share one ``enclosing`` tuple and one
+    ``packed`` int, so ``pack_primes`` runs once per family.
+    ``groups`` maps each distinct signature, in order of first
+    occurrence, to the ascending positions (an ``array('H')``) of its
+    chains; the first compatible signature in that order therefore
+    holds the least compatible position.
     """
 
-    __slots__ = ("n", "cat", "member_indices", "enclosing", "packed")
+    __slots__ = ("n", "cat", "member_indices", "enclosing", "packed", "groups")
 
     def __init__(self, n: int):
         self.n = n
         self.cat = cat = catalogue(n)
-        self.member_indices: list[tuple[int, ...]] = []
+        self.member_indices = members_flat = array("H")
         self.enclosing: list[tuple[int, ...]] = []
         self.packed: list[int] = []
+        self.groups: dict[int, array] = {}
 
         neighbors = [neighbor_mask(n, i) for i in range(1, n + 1)]
         index_of = cat.index_of.__getitem__
-        for members, enclosing in walk_maximal_chains(n, (0,) * n):
-            self.member_indices.append(tuple(map(index_of, members)))
+        shared: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+        for position, (members, enclosing) in enumerate(walk_maximal_chains(n, (0,) * n)):
+            members_flat.extend(map(index_of, members))
+            family = shared.get(enclosing)
+            if family is None:
+                sig = pack_primes(n, [c & m for c, m in zip(enclosing, neighbors)])
+                family = shared[enclosing] = (enclosing, sig)
+            enclosing, sig = family
             self.enclosing.append(enclosing)
-            self.packed.append(pack_primes(n, [c & m for c, m in zip(enclosing, neighbors)]))
+            self.packed.append(sig)
+            positions = self.groups.get(sig)
+            if positions is None:
+                positions = self.groups[sig] = array("H")
+            positions.append(position)
 
     def __len__(self) -> int:
         return len(self.packed)
 
     def chain_at(self, k: int) -> Chain:
-        return chain_from_indices(self.cat, self.member_indices[k])
+        width = self.n - 2
+        return chain_from_indices(self.cat, self.member_indices[k * width : (k + 1) * width])
 
-    def survivors(self, packed_family: int):
-        """Indices of maximal chains whose C' avoids the given packed F'."""
-        return [
-            k for k, sig in enumerate(self.packed) if sig & packed_family == 0
-        ]
+    def survivors(self, packed_family: int) -> list[int]:
+        """Positions of maximal chains whose C' avoids the given packed F', ascending."""
+        return sorted(
+            itertools.chain.from_iterable(
+                positions
+                for sig, positions in self.groups.items()
+                if sig & packed_family == 0
+            )
+        )
 
 
 @lru_cache(maxsize=None)

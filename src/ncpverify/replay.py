@@ -109,7 +109,7 @@ class _Replayer:
 
     def _index(self, step: dict, key: str) -> int:
         value = step.get(key)
-        if not isinstance(value, int) or not 1 <= value <= self.n:
+        if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= self.n:
             raise _Reject(f"{key} {value!r} is not an index in 1..{self.n}")
         return value
 
@@ -269,26 +269,33 @@ class _Replayer:
 
 def replay_certificate(certificate) -> ReplayResult:
     """Re-check a certificate from scratch.  Accepts the object or its JSON."""
-    if isinstance(certificate, str):
-        data = json.loads(certificate)
-        chain_text = data.get("chain")
-        n = data.get("n")
-        strict = data.get("strict")
-        steps = data.get("steps")
-        conclusion = data.get("conclusion")
-    else:
-        chain_text = certificate.chain_text
-        n = certificate.n
-        strict = certificate.strict
-        steps = list(certificate.steps)
-        conclusion = certificate.conclusion
-
     checked = 0
     try:
+        if isinstance(certificate, str):
+            data = json.loads(certificate)
+            if not isinstance(data, dict):
+                raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+            chain_text = data.get("chain")
+            n = data.get("n")
+            strict = data.get("strict")
+            steps = data.get("steps")
+            conclusion = data.get("conclusion")
+        else:
+            chain_text = certificate.chain_text
+            n = certificate.n
+            strict = certificate.strict
+            steps = list(certificate.steps)
+            conclusion = certificate.conclusion
+        if isinstance(n, bool):
+            raise TypeError(f"universe size {n!r} is not an integer")
         if not isinstance(n, int) or not isinstance(steps, list) or not steps:
             raise _Reject("certificate lacks a universe size or any steps")
+        if not isinstance(chain_text, str):
+            raise TypeError(f"chain {chain_text!r} is not a chain text")
+        if not isinstance(strict, bool):
+            raise TypeError(f"strict {strict!r} is not true or false")
         chain = Chain.from_text(n, chain_text)
-        replayer = _Replayer(n, chain, bool(strict))
+        replayer = _Replayer(n, chain, strict)
         for pos, step in enumerate(steps):
             if not isinstance(step, dict):
                 raise _Reject(f"step {pos} is not a record")

@@ -2,7 +2,10 @@
 
 The theorem5 scan runs on tuples of catalogue indices.  Each table and
 index-tuple function is compared here against an object-level reference
-built from ``Partition`` methods and ``core`` functions only.
+built from ``Partition`` methods and ``core`` functions only.  The
+table-driven condition-IV kernels (pattern detection by relation keys,
+the index scan by signature group) are compared against a clause-by-
+clause detector and a plain scan over every maximal chain.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import pytest
 
 from ncpverify.chains import (
     Chain,
+    smallest_blocks,
     canonical_indices,
     chain_from_indices,
     chain_indices,
@@ -31,7 +35,12 @@ from ncpverify.core import (
     kreweras_dual,
     popcount,
 )
-from ncpverify.enumeration import all_chain_index_tuples, enumerate_chains
+from ncpverify.condition4 import CLAUSES, PatternHit, cond_iv, detect_patterns
+from ncpverify.enumeration import (
+    all_chain_index_tuples,
+    enumerate_chains,
+    maximal_chain_index,
+)
 from ncpverify.lattice import catalogue
 from ncpverify.pipeline import run_theorem5
 
@@ -101,6 +110,45 @@ def reference_canonical(chain: Chain) -> Chain:
 
 def reference_orbit_size(chain: Chain) -> int:
     return len({_key(members) for members in _images(chain)})
+
+
+def _relation_holds(rel: str, a: int, b: int, strict: bool) -> bool:
+    if rel == "=":
+        return a == b
+    if rel == ">=":
+        return a | b == a and not (strict and a == b)
+    return a | b == b and not (strict and a == b)
+
+
+def reference_patterns(chain: Chain, strict: bool) -> tuple[PatternHit, ...]:
+    """Every clause checked at every base index and direction, in hit order."""
+    n = chain.n
+    blocks = smallest_blocks(chain).blocks
+    hits = []
+    for i in range(1, n + 1):
+        for sign, step in (("+", 1), ("-", n - 1)):
+            for k, variants in CLAUSES.items():
+                for m, rels in enumerate(variants, 1):
+                    if all(
+                        _relation_holds(
+                            rel,
+                            blocks[(i - 1 + step * t) % n],
+                            blocks[(i - 1 + step * (t + 1)) % n],
+                            strict,
+                        )
+                        for t, rel in enumerate(rels)
+                    ):
+                        hits.append(PatternHit(k, sign, i, m))
+    hits.sort(key=lambda hit: (hit.i, hit.sign, hit.k, hit.variant))
+    return tuple(hits)
+
+
+def reference_cond_iv(index, demand: int):
+    """(satisfied, witness text, checked, survivors) by a plain scan."""
+    compatible = [k for k, sig in enumerate(index.packed) if sig & demand == 0]
+    if not compatible:
+        return False, None, len(index), compatible
+    return True, index.chain_at(compatible[0]).text(), compatible[0] + 1, compatible
 
 
 # -- catalogue tables -------------------------------------------------------
@@ -185,3 +233,81 @@ def test_dual_twice_is_a_rotation_never_the_identity():
             cat, dual_indices(cat, dual_indices(cat, indices))
         ) == canonical_indices(cat, indices)
     assert count == 4621
+
+
+# -- condition IV kernels ---------------------------------------------------
+
+
+# Both kernels read a chain only through its F-family (patterns) or its
+# packed F' signature (condition IV), so one chain per distinct value
+# covers every chain of a sweep: at n = 6 the 4 621 chains have 1 837
+# families and 511 signatures.
+
+
+def _assert_patterns(chains):
+    families = {smallest_blocks(chain).blocks: chain for chain in chains}
+    for chain in families.values():
+        for strict in (False, True):
+            assert detect_patterns(chain, strict) == reference_patterns(chain, strict), (
+                chain.text(),
+                strict,
+            )
+
+
+def _assert_cond_iv(chains):
+    demands = {smallest_blocks(chain).packed_primes(): chain for chain in chains}
+    for demand, chain in demands.items():
+        index = maximal_chain_index(chain.n)
+        outcome = cond_iv(chain, method="index")
+        witness = outcome.witness.text() if outcome.witness else None
+        found = (outcome.satisfied, witness, outcome.checked, index.survivors(demand))
+        assert found == reference_cond_iv(index, demand), chain.text()
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_patterns_and_signature_scan_every_chain(n):
+    chains = list(enumerate_chains(n))
+    _assert_patterns(chains)
+    _assert_cond_iv(chains)
+
+
+def test_patterns_and_signature_scan_n7_stride():
+    cat = catalogue(7)
+    stride = itertools.islice(all_chain_index_tuples(cat), 0, None, 211)
+    chains = [chain_from_indices(cat, indices) for indices in stride]
+    _assert_patterns(chains)
+    _assert_cond_iv(chains)
+
+
+@pytest.mark.parametrize(
+    "n, text",
+    [
+        (8, "13"),
+        (8, "12,46"),
+        (8, "24<246"),
+        (8, "18<178<12678"),
+        (9, "1357<13579"),
+        (9, "19<189<12789<1234789"),
+        (9, "23,45<2345<12345<12345678"),
+    ],
+)
+def test_patterns_beyond_the_catalogue(n, text):
+    # the relation windows wrap differently when n exceeds the longest clause
+    _assert_patterns([Chain.from_text(n, text)])
+
+
+def test_index_shares_families_and_groups_signatures():
+    index = maximal_chain_index(7)
+    assert len(index) == 16807
+    assert len(index.groups) == len(set(index.packed)) == 826
+    assert len(set(index.enclosing)) == 5103
+    # equal families are one object, so the index stays small
+    assert len({id(e) for e in index.enclosing}) == 5103
+    assert len(index.member_indices) == 16807 * 5
+    positions = [k for group in index.groups.values() for k in group]
+    assert sorted(positions) == list(range(16807))
+    firsts = [group[0] for group in index.groups.values()]
+    assert firsts == sorted(firsts)
+    for sig, group in index.groups.items():
+        assert list(group) == sorted(group)
+        assert all(index.packed[k] == sig for k in group)

@@ -111,6 +111,8 @@ def _forge_forced_index(steps):
         ("23<12346", lambda steps: steps[-1]["blocks"].__setitem__(0, [5, 6]), "forced state"),
         ("16<12346", lambda steps: steps.pop(0), "no emptiness"),
         ("16<16,34<123456", _forge_forced_index, "no forced block"),
+        # true == 1 in Python, but a flag is not an index
+        ("23<12346", lambda steps: steps[4].update(index=True), "not an index"),
     ],
 )
 def test_replay_rejects_tampered_steps(text, tamper, failure):
@@ -126,3 +128,17 @@ def test_replay_rejects_empty_payload():
     result = replay_certificate("{}")
     assert result.ok is False
     assert "lacks a universe size" in result.failure
+
+
+@pytest.mark.parametrize(
+    "payload",
+    ["[]", "nope", {"chain": 5}, {"chain": None}, {"n": True}, {"strict": "yes"}],
+    ids=["list", "not-json", "chain-int", "chain-null", "n-true", "strict-text"],
+)
+def test_replay_reports_malformed_payload(payload):
+    if isinstance(payload, dict):
+        payload = json.dumps({**json.loads(_cert().to_json()), **payload})
+    result = replay_certificate(payload)
+    assert result.ok is False
+    assert result.failure.startswith("malformed certificate: ")
+    assert result.steps_checked == 0
