@@ -17,7 +17,6 @@ import pytest
 
 from ncpverify.chains import (
     Chain,
-    smallest_blocks,
     canonical_indices,
     chain_from_indices,
     chain_indices,
@@ -26,6 +25,7 @@ from ncpverify.chains import (
     dual_chain,
     dual_indices,
     orbit_size_of_indices,
+    smallest_blocks,
 )
 from ncpverify.core import (
     Symmetry,
@@ -292,7 +292,7 @@ def test_patterns_and_signature_scan_n7_stride():
     ],
 )
 def test_patterns_beyond_the_catalogue(n, text):
-    # the relation windows wrap differently when n exceeds the longest clause
+    # n = 8, 9 build their own hit tables and wrap the windows at their own length
     _assert_patterns([Chain.from_text(n, text)])
 
 
