@@ -211,7 +211,7 @@ def cond_iii_criterion(chain: Chain) -> bool:
     (ii) four members of some P sitting inside one part of the next
     member up cross in union, or (iii) the bottom partition has a part
     of size >= 4.  Singleton members participate in (i) and (ii).  The
-    clauses are catalogue tables, so this needs n <= 7.
+    clauses are catalogue tables (any n <= 9).
     """
     cat = catalogue(chain.n)
     return cond_iii_criterion_of_indices(cat, chain_indices(cat, chain))

@@ -8,13 +8,15 @@ reference-data inspection (``fixtures``).
 
 Exit codes: 0 success (for ``theorem5``: verified and aligned); 1 a
 mathematical check failed (a surviving class, or an exclusion
-violation); 2 reference misalignment only; 3 usage or input error.
+violation); 2 reference misalignment only; 3 usage or input error; 141
+the reader closed stdout (a broken pipe).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from ncpverify.apartments import NCSpanningTree, cond_iv_prime, dominant_vertex, spanning_trees
@@ -102,8 +104,9 @@ def _print_chain_analysis(chain: Chain, strict_patterns: bool, dominant: bool) -
 
 
 def _cmd_check(args) -> int:
-    # Checked before any output: the analysis needs the catalogue and the
-    # exhaustive condition-III search, both of which stop at n = 7.
+    # Checked before any output: the catalogue goes to n = 9, but the
+    # exhaustive condition-III search in the analysis (like the
+    # maximal-chain index) still stops at n = 7.
     if not 3 <= args.n <= 7:
         raise ValueError(f"check supports 3 <= n <= 7, got n = {args.n}")
     chain = Chain.from_text(args.n, args.chain)
@@ -286,7 +289,16 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 0
         return 3 if code == 2 else code
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (``... | head``): not bad input.  Point
+        # stdout at devnull so the flush at shutdown cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a reader-closed pipe
     except (
         NotationError,
         CrossingPartitionError,

@@ -8,9 +8,8 @@ over the elements — bit e-1 stands for element e — so the two tests the
 rest of the package leans on, "is this part inside that one" and "do these
 two parts cross", are single machine-word operations.
 
-Vocabulary used throughout: a *member* of a partition is any part, a
-*block* is a part with at least two elements, and a block is *consecutive*
-when its elements form a contiguous cyclic arc.  Two disjoint sets cross
+Vocabulary used throughout: a *member* of a partition is any part, and a
+*block* is a part with at least two elements.  Two disjoint sets cross
 when, read around the circle, they alternate A B A B.  A partition is
 non-crossing when no two of its blocks cross; `NC(n)` below means the set
 of non-crossing partitions of {1..n}, ordered by refinement.
@@ -67,7 +66,7 @@ def popcount(mask: int) -> int:
 
 @dataclass(frozen=True)
 class Universe:
-    """The circle of points 1..n; owns the cyclic successor/predecessor."""
+    """The circle of points 1..n."""
 
     n: int
 
@@ -75,18 +74,8 @@ class Universe:
         if not 1 <= self.n <= MAX_N:
             raise ValueError(f"universe size must be in 1..{MAX_N}, got {self.n}")
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
     def elements(self) -> range:
         return range(1, self.n + 1)
-
-    def succ(self, e: int) -> int:
-        return e % self.n + 1
-
-    def pred(self, e: int) -> int:
-        return (e - 2) % self.n + 1
 
 
 @dataclass(frozen=True)
@@ -116,10 +105,6 @@ class Block:
 
     def __contains__(self, e: int) -> bool:
         return bool(self.mask >> (e - 1) & 1)
-
-    def is_consecutive(self) -> bool:
-        """True iff the elements form one contiguous cyclic arc."""
-        return _is_cyclic_arc(self.mask, self.n)
 
 
 def _is_cyclic_arc(mask: int, n: int) -> bool:

@@ -49,12 +49,6 @@ class FixtureSet:
         """Every reference chain once, in rank-set order."""
         return tuple(text for rs in self.rank_sets for text in rs.chains)
 
-    def case_of(self, chain_text: str) -> CaseFixture:
-        for case in self.cases:
-            if chain_text in case.chains:
-                return case
-        raise KeyError(f"chain {chain_text!r} belongs to no case")
-
 
 class FixtureError(ValueError):
     """The embedded data file is malformed or internally inconsistent."""

@@ -2,11 +2,18 @@
 
 The downstream search problems (condition III intervals, chain
 enumeration, maximal-chain scans) all reduce to questions about the
-finite poset NC(n), so for n <= 7 we build its full catalogue once: the
-sorted list of partitions together with strict order and crossing
-relations as bitsets over partition indices.  A bitset row makes "is
-there a crossing pair strictly between P and Q" a handful of word
-operations instead of a fresh search.
+finite poset NC(n), so for every n <= 9 (NC(9) has 4 862 elements) we
+build its full catalogue once: the sorted list of partitions together
+with strict order and crossing relations as bitsets over partition
+indices.  A bitset row makes "is there a crossing pair strictly between
+P and Q" a handful of word operations instead of a fresh search.
+
+The rows are built block by block, not pair by pair.  p <= q holds
+exactly when every part of p lies inside some part of q, and p crosses
+q exactly when a block of p crosses a block of q.  So one bitset per
+subset s of {1..n} -- the partitions with a part containing s, and the
+partitions with a block crossing s -- gives each row as an AND or an OR
+over the row's own parts.
 
 Index convention: partitions are sorted by (rank, sort_key), so the
 all-singleton bottom is index 0 and the one-block top is the last index,
@@ -41,14 +48,12 @@ import itertools
 from functools import lru_cache
 
 from ncpverify.core import (
+    MAX_N,
     Partition,
     _masks_alternate,
-    _sorted_parts,
     dihedral_group,
     is_noncrossing,
     kreweras_dual,
-    leq,
-    partitions_cross,
 )
 
 
@@ -107,7 +112,8 @@ class Catalogue:
     ``above[i]`` / ``below[i]`` hold the indices strictly greater/less
     than partition i; ``crossing[i]`` holds the indices whose partition
     crosses partition i.  ``proper_mask`` selects ranks 1..n-2, i.e. the
-    proper part of the lattice that chains live in.
+    proper part of the lattice that chains live in.  Any 1 <= n <= 9
+    (``core.MAX_N``) is accepted.
 
     ``symmetries[g][i]`` is the index of ``dihedral_group(n)[g]`` applied
     to partition i; ``key_position[i]`` is the place of partition i when
@@ -137,40 +143,65 @@ class Catalogue:
     )
 
     def __init__(self, n: int):
-        if not 1 <= n <= 7:
-            raise ValueError("catalogue supports n <= 7 (NC(7) has 429 elements)")
+        if not 1 <= n <= MAX_N:
+            raise ValueError(f"catalogue supports 1 <= n <= {MAX_N}, got n = {n}")
         self.n = n
-        self.partitions = tuple(noncrossing_partitions(n))
-        self.index_of = {p.parts: i for i, p in enumerate(self.partitions)}
-        size = len(self.partitions)
+        self.partitions = partitions = tuple(noncrossing_partitions(n))
+        self.index_of = {p.parts: i for i, p in enumerate(partitions)}
+        size = len(partitions)
 
         buckets: list[list[int]] = [[] for _ in range(n)]
-        for i, p in enumerate(self.partitions):
+        for i, p in enumerate(partitions):
             buckets[p.rank].append(i)
         self.rank_indices = tuple(tuple(b) for b in buckets)
         self.bottom = 0
         self.top = size - 1
 
-        above = [0] * size
+        # Block tables, keyed by part mask.  Every nonempty subset of
+        # {1..n} is a part of some partition (itself plus singletons), so
+        # each table has 2^n - 1 keys.  holders[s]: the partitions with
+        # part s; containers[s]: those with a part containing s;
+        # cross_of[s]: those with a block crossing s (empty for singletons).
+        holders: dict[int, int] = {}
+        for i, p in enumerate(partitions):
+            for s in p.parts:
+                holders[s] = holders.get(s, 0) | 1 << i
+        full = (1 << n) - 1
+        containers: dict[int, int] = {}
+        cross_of: dict[int, int] = {}
+        for s in holders:
+            rest = full & ~s
+            is_block = s & (s - 1)
+            inside = crossed = 0
+            t = rest  # every subset t of the complement of s, down to 0
+            while True:
+                inside |= holders[s | t]
+                if is_block and t & (t - 1) and _masks_alternate(s, t, n):
+                    crossed |= holders[t]
+                if not t:
+                    break
+                t = (t - 1) & rest
+            containers[s] = inside
+            cross_of[s] = crossed
+
+        # p <= q iff every part of p lies inside a part of q; p and q cross
+        # iff a block of p crosses a block of q.
+        above = []
+        crossing = []
+        for i, p in enumerate(partitions):
+            row = ~(1 << i)
+            crossed = 0
+            for s in p.parts:
+                row &= containers[s]
+                crossed |= cross_of[s]
+            above.append(row)
+            crossing.append(crossed)
         below = [0] * size
-        for r in range(n - 1):
-            for s in range(r + 1, n):
-                for i in buckets[r]:
-                    pi = self.partitions[i]
-                    for j in buckets[s]:
-                        if leq(pi, self.partitions[j]):
-                            above[i] |= 1 << j
-                            below[j] |= 1 << i
+        for i, row in enumerate(above):
+            for j in iter_bits(row):
+                below[j] |= 1 << i
         self.above = tuple(above)
         self.below = tuple(below)
-
-        crossing = [0] * size
-        for i in range(size):
-            pi = self.partitions[i]
-            for j in range(i + 1, size):
-                if partitions_cross(pi, self.partitions[j]):
-                    crossing[i] |= 1 << j
-                    crossing[j] |= 1 << i
         self.crossing = tuple(crossing)
 
         proper = 0
@@ -187,13 +218,18 @@ class Catalogue:
         self.dual_index = tuple(
             self.index_of[kreweras_dual(p).parts] for p in self.partitions
         )
-        self.symmetries = tuple(
-            tuple(
-                self.index_of[_sorted_parts(g.apply_mask(m) for m in p.parts)]
-                for p in self.partitions
-            )
-            for g in dihedral_group(n)
-        )
+        # g(p) is the one partition that holds the image of every part of p.
+        symmetries = []
+        for g in dihedral_group(n):
+            image = {s: holders[g.apply_mask(s)] for s in holders}
+            table = []
+            for p in partitions:
+                hit = -1
+                for s in p.parts:
+                    hit &= image[s]
+                table.append(hit.bit_length() - 1)
+            symmetries.append(tuple(table))
+        self.symmetries = tuple(symmetries)
         by_key = sorted(range(size), key=lambda i: self.partitions[i].sort_key())
         position = [0] * size
         for place, i in enumerate(by_key):

@@ -449,11 +449,12 @@ def validate_lemma3(
         if surviving:
             chains_with_survivors += 1
             total_survivors += len(surviving)
+        masks = [(hit, hit.i - 1, exclusion_mask(n, hit)) for hit in hits]
+        pairs_checked += len(surviving) * len(hits)
         for k in surviving:
             enclosing = index.enclosing[k]
-            for hit in hits:
-                pairs_checked += 1
-                if enclosing[hit.i - 1] & exclusion_mask(n, hit):
+            for hit, i, mask in masks:
+                if enclosing[i] & mask:
                     violations.append(
                         f"chain {chain.text()} hit {hit.text()}"
                         f" violated by maximal chain #{k}"

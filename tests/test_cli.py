@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import ncpverify
 from ncpverify.cli import main
 
 
@@ -92,6 +97,24 @@ def test_enumerate_counts(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert len(out.splitlines()) == 12
+
+
+def test_closed_stdout_exits_141_without_a_message():
+    # A reader that stops early (``... | head``) is not an input error.
+    env = dict(os.environ, PYTHONPATH=str(Path(ncpverify.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ncpverify.cli", "enumerate", "--what", "maxchains", "--n", "7"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert first == b"67<567<4567<34567<234567\n"
+    assert stderr == b""
 
 
 def test_theorem5_exit_code_and_reports(capsys, tmp_path):

@@ -3,6 +3,9 @@
 The theorem5 scan runs on tuples of catalogue indices.  Each table and
 index-tuple function is compared here against an object-level reference
 built from ``Partition`` methods and ``core`` functions only.  The
+catalogue's block-built tables are compared against the pairwise loop
+over ``leq`` and ``partitions_cross`` that they replace, and checked
+against the lattice laws they must obey up to n = 8.  The
 table-driven condition-IV kernels (pattern detection by relation keys,
 the index scan by signature group) are compared against a clause-by-
 clause detector and a plain scan over every maximal chain.
@@ -33,6 +36,8 @@ from ncpverify.core import (
     apply_symmetry,
     dihedral_group,
     kreweras_dual,
+    leq,
+    partitions_cross,
     popcount,
 )
 from ncpverify.condition4 import CLAUSES, PatternHit, cond_iv, detect_patterns
@@ -41,7 +46,7 @@ from ncpverify.enumeration import (
     enumerate_chains,
     maximal_chain_index,
 )
-from ncpverify.lattice import catalogue
+from ncpverify.lattice import catalogue, iter_bits, noncrossing_partitions
 from ncpverify.pipeline import run_theorem5
 
 
@@ -151,7 +156,144 @@ def reference_cond_iv(index, demand: int):
     return True, index.chain_at(compatible[0]).text(), compatible[0] + 1, compatible
 
 
+def reference_tables(n: int) -> dict:
+    """The catalogue's tables as the pairwise loop builds them: one ``leq``
+    per pair of ranks, one ``partitions_cross`` per unordered pair, and one
+    object-level image per partition and symmetry."""
+    partitions = tuple(noncrossing_partitions(n))
+    index_of = {p.parts: i for i, p in enumerate(partitions)}
+    size = len(partitions)
+    above = [0] * size
+    below = [0] * size
+    crossing = [0] * size
+    for i, j in itertools.combinations(range(size), 2):
+        p, q = partitions[i], partitions[j]
+        if p.rank < q.rank and leq(p, q):
+            above[i] |= 1 << j
+            below[j] |= 1 << i
+        if partitions_cross(p, q):
+            crossing[i] |= 1 << j
+            crossing[j] |= 1 << i
+    by_key = sorted(range(size), key=lambda i: partitions[i].sort_key())
+    return {
+        "partitions": partitions,
+        "above": tuple(above),
+        "below": tuple(below),
+        "crossing": tuple(crossing),
+        "symmetries": tuple(
+            tuple(index_of[apply_symmetry(p, g).parts] for p in partitions)
+            for g in dihedral_group(n)
+        ),
+        "dual_index": tuple(index_of[kreweras_dual(p).parts] for p in partitions),
+        "key_position": tuple(by_key.index(i) for i in range(size)),
+        "universal": tuple(p.is_universal() for p in partitions),
+        "part_by_element": tuple(
+            tuple(p.part_containing(e) for e in range(1, n + 1)) for p in partitions
+        ),
+    }
+
+
+def _pairs(table) -> list[tuple[int, int]]:
+    """The relation a bitset table stores, as (row, column) pairs."""
+    return [(i, j) for i, row in enumerate(table) for j in iter_bits(row)]
+
+
+def _transpose(table) -> tuple[int, ...]:
+    out = [0] * len(table)
+    for i, j in _pairs(table):
+        out[j] |= 1 << i
+    return tuple(out)
+
+
 # -- catalogue tables -------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_catalogue_matches_pairwise_reference(n):
+    cat = catalogue(n)
+    for name, table in reference_tables(n).items():
+        assert getattr(cat, name) == table, name
+
+
+def test_catalogue_n8_rows_match_pairwise_reference():
+    # The full pairwise loop at n = 8 takes seconds; every 13th row against
+    # all 1 430 columns covers each rank and every column.
+    cat = catalogue(8)
+    parts = cat.partitions
+    assert parts == tuple(noncrossing_partitions(8))
+    group = dihedral_group(8)
+    for i in range(0, len(parts), 13):
+        p = parts[i]
+        above = below = crossing = 0
+        for j, q in enumerate(parts):
+            if j != i and leq(p, q):
+                above |= 1 << j
+            if j != i and leq(q, p):
+                below |= 1 << j
+            if partitions_cross(p, q):
+                crossing |= 1 << j
+        assert (cat.above[i], cat.below[i], cat.crossing[i]) == (above, below, crossing)
+        assert cat.dual_index[i] == cat.index_of[kreweras_dual(p).parts]
+        assert [table[i] for table in cat.symmetries] == [
+            cat.index_of[apply_symmetry(p, g).parts] for g in group
+        ]
+        assert cat.universal[i] == p.is_universal()
+        assert cat.part_by_element[i] == tuple(p.part_containing(e) for e in range(1, 9))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_order_tables_are_a_strict_order_and_its_transpose(n):
+    cat = catalogue(n)
+    assert cat.below == _transpose(cat.above)
+    for i, j in _pairs(cat.above):
+        assert i < j  # index order extends the rank order
+        assert cat.above[j] & ~cat.above[i] == 0  # transitive
+    everything = (1 << len(cat.partitions)) - 1
+    assert cat.above[cat.bottom] == everything ^ 1 << cat.bottom
+    assert cat.below[cat.top] == everything ^ 1 << cat.top
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_crossing_is_symmetric_irreflexive_and_incomparable(n):
+    cat = catalogue(n)
+    assert cat.crossing == _transpose(cat.crossing)
+    for i, row in enumerate(cat.crossing):
+        assert not row >> i & 1
+        assert row & (cat.above[i] | cat.below[i]) == 0
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_symmetries_are_automorphisms(n):
+    # A permutation that maps a finite relation into itself maps it onto
+    # itself; crossing is symmetric, so its pairs i < j suffice.
+    cat = catalogue(n)
+    above = _pairs(cat.above)
+    crossing = [(i, j) for i, j in _pairs(cat.crossing) if i < j]
+    for table in cat.symmetries:
+        assert sorted(table) == list(range(len(cat.partitions)))
+        assert all(cat.above[table[i]] >> table[j] & 1 for i, j in above)
+        assert all(cat.crossing[table[i]] >> table[j] & 1 for i, j in crossing)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_dual_index_laws(n):
+    cat = catalogue(n)
+    dual = cat.dual_index
+    size = len(dual)
+    assert sorted(dual) == list(range(size))
+    # order-reversing: i < j implies K(j) < K(i)
+    assert all(cat.above[dual[j]] >> dual[i] & 1 for i, j in _pairs(cat.above))
+    # K twice is the rotation i -> i - 1
+    group = dihedral_group(n)
+    assert group[n - 1] == Symmetry.rotation(n, -1)
+    assert [dual[dual[i]] for i in range(size)] == list(cat.symmetries[n - 1])
+    # K(s_c(P)) = s_(c-1)(K(P)) for every reflection s_c
+    for c in range(n):
+        assert group[n + c] == Symmetry.reflection(n, c)
+        reflect, shifted = cat.symmetries[n + c], cat.symmetries[n + (c - 1) % n]
+        assert [dual[reflect[i]] for i in range(size)] == [
+            shifted[dual[i]] for i in range(size)
+        ]
 
 
 @pytest.mark.parametrize("n", range(3, 8))
