@@ -14,12 +14,12 @@ from ncpverify.core import (
     pi_meet,
     rank,
 )
-from ncpverify.enumeration import enumerate_ncp
+from ncpverify.lattice import noncrossing_partitions
 
 
 def main() -> None:
     print("sizes of NC(n) for n = 1..7:")
-    print(" ", [sum(1 for _ in enumerate_ncp(n)) for n in range(1, 8)])
+    print(" ", [sum(1 for _ in noncrossing_partitions(n)) for n in range(1, 8)])
 
     p = Partition.from_text(7, "123,46")
     print(f"\npartition {p.text()!r}: rank {rank(p)}, non-crossing: {is_noncrossing(p)}")

@@ -7,7 +7,6 @@ from ncpverify.core import (
     NotationError,
     Partition,
     Symmetry,
-    Universe,
     UniverseMismatch,
     blocks_cross,
     canonical_form,
@@ -28,7 +27,6 @@ __all__ = [
     "NotationError",
     "Partition",
     "Symmetry",
-    "Universe",
     "UniverseMismatch",
     "blocks_cross",
     "canonical_form",

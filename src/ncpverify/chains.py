@@ -23,8 +23,12 @@ The four chain conditions:
 
 For n <= 7 the same questions also come as functions of a chain's
 catalogue-index tuple (``*_of_indices``, ``dual_indices``,
-``canonical_indices``); the object-level functions wrap them, and the
-theorem5 scan calls them directly.
+``canonical_indices``, ``index_text``); the object-level functions wrap
+them.  Condition III of one chain is the OR of its window codes in the
+catalogue's one window table (``window_code_of_indices``).  The theorem5
+scan and the survey do not call these per chain: they read conditions
+II and III from the code each chain carries out of enumeration, which
+is built from the same table and tested against these functions.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from ncpverify.core import (
     leq,
     require_noncrossing,
 )
-from ncpverify.lattice import Catalogue, catalogue
+from ncpverify.lattice import CRITERION, LITERAL, Catalogue, catalogue
 
 
 class InvalidChainError(ValueError):
@@ -241,6 +245,12 @@ def chain_from_indices(cat: Catalogue, indices) -> Chain:
     return Chain._trusted(cat.n, tuple(cat.partitions[j] for j in indices))
 
 
+def index_text(cat: Catalogue, indices) -> str:
+    """The chain's text, read from the catalogue's member texts."""
+    texts = cat.texts
+    return "<".join(texts[j] for j in indices)
+
+
 def index_key(cat: Catalogue, indices) -> tuple[int, ...]:
     """The chain key as ints: orders like ``chain_key`` of the chain."""
     position = cat.key_position
@@ -252,26 +262,27 @@ def cond_ii_of_indices(cat: Catalogue, indices) -> bool:
     return not all(universal[j] for j in indices)
 
 
-def any_window(cat: Catalogue, table, indices) -> bool:
-    """Is some open interval the chain leaves marked in ``table``?
+def window_code_of_indices(cat: Catalogue, indices) -> int:
+    """OR of the window codes (``CRITERION``, ``LITERAL``) the chain leaves.
 
-    The intervals run from bottom to the first member, between
-    consecutive members, and from the last member to top.
+    The windows run from bottom to the first member, between consecutive
+    members, and from the last member to top.
     """
+    windows = cat.windows
+    code = 0
     lower = cat.bottom
     for upper in indices:
-        if table[lower, upper]:
-            return True
+        code |= windows[lower, upper]
         lower = upper
-    return table[lower, cat.top]
+    return code | windows[lower, cat.top]
 
 
 def cond_iii_criterion_of_indices(cat: Catalogue, indices) -> bool:
-    return any_window(cat, cat.criterion_windows, indices)
+    return bool(window_code_of_indices(cat, indices) & CRITERION)
 
 
 def cond_iii_literal_of_indices(cat: Catalogue, indices) -> bool:
-    return any_window(cat, cat.crossing_windows, indices)
+    return bool(window_code_of_indices(cat, indices) & LITERAL)
 
 
 def dual_indices(cat: Catalogue, indices) -> tuple[int, ...]:

@@ -65,20 +65,6 @@ def popcount(mask: int) -> int:
 
 
 @dataclass(frozen=True)
-class Universe:
-    """The circle of points 1..n."""
-
-    n: int
-
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_N:
-            raise ValueError(f"universe size must be in 1..{MAX_N}, got {self.n}")
-
-    def elements(self) -> range:
-        return range(1, self.n + 1)
-
-
-@dataclass(frozen=True)
 class Block:
     """One part of a partition: a nonempty subset of {1..n} as a bitmask."""
 

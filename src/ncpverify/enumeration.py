@@ -1,9 +1,13 @@
-"""Exhaustive generators over NC(n): partitions, chains, maximal chains.
+"""Exhaustive generators over NC(n): chains and maximal chains.
 
-Everything here is deterministic and restartable.  Partitions stream in
-(rank, canonical) order; chains are produced rank-set by rank-set, in
-depth-first order, as catalogue-index tuples grown over the order
-bitsets (``enumerate_chains`` wraps them as objects).
+Everything here is deterministic and restartable.  NC(n) itself comes
+from ``lattice.noncrossing_partitions``.  Chains are produced rank-set by rank-set, in depth-first order, as
+catalogue-index tuples grown over the order bitsets (``enumerate_chains``
+wraps them as objects).  Each chain comes with its condition II/III
+code: the growth ORs in one step code per edge, so the windows of a
+prefix are read once for all the chains that extend it, and the scan
+and the survey read conditions II and III on both duality sides from
+that one small int.
 
 Maximal chains come from one walk, ``walk_maximal_chains``, grown
 bottom-up by merging two parts at a time (each cover of the lattice
@@ -43,17 +47,7 @@ from ncpverify.chains import (
     orbit_size_of_indices,
     pack_primes,
 )
-from ncpverify.lattice import Catalogue, catalogue, noncrossing_partitions
-
-
-def enumerate_ncp(n: int, proper_only: bool = False):
-    """Every non-crossing partition of {1..n} once, in (rank, canonical) order."""
-    if not 1 <= n <= 9:
-        raise ValueError("universe size must be in 1..9")
-    for p in noncrossing_partitions(n):
-        if proper_only and not 1 <= p.rank <= n - 2:
-            continue
-        yield p
+from ncpverify.lattice import Catalogue, catalogue, iter_bits
 
 
 def rank_sets(n: int):
@@ -63,29 +57,49 @@ def rank_sets(n: int):
 
 
 def chain_index_tuples(cat: Catalogue, ranks):
-    """Catalogue-index tuples of every chain with the given rank set.
+    """(indices, code) for every chain with the given rank set.
 
     Grown one rank at a time, in the order of a depth-first sweep; the
-    last rank is streamed, so only the shorter prefixes are held.
+    last rank is streamed, so only the shorter prefixes are held.  The
+    code is the chain's condition II/III code (bit layout in ``lattice``):
+    the OR of the step codes of its edges, so each prefix's readings are
+    shared by every chain that extends it.
     """
-    level: list[tuple[int, ...]] = [()]
+    level: list[tuple[tuple[int, ...], int]] = [((), 0)]
     for r in ranks[:-1]:
-        level = list(_grow(cat, level, r))
-    return _grow(cat, level, ranks[-1])
+        members = [(j, cat.member_code(j)) for j in cat.rank_indices[r]]
+        level = list(_grow(cat, level, members))
+    top = cat.top
+    members = [
+        (j, cat.member_code(j) | cat.edge_code(j, top)) for j in cat.rank_indices[ranks[-1]]
+    ]
+    return _grow(cat, level, members)
 
 
-def _grow(cat: Catalogue, prefixes, r: int):
-    """Each prefix extended by every rank-r partition above its last member."""
-    bucket = cat.rank_indices[r]
-    successors: dict[int, list[int]] = {}
-    for prefix in prefixes:
+def _grow(cat: Catalogue, prefixes, members):
+    """Each (prefix, code) extended by every member above the prefix's last.
+
+    ``members`` pairs each index j of the next rank, in index order, with
+    the code it brings wherever it sits: its condition-II bits, and for
+    the last member also its windows to top.  A rank is one contiguous
+    slice of indices, so the members above ``last`` are the bits of its
+    ``above`` row shifted down to the slice.  The step code of an edge
+    (last, j) adds the windows between them; it is computed once per
+    edge, in the successor cache.
+    """
+    first = members[0][0]
+    span = (1 << len(members)) - 1
+    successors: dict[int, list[tuple[int, int]]] = {}
+    for prefix, code in prefixes:
         last = prefix[-1] if prefix else cat.bottom
         following = successors.get(last)
         if following is None:
-            reach = cat.above[last]
-            following = successors[last] = [j for j in bucket if reach >> j & 1]
-        for j in following:
-            yield prefix + (j,)
+            following = successors[last] = []
+            for k in iter_bits(cat.above[last] >> first & span):
+                j, own = members[k]
+                following.append((j, own | cat.edge_code(last, j)))
+        for j, step in following:
+            yield prefix + (j,), code | step
 
 
 def enumerate_chains(n: int, rank_filter=None):
@@ -97,12 +111,12 @@ def enumerate_chains(n: int, rank_filter=None):
     for ranks in sets:
         if not ranks or not all(1 <= r <= n - 2 for r in ranks):
             raise ValueError(f"ranks {ranks} outside 1..{n - 2}")
-        for indices in chain_index_tuples(cat, ranks):
+        for indices, _ in chain_index_tuples(cat, ranks):
             yield chain_from_indices(cat, indices)
 
 
 def all_chain_index_tuples(cat: Catalogue):
-    """Index tuples of every chain, in ``enumerate_chains`` order."""
+    """(indices, code) for every chain, in ``enumerate_chains`` order."""
     for ranks in rank_sets(cat.n):
         yield from chain_index_tuples(cat, ranks)
 
@@ -124,7 +138,7 @@ def sample_chains(n: int, k: int, seed: int) -> list[Chain]:
     wanted = set(positions)
     picked = {
         position: indices
-        for position, indices in enumerate(all_chain_index_tuples(cat))
+        for position, (indices, _) in enumerate(all_chain_index_tuples(cat))
         if position in wanted
     }
     return [chain_from_indices(cat, picked[position]) for position in positions]

@@ -27,11 +27,24 @@ tuples of indices instead of ``Partition`` objects:
 * ``dual_index`` -- the clockwise Kreweras complement as an index map;
 * ``key_position`` -- each partition's place in ``sort_key`` order, so
   a chain key is a tuple of ints;
-* ``crossing_windows`` / ``criterion_windows`` -- condition III per open
-  interval (lower, upper), memoised: the literal reading (two crossing
-  partitions inside) and the four-member criterion.  The intervals below
-  and above a chain are the ones from bottom and to top, so each reading
-  of a chain is an OR over one table.
+* ``texts`` -- each partition's text, so a chain prints as the
+  ``<``-join of its members' entries;
+* ``windows`` -- condition III per open interval (lower, upper), filled
+  on first lookup: a 2-bit code holding the four-member criterion
+  (``CRITERION``) and the literal reading (``LITERAL``, two crossing
+  partitions inside).  The intervals below and above a chain are the
+  ones from bottom and to top, so each reading of a chain is an OR over
+  its windows.
+
+The code a chain carries through enumeration (``enumeration._grow``)
+extends the window code to 6 bits, laid out here and nowhere else:
+bits 0 and 1 are the chain's own readings, bits 2 and 3 the same
+readings of the dual chain (``DUAL_SHIFT`` up), and bits 4 and 5 say
+that some member, or some member of the dual chain, is not universal
+(condition II).  The Kreweras complement K reverses the order, so the
+window (lower, upper) of a chain is the window (K upper, K lower) of
+its dual; ``edge_code`` reads both for one edge of a chain, and
+``member_code`` gives the condition-II bits of one member.
 
 Within one rank, index order is ``sort_key`` order, so two chains with
 the same rank tuple compare by their index tuples exactly as they compare
@@ -52,34 +65,43 @@ from ncpverify.core import (
     Partition,
     _masks_alternate,
     dihedral_group,
-    is_noncrossing,
     kreweras_dual,
 )
 
 
-def set_partitions(n: int):
-    """All set partitions of {1..n} (crossing included), via growth strings."""
-
-    def rec(assign: list[int], used: int):
-        if len(assign) == n:
-            groups: dict[int, int] = {}
-            for e, g in enumerate(assign, 1):
-                groups[g] = groups.get(g, 0) | 1 << (e - 1)
-            yield Partition(n, tuple(groups.values()))
-            return
-        for v in range(used + 1):
-            assign.append(v)
-            yield from rec(assign, used + (v == used))
-            assign.pop()
-
-    yield from rec([], 0)
-
-
 def noncrossing_partitions(n: int):
-    """All of NC(n) in (rank, canonical) order, bottom first, top last."""
-    found = [p for p in set_partitions(n) if is_noncrossing(p)]
-    found.sort(key=lambda p: (p.rank, p.sort_key()))
-    yield from found
+    """All of NC(n) in (rank, canonical) order, bottom first, top last.
+
+    Generated directly, interval by interval: the part of an interval's
+    least element splits the rest of the interval into gaps, and a part
+    that met two gaps would cross it, so the gaps are partitioned
+    independently.
+    """
+    found: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+
+    def parts_of(lo: int, hi: int) -> list[tuple[int, ...]]:
+        """The non-crossing partitions of the bit positions lo..hi."""
+        if lo > hi:
+            return [()]
+        known = found.get((lo, hi))
+        if known is not None:
+            return known
+        known = found[lo, hi] = []
+        rest = range(lo + 1, hi + 1)
+        for size in range(len(rest) + 1):
+            for chosen in itertools.combinations(rest, size):
+                part = 1 << lo
+                for e in chosen:
+                    part |= 1 << e
+                bounds = (lo, *chosen, hi + 1)
+                gaps = [parts_of(a + 1, b - 1) for a, b in itertools.pairwise(bounds)]
+                for pieces in itertools.product(*gaps):
+                    known.append((part, *itertools.chain.from_iterable(pieces)))
+        return known
+
+    partitions = [Partition(n, parts) for parts in parts_of(0, n - 1)]
+    partitions.sort(key=lambda p: (p.rank, p.sort_key()))
+    yield from partitions
 
 
 def _four_members_cross(n: int, members) -> bool:
@@ -106,6 +128,18 @@ def iter_bits(mask: int):
         mask ^= low
 
 
+# The condition II/III code of a chain, bit by bit (see the module docstring).
+CRITERION = 1
+LITERAL = 2
+READINGS = CRITERION | LITERAL
+DUAL_SHIFT = 2
+DUAL_CRITERION = CRITERION << DUAL_SHIFT
+DUAL_LITERAL = LITERAL << DUAL_SHIFT
+NOT_UNIVERSAL = 16
+DUAL_NOT_UNIVERSAL = 32
+BOTH_II = NOT_UNIVERSAL | DUAL_NOT_UNIVERSAL
+
+
 class Catalogue:
     """NC(n) with strict order and crossing relations as index bitsets.
 
@@ -117,9 +151,10 @@ class Catalogue:
 
     ``symmetries[g][i]`` is the index of ``dihedral_group(n)[g]`` applied
     to partition i; ``key_position[i]`` is the place of partition i when
-    all are sorted by ``sort_key``.  ``crossing_windows[i, j]`` and
-    ``criterion_windows[i, j]`` are the two condition-III readings of the
-    open interval between partitions i < j, filled on first lookup.
+    all are sorted by ``sort_key``; ``texts[i]`` is its text.
+    ``windows[i, j]`` is the 2-bit condition-III code (``CRITERION``,
+    ``LITERAL``) of the open interval between partitions i < j, filled
+    on first lookup, so building the catalogue computes none of them.
     """
 
     __slots__ = (
@@ -138,8 +173,8 @@ class Catalogue:
         "dual_index",
         "symmetries",
         "key_position",
-        "crossing_windows",
-        "criterion_windows",
+        "texts",
+        "windows",
     )
 
     def __init__(self, n: int):
@@ -235,8 +270,8 @@ class Catalogue:
         for place, i in enumerate(by_key):
             position[i] = place
         self.key_position = tuple(position)
-        self.crossing_windows = _Memo(self._crossing_in_window)
-        self.criterion_windows = _Memo(self._criterion_in_window)
+        self.texts = tuple(p.text() for p in partitions)
+        self.windows = _Memo(self._window_code)
 
     # -- condition III per open interval ---------------------------------
 
@@ -247,19 +282,21 @@ class Catalogue:
                 return True
         return False
 
-    def _crossing_in_window(self, window: tuple[int, int]) -> bool:
+    def _window_code(self, window: tuple[int, int]) -> int:
         lower, upper = window
+        code = CRITERION if self._criterion_in_window(lower, upper) else 0
         region = self.above[lower] & self.below[upper] & self.proper_mask
-        return self.has_crossing_pair(region)
+        if self.has_crossing_pair(region):
+            code |= LITERAL
+        return code
 
-    def _criterion_in_window(self, window: tuple[int, int]) -> bool:
+    def _criterion_in_window(self, lower: int, upper: int) -> bool:
         """Four parts of ``lower`` inside one part of ``upper`` cross in union.
 
         From bottom this says ``upper`` has a part of size >= 4 (four
         singletons always admit a crossing pairing); to top, that four
         parts of ``lower`` cross in union.
         """
-        lower, upper = window
         groups: dict[int, list[int]] = {}
         containers = self.part_by_element[upper]
         for part in self.partitions[lower].parts:
@@ -269,6 +306,22 @@ class Catalogue:
             len(members) >= 4 and _four_members_cross(self.n, members)
             for members in groups.values()
         )
+
+    # -- the condition II/III code of a chain -----------------------------
+
+    def edge_code(self, lower: int, upper: int) -> int:
+        """The readings of the window (lower, upper) and, ``DUAL_SHIFT`` up,
+        of its dual window (K upper, K lower)."""
+        dual = self.dual_index
+        windows = self.windows
+        return windows[lower, upper] | windows[dual[upper], dual[lower]] << DUAL_SHIFT
+
+    def member_code(self, j: int) -> int:
+        """Condition II as partition j and its dual K j contribute it."""
+        code = 0 if self.universal[j] else NOT_UNIVERSAL
+        if not self.universal[self.dual_index[j]]:
+            code |= DUAL_NOT_UNIVERSAL
+        return code
 
 
 class _Memo(dict):

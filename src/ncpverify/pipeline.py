@@ -42,12 +42,10 @@ from ncpverify.chains import (
     chain_key,
     cond_i,
     cond_i_of_ranks,
-    cond_ii_of_indices,
-    cond_iii_criterion_of_indices,
-    cond_iii_literal_of_indices,
     dual_chain,
     dual_indices,
     index_key,
+    index_text,
     smallest_blocks,
 )
 from ncpverify.condition4 import (
@@ -69,7 +67,16 @@ from ncpverify.enumeration import (
     sample_chains,
 )
 from ncpverify.fixtures import FixtureSet, load_fixtures
-from ncpverify.lattice import catalogue
+from ncpverify.lattice import (
+    BOTH_II,
+    CRITERION,
+    DUAL_CRITERION,
+    DUAL_LITERAL,
+    DUAL_SHIFT,
+    LITERAL,
+    READINGS,
+    catalogue,
+)
 
 __all__ = [
     "VERDICT_VERIFIED",
@@ -226,37 +233,34 @@ def run_theorem5(n: int = 7) -> PipelineReport:
 
     cat = catalogue(n)
     chains_scanned = 0
-    # Candidate index tuple -> (criterion, literal) condition III on the
-    # chain and on its dual; every candidate passed II on both sides.
-    candidates: dict[tuple[int, ...], tuple[bool, bool, bool, bool]] = {}
+    # Candidate index tuple -> its condition II/III code: every candidate
+    # passed II on both sides and III under some reading on both sides.
+    candidates: dict[tuple[int, ...], int] = {}
     disagreements: list[str] = []
     disagreement_seen: set[str] = set()
 
-    def iii(indices: tuple[int, ...]) -> tuple[bool, bool]:
-        criterion = cond_iii_criterion_of_indices(cat, indices)
-        literal = cond_iii_literal_of_indices(cat, indices)
-        if criterion != literal:
-            text = chain_from_indices(cat, indices).text()
-            if text not in disagreement_seen:
-                disagreement_seen.add(text)
-                disagreements.append(text)
-        return criterion, literal
+    def disagree(indices: tuple[int, ...]) -> None:
+        text = index_text(cat, indices)
+        if text not in disagreement_seen:
+            disagreement_seen.add(text)
+            disagreements.append(text)
 
     for ranks in cond_i_sets:
-        for indices in chain_index_tuples(cat, ranks):
+        for indices, code in chain_index_tuples(cat, ranks):
             chains_scanned += 1
-            if not cond_ii_of_indices(cat, indices):
+            if code & BOTH_II != BOTH_II:
                 continue
-            dual = dual_indices(cat, indices)
-            if not cond_ii_of_indices(cat, dual):
+            own = code & READINGS
+            if not own:
                 continue
-            own = iii(indices)
-            if not any(own):
+            if own != READINGS:
+                disagree(indices)
+            other = code >> DUAL_SHIFT & READINGS
+            if not other:
                 continue
-            other = iii(dual)
-            if not any(other):
-                continue
-            candidates[indices] = own + other
+            if other != READINGS:
+                disagree(dual_indices(cat, indices))
+            candidates[indices] = code
 
     candidate_chains = [chain_from_indices(cat, indices) for indices in candidates]
     classes = orbit_classes(candidate_chains)
@@ -308,9 +312,9 @@ def run_theorem5(n: int = 7) -> PipelineReport:
         # The representative is itself a candidate (the filter is dihedral
         # invariant), and condition III is invariant too, so the dual side
         # recorded for it holds for the dual representative.
-        criterion_iii, literal_iii, dual_criterion_iii, dual_literal_iii = candidates[
-            chain_indices(cat, rep)
-        ]
+        code = candidates[chain_indices(cat, rep)]
+        literal_iii = bool(code & LITERAL)
+        dual_literal_iii = bool(code & DUAL_LITERAL)
         reports.append(
             ClassReport(
                 representative=rep.text(),
@@ -319,11 +323,11 @@ def run_theorem5(n: int = 7) -> PipelineReport:
                 dual_representative=dual_rep.text(),
                 cond_i=cond_i(rep),
                 cond_ii=True,
-                cond_iii_criterion=criterion_iii,
+                cond_iii_criterion=bool(code & CRITERION),
                 cond_iii_literal=literal_iii,
                 dual_cond_i=cond_i(dual_rep),
                 dual_cond_ii=True,
-                dual_cond_iii_criterion=dual_criterion_iii,
+                dual_cond_iii_criterion=bool(code & DUAL_CRITERION),
                 dual_cond_iii_literal=dual_literal_iii,
                 iv_satisfied=verdict_iv.satisfied,
                 iv_witness=verdict_iv.witness.text() if verdict_iv.witness else None,
@@ -373,7 +377,7 @@ def run_theorem5(n: int = 7) -> PipelineReport:
         cond_i_sets=cond_i_sets,
         reduced_sets=reduced_sets,
         chains_scanned=chains_scanned,
-        candidates=tuple(chain.text() for chain in candidate_chains),
+        candidates=tuple(index_text(cat, indices) for indices in candidates),
         classes=tuple(reports),
         iii_disagreements=tuple(disagreements),
         unresolved=unresolved,
@@ -491,37 +495,34 @@ def condition_iii_survey(n: int = 7, example_limit: int = 10) -> ConditionIIISur
     """
     if not 3 <= n <= 7:
         raise ValueError("the survey supports 3 <= n <= 7")
-    fixture_texts: set[str] = set()
-    if n == 7:
-        fixtures = load_fixtures()
-        for text in fixtures.all_chain_texts():
-            chain = Chain.from_text(n, text)
-            fixture_texts.add(chain.text())
-            fixture_texts.add(dual_chain(chain).text())
-
     cat = catalogue(n)
-    checked = agreements = criterion_only = literal_only = 0
+    fixture_chains: set[tuple[int, ...]] = set()
+    if n == 7:
+        for text in load_fixtures().all_chain_texts():
+            indices = chain_indices(cat, Chain.from_text(n, text))
+            fixture_chains.add(indices)
+            fixture_chains.add(dual_indices(cat, indices))
+
+    checked = criterion_only = literal_only = 0
     criterion_examples: list[str] = []
     literal_examples: list[str] = []
     fixture_disagreements: list[str] = []
-    for indices in all_chain_index_tuples(cat):
+    for indices, code in all_chain_index_tuples(cat):
         checked += 1
-        criterion = cond_iii_criterion_of_indices(cat, indices)
-        literal = cond_iii_literal_of_indices(cat, indices)
-        if criterion == literal:
-            agreements += 1
-            continue
-        text = chain_from_indices(cat, indices).text()
-        if criterion:
+        reading = code & READINGS
+        if reading == CRITERION:
             criterion_only += 1
             if len(criterion_examples) < example_limit:
-                criterion_examples.append(text)
-        else:
+                criterion_examples.append(index_text(cat, indices))
+        elif reading == LITERAL:
             literal_only += 1
             if len(literal_examples) < example_limit:
-                literal_examples.append(text)
-        if text in fixture_texts:
-            fixture_disagreements.append(text)
+                literal_examples.append(index_text(cat, indices))
+        else:
+            continue
+        if indices in fixture_chains:
+            fixture_disagreements.append(index_text(cat, indices))
+    agreements = checked - criterion_only - literal_only
     return ConditionIIISurvey(
         n=n,
         chains_checked=checked,

@@ -19,6 +19,7 @@ with the package-free oracles in ``tests/oracles.py``:
 
 from __future__ import annotations
 
+from collections import Counter
 from math import comb
 
 from ncpverify.apartments import (
@@ -46,8 +47,8 @@ from ncpverify.core import (
     leq,
     rank,
 )
-from ncpverify.enumeration import enumerate_chains, enumerate_ncp, maximal_chain_index
-from ncpverify.lattice import catalogue
+from ncpverify.enumeration import all_chain_index_tuples, maximal_chain_index
+from ncpverify.lattice import catalogue, noncrossing_partitions
 from ncpverify.pipeline import (
     VERDICT_VERIFIED,
     duality_reduced_rank_sets,
@@ -64,7 +65,7 @@ def _announce(capsys, number: int, ok: bool, message: str) -> None:
 
 
 def test_acceptance_01_partition_counts(capsys):
-    sizes = [sum(1 for _ in enumerate_ncp(n)) for n in range(1, 8)]
+    sizes = [sum(1 for _ in noncrossing_partitions(n)) for n in range(1, 8)]
     catalan = [1]
     for m in range(7):
         catalan.append(sum(catalan[i] * catalan[m - i] for i in range(m + 1)))
@@ -271,23 +272,33 @@ def test_acceptance_09_incomparable_parts_disjoint(capsys):
                 mask |= 1 << (wrap(i + t) - 1)
             arc[(i, k)] = mask
 
+    # Both checks read a chain only through its F-family (F_i: the first
+    # part of size >= 2 holding i along the members, else the full set),
+    # so they run once per distinct family, weighted by its chain count.
+    cat = catalogue(n)
+    full = (1 << n) - 1
+    families: Counter[tuple[int, ...]] = Counter()
+    for indices, _ in all_chain_index_tuples(cat):
+        columns = zip(*(cat.part_by_element[j] for j in indices))
+        families[
+            tuple(next((part for part in column if part & (part - 1)), full) for column in columns)
+        ] += 1
+
     incomparable_violations = 0
     dichotomy_violations = 0
-    chains = 0
+    chains = sum(families.values())
     pairs = 0
-    for chain in enumerate_chains(n):
-        chains += 1
-        fam = smallest_blocks(chain)
-        blocks = [0] + [fam.block(i) for i in range(1, n + 1)]
+    for family, weight in families.items():
+        blocks = [0, *family]
         for i in range(1, n + 1):
             fi = blocks[i]
             for j in range(i + 1, n + 1):
                 fj = blocks[j]
                 if fi == fj or (fi | fj) == fj or (fi | fj) == fi:
                     continue
-                pairs += 1
+                pairs += weight
                 if fi & fj or blocks_cross(Block(n, fi), Block(n, fj)) is not None:
-                    incomparable_violations += 1
+                    incomparable_violations += weight
         for i in range(1, n + 1):
             fi = blocks[i]
             for k in range(2, n):
@@ -301,7 +312,7 @@ def test_acceptance_09_incomparable_parts_disjoint(capsys):
                     m ^= low
                     fj = blocks[j]
                     if (fi | fj) != fj and (fj | arc[(i, k)]) != arc[(i, k)]:
-                        dichotomy_violations += 1
+                        dichotomy_violations += weight
     ok = incomparable_violations == 0 and dichotomy_violations == 0
     _announce(
         capsys,
@@ -312,6 +323,7 @@ def test_acceptance_09_incomparable_parts_disjoint(capsys):
         "has zero violations",
     )
     assert chains == 85099
+    assert pairs == 699804
     assert incomparable_violations == 0
     assert dichotomy_violations == 0
 

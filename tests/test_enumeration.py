@@ -5,19 +5,20 @@ from __future__ import annotations
 import pytest
 
 from ncpverify.chains import Chain, rank_set, smallest_blocks
-from ncpverify.core import is_noncrossing, rank
+from ncpverify.core import elements_of, is_noncrossing, rank
 from ncpverify.enumeration import (
     chain_from_indices,
     chain_index_tuples,
     count_chains,
     enumerate_chains,
     enumerate_maximal_chains,
-    enumerate_ncp,
     maximal_chain_index,
     orbit_classes,
     rank_sets,
 )
-from ncpverify.lattice import catalogue
+from ncpverify.lattice import catalogue, noncrossing_partitions
+
+import oracles
 
 
 def _catalan(n: int) -> int:
@@ -29,14 +30,26 @@ def _catalan(n: int) -> int:
 
 
 def test_ncp_sizes_match_catalan():
-    sizes = [sum(1 for _ in enumerate_ncp(n)) for n in range(1, 8)]
-    assert sizes == [1, 2, 5, 14, 42, 132, 429]
-    assert sizes == [_catalan(n) for n in range(1, 8)]
+    sizes = [sum(1 for _ in noncrossing_partitions(n)) for n in range(1, 10)]
+    assert sizes == [1, 2, 5, 14, 42, 132, 429, 1430, 4862]
+    assert sizes == [_catalan(n) for n in range(1, 10)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_noncrossing_partitions_match_set_partition_oracle(n):
+    # The reference: every set partition, kept when no two parts cross.
+    expected = {p for p in oracles._set_partitions(n) if not oracles.partitions_cross(p, p)}
+    found = [
+        frozenset(frozenset(elements_of(part)) for part in p.parts)
+        for p in noncrossing_partitions(n)
+    ]
+    assert len(found) == len(expected)
+    assert set(found) == expected
 
 
 def test_enumerated_partitions_are_noncrossing_and_distinct():
     seen = set()
-    for p in enumerate_ncp(6):
+    for p in noncrossing_partitions(6):
         assert is_noncrossing(p)
         assert p not in seen
         seen.add(p)
@@ -110,7 +123,7 @@ def test_chain_index_tuples_roundtrip():
     cat = catalogue(5)
     tuples = list(chain_index_tuples(cat, (1, 2)))
     assert tuples
-    for t in tuples:
+    for t, _ in tuples:
         chain = chain_from_indices(cat, t)
         assert rank_set(chain).ranks == frozenset({1, 2})
 

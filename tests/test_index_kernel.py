@@ -2,7 +2,9 @@
 
 The theorem5 scan runs on tuples of catalogue indices.  Each table and
 index-tuple function is compared here against an object-level reference
-built from ``Partition`` methods and ``core`` functions only.  The
+built from ``Partition`` methods and ``core`` functions only, and the
+condition II/III code each chain carries out of enumeration is checked
+bit by bit against the single-chain functions on every chain.  The
 catalogue's block-built tables are compared against the pairwise loop
 over ``leq`` and ``partitions_cross`` that they replace, and checked
 against the lattice laws they must obey up to n = 8.  The
@@ -23,10 +25,12 @@ from ncpverify.chains import (
     canonical_indices,
     chain_from_indices,
     chain_indices,
+    cond_ii_of_indices,
     cond_iii_criterion_of_indices,
     cond_iii_literal_of_indices,
     dual_chain,
     dual_indices,
+    index_text,
     orbit_size_of_indices,
     smallest_blocks,
 )
@@ -46,7 +50,17 @@ from ncpverify.enumeration import (
     enumerate_chains,
     maximal_chain_index,
 )
-from ncpverify.lattice import catalogue, iter_bits, noncrossing_partitions
+from ncpverify.lattice import (
+    CRITERION,
+    DUAL_CRITERION,
+    DUAL_LITERAL,
+    DUAL_NOT_UNIVERSAL,
+    LITERAL,
+    NOT_UNIVERSAL,
+    catalogue,
+    iter_bits,
+    noncrossing_partitions,
+)
 from ncpverify.pipeline import run_theorem5
 
 
@@ -316,21 +330,75 @@ def test_key_position_orders_like_sort_key(n):
     )
 
 
-# -- every chain at n = 7 ---------------------------------------------------
+# -- every chain -------------------------------------------------------------
+
+
+CHAIN_COUNTS = {3: 3, 4: 28, 5: 315, 6: 4621, 7: 85099}
+
+
+def _assert_duals_readings_and_codes(n: int) -> None:
+    """Per chain: the dual against ``kreweras_dual``, both condition-III
+    readings against the object-level references, and every bit of the
+    code carried out of enumeration against the single-chain functions
+    on the chain and on its dual."""
+    cat = catalogue(n)
+    dual_of = {p: kreweras_dual(p) for p in cat.partitions}
+    count = 0
+    for indices, code in all_chain_index_tuples(cat):
+        count += 1
+        chain = chain_from_indices(cat, indices)
+        dual = dual_indices(cat, indices)
+        expected = tuple(dual_of[p] for p in reversed(chain.members))
+        assert chain_from_indices(cat, dual).members == expected
+        criterion = cond_iii_criterion_of_indices(cat, indices)
+        literal = cond_iii_literal_of_indices(cat, indices)
+        assert criterion == reference_criterion(chain)
+        assert literal == reference_literal(cat, indices)
+        assert index_text(cat, indices) == chain.text()
+        assert _bits(code) == (
+            criterion,
+            literal,
+            cond_iii_criterion_of_indices(cat, dual),
+            cond_iii_literal_of_indices(cat, dual),
+            cond_ii_of_indices(cat, indices),
+            cond_ii_of_indices(cat, dual),
+        ), chain.text()
+    assert count == CHAIN_COUNTS[n]
+
+
+def _bits(code: int) -> tuple[bool, ...]:
+    return tuple(
+        bool(code & bit)
+        for bit in (
+            CRITERION,
+            LITERAL,
+            DUAL_CRITERION,
+            DUAL_LITERAL,
+            NOT_UNIVERSAL,
+            DUAL_NOT_UNIVERSAL,
+        )
+    )
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_dual_and_both_iii_readings_on_every_chain(n):
+    _assert_duals_readings_and_codes(n)
 
 
 def test_dual_and_both_iii_readings_on_every_chain_n7():
-    cat = catalogue(7)
-    dual_of = {p: kreweras_dual(p) for p in cat.partitions}
-    count = 0
-    for indices in all_chain_index_tuples(cat):
-        count += 1
-        chain = chain_from_indices(cat, indices)
-        expected = tuple(dual_of[p] for p in reversed(chain.members))
-        assert chain_from_indices(cat, dual_indices(cat, indices)).members == expected
-        assert cond_iii_criterion_of_indices(cat, indices) == reference_criterion(chain)
-        assert cond_iii_literal_of_indices(cat, indices) == reference_literal(cat, indices)
-    assert count == 85099
+    _assert_duals_readings_and_codes(7)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_member_code_is_condition_ii_on_both_sides(n):
+    # Every index, bottom and top included: K swaps those two, and they
+    # are the only partitions whose universality K changes.
+    cat = catalogue(n)
+    for j in range(len(cat.partitions)):
+        assert _bits(cat.member_code(j))[4:] == (
+            cond_ii_of_indices(cat, (j,)),
+            cond_ii_of_indices(cat, dual_indices(cat, (j,))),
+        )
 
 
 # -- canonical form and orbit size -----------------------------------------
@@ -416,7 +484,7 @@ def test_patterns_and_signature_scan_every_chain(n):
 def test_patterns_and_signature_scan_n7_stride():
     cat = catalogue(7)
     stride = itertools.islice(all_chain_index_tuples(cat), 0, None, 211)
-    chains = [chain_from_indices(cat, indices) for indices in stride]
+    chains = [chain_from_indices(cat, indices) for indices, _ in stride]
     _assert_patterns(chains)
     _assert_cond_iv(chains)
 
