@@ -135,8 +135,8 @@ READINGS = CRITERION | LITERAL
 DUAL_SHIFT = 2
 DUAL_CRITERION = CRITERION << DUAL_SHIFT
 DUAL_LITERAL = LITERAL << DUAL_SHIFT
-NOT_UNIVERSAL = 16
-DUAL_NOT_UNIVERSAL = 32
+NOT_UNIVERSAL = 1 << 4
+DUAL_NOT_UNIVERSAL = 1 << 5
 BOTH_II = NOT_UNIVERSAL | DUAL_NOT_UNIVERSAL
 
 
