@@ -236,22 +236,6 @@ def pattern_exclusions(chain: Chain, strict: bool = False) -> ExclusionTable:
     )
 
 
-def empty_companion_index(chain: Chain) -> int | None:
-    """Least index whose allowed-companion set is empty, if any.
-
-    Such an index refutes condition IV outright: C_i must properly
-    contain i (a maximal chain merges every part or leaves i a
-    singleton throughout, and the latter collides with F_i' being
-    nonempty whenever any pattern fires at i), yet every candidate
-    companion is excluded.
-    """
-    table = pattern_exclusions(chain)
-    for i in range(1, chain.n + 1):
-        if table.excluded_at(i) and table.allowed_companions(i) == 0:
-            return i
-    return None
-
-
 # -- the exhaustive decision ------------------------------------------------
 
 

@@ -1,30 +1,35 @@
 """Exhaustive generators over NC(n): chains and maximal chains.
 
 Everything here is deterministic and restartable.  NC(n) itself comes
-from ``lattice.noncrossing_partitions``.  Chains are produced rank-set by rank-set, in depth-first order, as
-catalogue-index tuples grown over the order bitsets (``enumerate_chains``
-wraps them as objects).  Each chain comes with its condition II/III
-code: the growth ORs in one step code per edge, so the windows of a
-prefix are read once for all the chains that extend it, and the scan
-and the survey read conditions II and III on both duality sides from
-that one small int.
+from ``lattice.noncrossing_partitions``.  Chains are produced rank-set
+by rank-set, in depth-first order, as catalogue-index tuples grown over
+the order bitsets (``enumerate_chains`` wraps them as objects).  Each
+chain comes with its condition II/III code: the growth ORs in one step
+code per edge, so the windows of a prefix are read once for all the
+chains that extend it, and the scan and the survey read conditions II
+and III on both duality sides from that one small int.
 
-Maximal chains come from one walk, ``walk_maximal_chains``, grown
-bottom-up by merging two parts at a time (each cover of the lattice
-merges exactly two parts, so the merge tree hits every maximal chain
-exactly once).  Children of a merge step are visited in canonical
-partition order, which fixes "the first witness" everywhere downstream.
+The maximal chains are the chains with rank set 1..n-2.  For n <= 7
+they are cached as an index, grown over the catalogue rows like any
+other rank set: for each of the n^(n-2) chains, the catalogue indices of
+its members, the enclosing-block family C_i, and the 2n-bit packed C'
+signature.  The family is carried through the growth as one int, one
+step code per edge, the way the II/III code is.  The chains share few
+families (5 103 at n = 7) and fewer signatures (826), so the index keeps
+each family once and groups the chains by signature: deciding condition
+IV is one AND per distinct signature.
+
+``walk_maximal_chains`` is the independent reference for the index and
+feeds what it cannot serve: ``enumerate_maximal_chains`` (n <= 9) and
+the pruned condition-IV search.  It grows bottom-up by merging two parts
+at a time (each cover of the lattice merges exactly two parts, so the
+merge tree hits every maximal chain exactly once).  Children of a merge
+step are visited in canonical partition order, the catalogue's order
+within a rank, which fixes "the first witness" everywhere downstream.
 The walk tracks each element's first non-singleton block C_e and is
 pruned by an F' family: a branch ends when a new C_e meets F_e'.  With
 the all-zero family it visits every maximal chain; the pruned
 condition-IV search passes the chain's own family.
-
-For n <= 7 the full walk is additionally cached as an index: for each
-of the n^(n-2) chains, the catalogue indices of its members, the
-enclosing-block family C_i, and the 2n-bit packed C' signature.  The
-chains share few families (5 103 at n = 7) and fewer signatures (826),
-so the index keeps each family once and groups the chains by
-signature: deciding condition IV is one AND per distinct signature.
 """
 
 from __future__ import annotations
@@ -59,33 +64,42 @@ def rank_sets(n: int):
 def chain_index_tuples(cat: Catalogue, ranks):
     """(indices, code) for every chain with the given rank set.
 
-    Grown one rank at a time, in the order of a depth-first sweep; the
-    last rank is streamed, so only the shorter prefixes are held.  The
-    code is the chain's condition II/III code (bit layout in ``lattice``):
-    the OR of the step codes of its edges, so each prefix's readings are
-    shared by every chain that extends it.
+    Chains come in the order of a depth-first sweep.  The code is the
+    chain's condition II/III code (bit layout in ``lattice``): the OR of
+    the step codes of its edges, so each prefix's readings are shared by
+    every chain that extends it.
+    """
+    return _grow_chains(cat, ranks, cat.member_code, cat.edge_code)
+
+
+def _grow_chains(cat: Catalogue, ranks, member_code, edge_code):
+    """(indices, code) for every chain with the given rank set.
+
+    Grown one rank at a time; the last rank is streamed, so only the
+    shorter prefixes are held.  Each member j brings ``member_code(j)``
+    and each edge (lower, upper) ``edge_code(lower, upper)``, the last
+    member's edge to top included; a chain's code is the OR of them all.
     """
     level: list[tuple[tuple[int, ...], int]] = [((), 0)]
     for r in ranks[:-1]:
-        members = [(j, cat.member_code(j)) for j in cat.rank_indices[r]]
-        level = list(_grow(cat, level, members))
+        members = [(j, member_code(j)) for j in cat.rank_indices[r]]
+        level = list(_grow(cat, level, members, edge_code))
     top = cat.top
     members = [
-        (j, cat.member_code(j) | cat.edge_code(j, top)) for j in cat.rank_indices[ranks[-1]]
+        (j, member_code(j) | edge_code(j, top)) for j in cat.rank_indices[ranks[-1]]
     ]
-    return _grow(cat, level, members)
+    return _grow(cat, level, members, edge_code)
 
 
-def _grow(cat: Catalogue, prefixes, members):
+def _grow(cat: Catalogue, prefixes, members, edge_code):
     """Each (prefix, code) extended by every member above the prefix's last.
 
     ``members`` pairs each index j of the next rank, in index order, with
-    the code it brings wherever it sits: its condition-II bits, and for
-    the last member also its windows to top.  A rank is one contiguous
-    slice of indices, so the members above ``last`` are the bits of its
+    the code it brings wherever it sits.  A rank is one contiguous slice
+    of indices, so the members above ``last`` are the bits of its
     ``above`` row shifted down to the slice.  The step code of an edge
-    (last, j) adds the windows between them; it is computed once per
-    edge, in the successor cache.
+    (last, j) adds ``edge_code(last, j)``; it is computed once per edge,
+    in the successor cache.
     """
     first = members[0][0]
     span = (1 << len(members)) - 1
@@ -97,7 +111,7 @@ def _grow(cat: Catalogue, prefixes, members):
             following = successors[last] = []
             for k in iter_bits(cat.above[last] >> first & span):
                 j, own = members[k]
-                following.append((j, own | cat.edge_code(last, j)))
+                following.append((j, own | edge_code(last, j)))
         for j, step in following:
             yield prefix + (j,), code | step
 
@@ -122,7 +136,18 @@ def all_chain_index_tuples(cat: Catalogue):
 
 
 def count_chains(n: int) -> int:
-    return sum(1 for _ in all_chain_index_tuples(catalogue(n)))
+    """The number of chains of the proper part of NC(n), without a walk.
+
+    ``up[i]`` counts the chains whose least member is i: i alone, or i
+    below a chain that starts above it.  Every index above i is larger,
+    so one pass in descending index order fills the table.
+    """
+    cat = catalogue(n)
+    proper = cat.proper_mask
+    up = [0] * len(cat.partitions)
+    for i in reversed(list(iter_bits(proper))):
+        up[i] = 1 + sum(up[j] for j in iter_bits(cat.above[i] & proper))
+    return sum(up)
 
 
 def sample_chains(n: int, k: int, seed: int) -> list[Chain]:
@@ -209,20 +234,51 @@ def enumerate_maximal_chains(n: int):
         yield Chain._trusted(n, tuple(Partition(n, parts) for parts in members))
 
 
-class MaximalChainIndex:
-    """Cached sweep of all maximal chains of the proper part of NC(n), n <= 7.
+def _enclosing_step(cat: Catalogue):
+    """The edge code that carries a maximal chain's family (C_1..C_n).
 
-    Per chain k, in depth-first order:
+    The code has n fields of n bits; field e holds C_e, the first
+    non-singleton block of e.  An edge (lower, upper) sets the field of
+    each element that is a singleton in ``lower`` but not in ``upper``
+    to its part in ``upper``; the last member's edge to top sets every
+    remaining singleton's field to the full set.  Each field is set by
+    exactly one edge, so the OR of a chain's step codes is its family.
+    """
+    n = cat.n
+    parts = cat.part_by_element
+    singletons = [
+        sum(1 << e for e, part in enumerate(row) if part == 1 << e) for row in parts
+    ]
+
+    def step(lower: int, upper: int) -> int:
+        code = 0
+        row = parts[upper]
+        for e in iter_bits(singletons[lower] & ~singletons[upper]):
+            code |= row[e] << e * n
+        return code
+
+    return step
+
+
+class MaximalChainIndex:
+    """All maximal chains of the proper part of NC(n), n <= 7, as tables.
+
+    The maximal chains are the chains with rank set 1..n-2, so the index
+    grows them over the catalogue rows like every other rank set.  Within
+    a rank, index order is ``sort_key`` order, the order in which
+    ``walk_maximal_chains`` visits a node's children, so chain k here is
+    leaf k of the walk.  Per chain k:
 
     * ``chain_at(k)``: its members, read from ``member_indices``, the
       catalogue indices of all chains in one flat ``array('H')`` (n - 2
       per chain);
-    * ``enclosing[k]``: the family (C_1..C_n) of masks;
+    * ``enclosing[k]``: the family (C_1..C_n) of masks, carried through
+      the growth as one int (``_enclosing_step``);
     * ``packed[k]``: the 2n-bit C' signature matching
       SmallestBlockFamily.packed_primes.
 
     Chains with equal families share one ``enclosing`` tuple and one
-    ``packed`` int, so ``pack_primes`` runs once per family.
+    ``packed`` int, built once per distinct family code.
     ``groups`` maps each distinct signature, in order of first
     occurrence, to the ascending positions (an ``array('H')``) of its
     chains; the first compatible signature in that order therefore
@@ -239,21 +295,25 @@ class MaximalChainIndex:
         self.packed: list[int] = []
         self.groups: dict[int, array] = {}
 
+        full = (1 << n) - 1
         neighbors = [neighbor_mask(n, i) for i in range(1, n + 1)]
-        index_of = cat.index_of.__getitem__
-        shared: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-        for position, (members, enclosing) in enumerate(walk_maximal_chains(n, (0,) * n)):
-            members_flat.extend(map(index_of, members))
-            family = shared.get(enclosing)
+        chains = _grow_chains(cat, range(1, n - 1), lambda j: 0, _enclosing_step(cat))
+        shared: dict[int, tuple[tuple[int, ...], int, array]] = {}
+        add_enclosing = self.enclosing.append
+        add_packed = self.packed.append
+        for position, (members, code) in enumerate(chains):
+            members_flat.extend(members)
+            family = shared.get(code)
             if family is None:
+                enclosing = tuple(code >> e * n & full for e in range(n))
                 sig = pack_primes(n, [c & m for c, m in zip(enclosing, neighbors)])
-                family = shared[enclosing] = (enclosing, sig)
-            enclosing, sig = family
-            self.enclosing.append(enclosing)
-            self.packed.append(sig)
-            positions = self.groups.get(sig)
-            if positions is None:
-                positions = self.groups[sig] = array("H")
+                positions = self.groups.get(sig)
+                if positions is None:
+                    positions = self.groups[sig] = array("H")
+                family = shared[code] = (enclosing, sig, positions)
+            enclosing, sig, positions = family
+            add_enclosing(enclosing)
+            add_packed(sig)
             positions.append(position)
 
     def __len__(self) -> int:

@@ -465,7 +465,7 @@ def validate_lemma3(
                     )
 
     ci_always_proper = True
-    for enclosing in index.enclosing:
+    for enclosing in set(index.enclosing):  # the distinct families
         for i in range(1, n + 1):
             mask = enclosing[i - 1]
             if not mask & (1 << (i - 1)) or mask == 1 << (i - 1):

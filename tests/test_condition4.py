@@ -12,7 +12,6 @@ from ncpverify.condition4 import (
     PatternHit,
     cond_iv,
     detect_patterns,
-    empty_companion_index,
     exclusion_elements,
     exclusion_mask,
     pattern_exclusions,
@@ -87,6 +86,22 @@ def test_exclusion_table_examples():
             assert hit.i == i
             justified |= exclusion_mask(7, hit)
         assert justified == table13.excluded[i - 1]
+
+
+def empty_companion_index(chain: Chain) -> int | None:
+    """Least index whose allowed-companion set is empty, if any.
+
+    Such an index refutes condition IV outright: C_i must properly
+    contain i (a maximal chain merges every part or leaves i a
+    singleton throughout, and the latter collides with F_i' being
+    nonempty whenever any pattern fires at i), yet every candidate
+    companion is excluded.
+    """
+    table = pattern_exclusions(chain)
+    for i in range(1, chain.n + 1):
+        if table.excluded_at(i) and table.allowed_companions(i) == 0:
+            return i
+    return None
 
 
 def test_empty_companion_index():

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from ncpverify.chains import Chain, rank_set, smallest_blocks
+from ncpverify.chains import Chain, neighbor_mask, pack_primes, rank_set, smallest_blocks
 from ncpverify.core import elements_of, is_noncrossing, rank
 from ncpverify.enumeration import (
+    all_chain_index_tuples,
     chain_from_indices,
     chain_index_tuples,
     count_chains,
@@ -15,6 +16,7 @@ from ncpverify.enumeration import (
     maximal_chain_index,
     orbit_classes,
     rank_sets,
+    walk_maximal_chains,
 )
 from ncpverify.lattice import catalogue, noncrossing_partitions
 
@@ -71,10 +73,34 @@ def test_maximal_chain_structure():
         seen.add(chain.text())
     assert len(seen) == 125
     # streaming enumeration agrees with the index, chain for chain
-    for n in range(3, 7):
+    for n in range(3, 8):
         index = maximal_chain_index(n)
         streamed = [c.text() for c in enumerate_maximal_chains(n)]
         assert streamed == [index.chain_at(k).text() for k in range(len(index))]
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_maximal_chain_index_matches_walk(n):
+    # The reference: the merge walk's leaves, in walk order, tabled the
+    # way the index tables its grown chains.
+    cat = catalogue(n)
+    neighbors = [neighbor_mask(n, i) for i in range(1, n + 1)]
+    members, enclosing, packed, groups = [], [], [], {}
+    for position, (parts, family) in enumerate(walk_maximal_chains(n, (0,) * n)):
+        members.append(tuple(cat.index_of[p] for p in parts))
+        enclosing.append(family)
+        packed.append(pack_primes(n, [c & m for c, m in zip(family, neighbors)]))
+        groups.setdefault(packed[-1], []).append(position)
+
+    index = maximal_chain_index(n)
+    width = n - 2
+    flat = index.member_indices
+    assert [tuple(flat[k * width : (k + 1) * width]) for k in range(len(index))] == members
+    assert index.enclosing == enclosing
+    assert index.packed == packed
+    assert [(sig, list(positions)) for sig, positions in index.groups.items()] == list(
+        groups.items()
+    )
 
 
 def test_maximal_chain_enclosing_smallest_blocks():
@@ -89,6 +115,10 @@ def test_maximal_chain_enclosing_smallest_blocks():
 
 def test_chain_counts():
     assert count_chains(7) == 85099
+    # the closed count against a streamed count of every chain
+    for n in range(3, 8):
+        assert count_chains(n) == sum(1 for _ in all_chain_index_tuples(catalogue(n)))
+    assert [count_chains(n) for n in range(3, 8)] == [3, 28, 315, 4621, 85099]
     assert sum(1 for _ in enumerate_chains(7)) == 85099
     # small universes, hand-checkable: proper parts of NC(4) are the 12
     # partitions of ranks 1-2, and chains are single members plus
