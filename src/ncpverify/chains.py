@@ -21,10 +21,11 @@ The four chain conditions:
         on members and by exhaustive interval search (the oracle).
 * IV  — lives in the condition-four module.
 
-For n <= 7 the same questions also come as functions of a chain's
-catalogue-index tuple (``*_of_indices``, ``dual_indices``,
-``canonical_indices``, ``index_text``); the object-level functions wrap
-them.  Condition III of one chain is the OR of its window codes in the
+The same questions also come as functions of a chain's catalogue-index
+tuple (``*_of_indices``, ``dual_indices``, ``canonical_indices``,
+``index_text``), for every n the catalogue accepts (n <= 9); the
+object-level functions wrap them, so each question has one path.
+Condition III of one chain is the OR of its window codes in the
 catalogue's one window table (``window_code_of_indices``).  The theorem5
 scan and the survey do not call these per chain: they read conditions
 II and III from the code each chain carries out of enumeration, which
@@ -41,7 +42,6 @@ from ncpverify.core import (
     Symmetry,
     UniverseMismatch,
     dihedral_group,
-    kreweras_dual,
     leq,
     require_noncrossing,
 )
@@ -112,22 +112,6 @@ def _parse_at(n: int, segment: str, offset: int) -> Partition:
 
 
 @dataclass(frozen=True)
-class RankSet:
-    """Member ranks of a chain and their complement in 1..n-2."""
-
-    n: int
-    ranks: frozenset[int]
-
-    @classmethod
-    def of_chain(cls, chain: Chain) -> RankSet:
-        return cls(chain.n, frozenset(chain.ranks()))
-
-    @property
-    def coranks(self) -> frozenset[int]:
-        return frozenset(range(1, self.n - 1)) - self.ranks
-
-
-@dataclass(frozen=True)
 class SmallestBlockFamily:
     """The indexed family i -> F_i, with the neighbor restrictions F_i'.
 
@@ -188,14 +172,9 @@ def smallest_blocks(chain: Chain) -> SmallestBlockFamily:
 # -- conditions I, II, III -----------------------------------------------
 
 
-def rank_set(chain: Chain) -> RankSet:
-    return RankSet.of_chain(chain)
-
-
 def cond_i(chain: Chain) -> bool:
     """Corank set contains two consecutive integers (no wraparound)."""
-    coranks = rank_set(chain).coranks
-    return any(j + 1 in coranks for j in coranks)
+    return cond_i_of_ranks(chain.n, chain.ranks())
 
 
 def cond_i_of_ranks(n: int, ranks) -> bool:
@@ -228,13 +207,11 @@ def cond_iii_bruteforce(chain: Chain) -> bool:
     the bottom member, strictly between some consecutive members, or
     strictly above the top member.
     """
-    if chain.n > 7:
-        raise ValueError("exhaustive interval search needs n <= 7")
     cat = catalogue(chain.n)
     return cond_iii_literal_of_indices(cat, chain_indices(cat, chain))
 
 
-# -- chains as tuples of catalogue indices (n <= 7) -------------------------
+# -- chains as tuples of catalogue indices ---------------------------------
 
 
 def chain_indices(cat: Catalogue, chain: Chain) -> tuple[int, ...]:
@@ -304,13 +281,10 @@ def orbit_size_of_indices(cat: Catalogue, indices) -> int:
 # -- duality and symmetry -------------------------------------------------
 
 
-def dual_chain(chain: Chain, orientation: str = "clockwise") -> Chain:
+def dual_chain(chain: Chain) -> Chain:
     """Memberwise Kreweras dual, re-sorted increasingly (duality reverses order)."""
-    if chain.n <= 7 and orientation == "clockwise":
-        cat = catalogue(chain.n)
-        return chain_from_indices(cat, dual_indices(cat, chain_indices(cat, chain)))
-    duals = [kreweras_dual(p, orientation) for p in reversed(chain.members)]
-    return Chain(chain.n, tuple(duals))
+    cat = catalogue(chain.n)
+    return chain_from_indices(cat, dual_indices(cat, chain_indices(cat, chain)))
 
 
 def apply_symmetry_chain(chain: Chain, g: Symmetry) -> Chain:
@@ -327,20 +301,13 @@ def chain_key(chain: Chain) -> tuple:
 
 def canonical_chain(chain: Chain) -> Chain:
     """Least dihedral image (same symmetry applied to every member)."""
-    if chain.n <= 7:
-        cat = catalogue(chain.n)
-        return chain_from_indices(cat, canonical_indices(cat, chain_indices(cat, chain)))
-    return min(
-        (apply_symmetry_chain(chain, g) for g in dihedral_group(chain.n)),
-        key=chain_key,
-    )
+    cat = catalogue(chain.n)
+    return chain_from_indices(cat, canonical_indices(cat, chain_indices(cat, chain)))
 
 
 def chain_orbit_size(chain: Chain) -> int:
-    if chain.n <= 7:
-        cat = catalogue(chain.n)
-        return orbit_size_of_indices(cat, chain_indices(cat, chain))
-    return len({chain_key(apply_symmetry_chain(chain, g)) for g in dihedral_group(chain.n)})
+    cat = catalogue(chain.n)
+    return orbit_size_of_indices(cat, chain_indices(cat, chain))
 
 
 def transformed_primes(n: int, primes: tuple[int, ...], g: Symmetry) -> tuple[int, ...]:

@@ -15,6 +15,7 @@ the reader closed stdout (a broken pipe).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -104,11 +105,6 @@ def _print_chain_analysis(chain: Chain, strict_patterns: bool, dominant: bool) -
 
 
 def _cmd_check(args) -> int:
-    # Checked before any output: the catalogue goes to n = 9, but the
-    # exhaustive condition-III search in the analysis (like the
-    # maximal-chain index) still stops at n = 7.
-    if not 3 <= args.n <= 7:
-        raise ValueError(f"check supports 3 <= n <= 7, got n = {args.n}")
     chain = Chain.from_text(args.n, args.chain)
     _print_chain_analysis(chain, args.strict_patterns, args.dominant)
     if args.dual:
@@ -139,13 +135,17 @@ def _cmd_theorem5(args) -> int:
     report = run_theorem5(args.n)
     table = compare_fixture(report) if args.n == 7 else None
     survey = condition_iii_survey(args.n)
-    sys.stdout.write(report_to_text(report, table, survey))
-    if args.json:
-        with open(args.json, "w", encoding="ascii") as handle:
-            handle.write(report_to_json(report, table, survey))
-    if args.csv:
-        with open(args.csv, "w", encoding="ascii") as handle:
-            handle.write(report_to_csv(report))
+    with contextlib.ExitStack() as stack:
+        # Opened before the text report, so a bad path prints nothing.
+        json_out, csv_out = (
+            stack.enter_context(open(path, "w", encoding="ascii")) if path else None
+            for path in (args.json, args.csv)
+        )
+        sys.stdout.write(report_to_text(report, table, survey))
+        if json_out:
+            json_out.write(report_to_json(report, table, survey))
+        if csv_out:
+            csv_out.write(report_to_csv(report))
     if report.survivors:
         return 1
     if table is not None and not table.all_aligned:

@@ -300,22 +300,15 @@ def rank(p: Partition) -> int:
 # -- Kreweras duality ---------------------------------------------------
 
 
-def kreweras_dual(p: Partition, orientation: str = "clockwise") -> Partition:
-    """The Kreweras complement of a non-crossing partition.
+def kreweras_dual(p: Partition) -> Partition:
+    """The (clockwise) Kreweras complement of a non-crossing partition.
 
-    The clockwise construction walks successors: starting from e, the next
-    element of e's dual part is the predecessor, inside the part of `p`
-    that contains e+1, of the element e+1 (parts are traversed in
-    increasing cyclic order).  The cycles of that walk are the dual parts.
-    "counterclockwise" is the same construction conjugated by the
-    reflection i -> n+1-i; the two differ by that reflection.
+    The construction walks successors: starting from e, the next element
+    of e's dual part is the predecessor, inside the part of `p` that
+    contains e+1, of the element e+1 (parts are traversed in increasing
+    cyclic order).  The cycles of that walk are the dual parts.
     """
     require_noncrossing(p)
-    if orientation == "counterclockwise":
-        g = Symmetry.reflection(p.n, 0)  # fixes 1, maps i -> n+2-i
-        return apply_symmetry(kreweras_dual(apply_symmetry(p, g)), g)
-    if orientation != "clockwise":
-        raise ValueError(f"unknown orientation {orientation!r}")
     n = p.n
     pred_in_part = {}
     for part in p.parts:
@@ -334,38 +327,6 @@ def kreweras_dual(p: Partition, orientation: str = "clockwise") -> Partition:
         remaining.difference_update(cycle)
         parts.append(mask_of(cycle))
     return Partition(n, tuple(parts))
-
-
-def kreweras_dual_via_regions(p: Partition) -> Partition:
-    """Independent construction of the complement via the interleaved circle.
-
-    Place a copy e' of each element between e and e+1 (element e at
-    position 2e-1, copy e' at position 2e on a 2n circle).  Two copies
-    i', j' lie in the same dual part exactly when no part of `p` separates
-    them, i.e. when the pair {2i, 2j} does not alternate with any part of
-    `p` read on odd positions.  This is the coarsest partition of the
-    copies whose union with `p` stays non-crossing on the 2n circle.
-    """
-    require_noncrossing(p)
-    n = p.n
-    odd = {part: mask_of(2 * e - 1 for e in elements_of(part)) for part in p.parts}
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        pair = 1 << (2 * i - 1) | 1 << (2 * j - 1)  # positions 2i, 2j
-        if not any(_masks_alternate(pair, om, 2 * n) for om in odd.values()):
-            parent[find(i)] = find(j)
-    groups: dict[int, int] = {}
-    for e in range(1, n + 1):
-        r = find(e)
-        groups[r] = groups.get(r, 0) | 1 << (e - 1)
-    return Partition(n, tuple(groups.values()))
 
 
 # -- lattice operations -------------------------------------------------

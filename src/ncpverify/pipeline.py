@@ -100,6 +100,12 @@ __all__ = [
 
 VERDICT_VERIFIED = "THEOREM 5 VERIFIED"
 
+# The seeded random sample that validate_lemma3 adds to its corpus.
+LEMMA3_SAMPLE_SIZE = 200
+LEMMA3_SEED = 20260816
+# Example chains condition_iii_survey keeps per disagreement direction.
+SURVEY_EXAMPLE_LIMIT = 10
+
 
 @dataclass(frozen=True)
 class ClassReport:
@@ -299,7 +305,7 @@ def run_theorem5(n: int = 7) -> PipelineReport:
                 duplicate_of = kept[earlier].representative.text()
                 break
 
-        verdict_iv = cond_iv(rep, method="index" if n >= 6 else "dfs")
+        verdict_iv = cond_iv(rep)
         certificate = pattern_refute(rep)
         if certificate is not None and verdict_iv.satisfied:
             raise RuntimeError(
@@ -411,11 +417,10 @@ class LemmaThreeReport:
 
 
 @lru_cache(maxsize=None)
-def validate_lemma3(
-    n: int = 7, extra_random: int = 200, seed: int = 20260816
-) -> LemmaThreeReport:
+def validate_lemma3(n: int = 7) -> LemmaThreeReport:
     """Test the exclusion rule on class representatives, reference chains,
-    a witness-rich control chain, and a seeded random sample."""
+    a witness-rich control chain, and a seeded random sample of
+    ``LEMMA3_SAMPLE_SIZE`` chains (seed ``LEMMA3_SEED``)."""
     if not 3 <= n <= 7:
         raise ValueError("lemma-3 validation supports 3 <= n <= 7")
     index = maximal_chain_index(n)
@@ -438,9 +443,8 @@ def validate_lemma3(
     if n == 7:
         for text in load_fixtures().all_chain_texts():
             add(Chain.from_text(7, text))
-    if extra_random:
-        for chain in sample_chains(n, extra_random, seed):
-            add(chain)
+    for chain in sample_chains(n, LEMMA3_SAMPLE_SIZE, LEMMA3_SEED):
+        add(chain)
 
     chains_with_survivors = total_survivors = 0
     hits_checked = pairs_checked = 0
@@ -485,13 +489,14 @@ def validate_lemma3(
 
 
 @lru_cache(maxsize=None)
-def condition_iii_survey(n: int = 7, example_limit: int = 10) -> ConditionIIISurvey:
+def condition_iii_survey(n: int = 7) -> ConditionIIISurvey:
     """Compare criterion and literal condition III over every chain of one n.
 
     The two tests are not equivalent, so instead of asserting agreement the
     artifact measures it: this scans all chains (every nonempty rank set),
-    counts each disagreement direction, and keeps a few example chains per
-    direction plus every affected reference-table chain.
+    counts each disagreement direction, and keeps the first
+    ``SURVEY_EXAMPLE_LIMIT`` example chains per direction plus every
+    affected reference-table chain.
     """
     if not 3 <= n <= 7:
         raise ValueError("the survey supports 3 <= n <= 7")
@@ -512,11 +517,11 @@ def condition_iii_survey(n: int = 7, example_limit: int = 10) -> ConditionIIISur
         reading = code & READINGS
         if reading == CRITERION:
             criterion_only += 1
-            if len(criterion_examples) < example_limit:
+            if len(criterion_examples) < SURVEY_EXAMPLE_LIMIT:
                 criterion_examples.append(index_text(cat, indices))
         elif reading == LITERAL:
             literal_only += 1
-            if len(literal_examples) < example_limit:
+            if len(literal_examples) < SURVEY_EXAMPLE_LIMIT:
                 literal_examples.append(index_text(cat, indices))
         else:
             continue

@@ -14,6 +14,8 @@ docs/formats.md rather than from the package's bitmask code.
   the chain (below the first member, between consecutive members, above
   the last) holds two partitions of proper rank, some size->=2 parts of
   which cross.
+* ``kreweras_dual_via_regions`` -- the Kreweras complement read off the
+  interleaved circle, independent of the package's successor walk.
 """
 
 from __future__ import annotations
@@ -106,3 +108,24 @@ def literal_iii(n: int, text: str) -> bool:
         if any(partitions_cross(p, q) for p, q in itertools.combinations(window, 2)):
             return True
     return False
+
+
+def kreweras_dual_via_regions(n: int, text: str) -> Partition:
+    """The Kreweras complement of a non-crossing partition.
+
+    Place a copy i' of each element i between i and i+1 on the circle.
+    The chord from i' to j' (i < j) splits the elements into {i+1..j}
+    and the rest; copies i' and j' lie in the same dual part exactly when
+    no part of the partition has elements on both sides of that chord.
+    Copy i' stands for element i of the dual.
+    """
+    parts = parse_partition(n, text)
+
+    def together(i: int, j: int) -> bool:
+        inside = set(range(min(i, j) + 1, max(i, j) + 1))
+        return not any(part & inside and part - inside for part in parts)
+
+    elements = range(1, n + 1)
+    return frozenset(
+        frozenset(j for j in elements if together(i, j)) for i in elements
+    )

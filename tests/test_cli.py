@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,15 +51,57 @@ def test_check_incomparable_members(capsys):
     assert "not strictly increasing" in captured.err
 
 
-def test_check_rejects_n_beyond_catalogue_before_output(capsys):
-    for n in ("8", "9"):
-        for extra in ([], ["--dual"]):
-            code = main(["check", "--n", n, "--chain", "12,46", *extra])
+# The supported n of each command (docs/formats.md, "Supported n per
+# command"): the arguments after the command, the lowest and highest n,
+# and the exit code at each of those two.
+N_CONTRACT = {
+    "enumerate --what partitions": ([], 1, 9, 0, 0),
+    "enumerate --what trees": ([], 3, 9, 0, 0),
+    "enumerate --what chains": ([], 3, 7, 0, 0),
+    "enumerate --what maxchains": ([], 3, 7, 0, 0),
+    "check": (["--chain", "12", "--dual", "--dominant"], 3, 9, 0, 0),
+    "theorem5": ([], 3, 7, 0, 2),
+    "validate-lemma3": ([], 3, 7, 0, 0),
+    "render": (["--input", "", "--out", "{out}"], 1, 9, 0, 0),
+}
+
+
+def test_every_command_keeps_its_n_contract(capsys, tmp_path):
+    out = str(tmp_path / "p.svg")
+    for command, (extra, low, high, at_low, at_high) in N_CONTRACT.items():
+        args = command.split() + [a.format(out=out) for a in extra]
+        outcomes = ((low - 1, 3), (low, at_low), (high, at_high), (high + 1, 3))
+        for n, expected in outcomes:
+            code = main([*args, "--n", str(n)])
             captured = capsys.readouterr()
-            assert code == 3
-            assert captured.out == ""
-            lines = captured.err.splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error:")
+            assert code == expected, (command, n)
+            if expected == 3:
+                assert captured.out == "", (command, n)
+                lines = captured.err.splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error:"), (command, n)
+
+
+def test_n_contract_matches_the_documented_table():
+    text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text("utf-8")
+    rows = re.findall(r"^\| `([^`]+)` \| (\d)–(\d) \|", text, re.M)
+    documented = {command: (int(low), int(high)) for command, low, high in rows}
+    assert documented == {
+        command: (low, high) for command, (_, low, high, _, _) in N_CONTRACT.items()
+    }
+
+
+def test_check_beyond_the_maximal_chain_index(capsys):
+    # n = 8 runs condition IV by the pruned walk; the witness and count
+    # are the ones test_condition4 pins for that walk.
+    code = main(["check", "--n", "8", "--chain", "24<246"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "chain: 24<246  (n=8, ranks {1,2})" in out
+    assert "condition III: criterion=True literal=True" in out
+    assert (
+        "condition IV:  satisfied, witness 57<567<48,567<45678<13,45678<123,45678"
+        " (29 maximal chains examined)" in out
+    )
 
 
 def test_check_parse_error_reports_position(capsys):
@@ -131,6 +174,17 @@ def test_theorem5_exit_code_and_reports(capsys, tmp_path):
     assert payload["verdict"] == "THEOREM 5 VERIFIED"
     assert len(payload["classes"]) == 119
     assert csv_path.read_text().count("\n") == 120  # header + 119 rows
+
+
+def test_theorem5_bad_output_path_prints_nothing(capsys, tmp_path):
+    bad = str(tmp_path / "missing" / "report")
+    for flag in ("--json", "--csv"):
+        code = main(["theorem5", "--n", "5", flag, bad])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_validate_lemma3_cli(capsys):

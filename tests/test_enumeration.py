@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from ncpverify.chains import Chain, neighbor_mask, pack_primes, rank_set, smallest_blocks
+from ncpverify.chains import Chain, neighbor_mask, pack_primes, smallest_blocks
 from ncpverify.core import elements_of, is_noncrossing, rank
 from ncpverify.enumeration import (
     all_chain_index_tuples,
@@ -135,8 +135,8 @@ def test_chain_counts():
 
 def test_rank_filtered_counts():
     allch = list(enumerate_chains(7))
-    assert sum(1 for c in allch if rank_set(c).ranks == frozenset({1})) == 21
-    assert sum(1 for c in allch if rank_set(c).ranks == frozenset({1, 2})) == 245
+    assert sum(1 for c in allch if frozenset(c.ranks()) == frozenset({1})) == 21
+    assert sum(1 for c in allch if frozenset(c.ranks()) == frozenset({1, 2})) == 245
     # an empty rank set names no chain and is refused like a rank outside 1..n-2
     for ranks in ((), set(), {0}, {6}):
         with pytest.raises(ValueError, match="outside"):
@@ -155,12 +155,12 @@ def test_chain_index_tuples_roundtrip():
     assert tuples
     for t, _ in tuples:
         chain = chain_from_indices(cat, t)
-        assert rank_set(chain).ranks == frozenset({1, 2})
+        assert frozenset(chain.ranks()) == frozenset({1, 2})
 
 
 def test_orbit_classes_rank_one():
     allch = list(enumerate_chains(7))
-    r1 = [c for c in allch if rank_set(c).ranks == frozenset({1})]
+    r1 = [c for c in allch if frozenset(c.ranks()) == frozenset({1})]
     classes = orbit_classes(r1)
     reps = [(c.representative.text(), c.orbit_size, c.dual_representative.text()) for c in classes]
     assert reps == [

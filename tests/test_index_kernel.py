@@ -22,9 +22,12 @@ import pytest
 
 from ncpverify.chains import (
     Chain,
+    canonical_chain,
     canonical_indices,
     chain_from_indices,
     chain_indices,
+    chain_orbit_size,
+    cond_iii_bruteforce,
     cond_ii_of_indices,
     cond_iii_criterion_of_indices,
     cond_iii_literal_of_indices,
@@ -62,6 +65,8 @@ from ncpverify.lattice import (
     noncrossing_partitions,
 )
 from ncpverify.pipeline import run_theorem5
+
+import oracles
 
 
 # -- object-level references ------------------------------------------------
@@ -489,21 +494,47 @@ def test_patterns_and_signature_scan_n7_stride():
     _assert_cond_iv(chains)
 
 
-@pytest.mark.parametrize(
-    "n, text",
-    [
-        (8, "13"),
-        (8, "12,46"),
-        (8, "24<246"),
-        (8, "18<178<12678"),
-        (9, "1357<13579"),
-        (9, "19<189<12789<1234789"),
-        (9, "23,45<2345<12345<12345678"),
-    ],
-)
+BEYOND_N7 = [
+    (8, "13"),
+    (8, "12,46"),
+    (8, "24<246"),
+    (8, "18<178<12678"),
+    (9, "1357<13579"),
+    (9, "19<189<12789<1234789"),
+    (9, "23,45<2345<12345<12345678"),
+]
+
+
+@pytest.mark.parametrize("n, text", BEYOND_N7)
 def test_patterns_beyond_the_catalogue(n, text):
     # n = 8, 9 build their own hit tables and wrap the windows at their own length
     _assert_patterns([Chain.from_text(n, text)])
+
+
+# -- the index paths at n = 8, 9 ----------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _chains_beyond_n7() -> tuple[Chain, ...]:
+    """Every 18 911th of the 1 892 052 chains at n = 8, then ``BEYOND_N7``."""
+    cat = catalogue(8)
+    stride = itertools.islice(all_chain_index_tuples(cat), 0, None, 18_911)
+    listed = (Chain.from_text(n, text) for n, text in BEYOND_N7)
+    return (*(chain_from_indices(cat, indices) for indices, _ in stride), *listed)
+
+
+def test_dual_canonical_and_orbit_beyond_n7():
+    for chain in _chains_beyond_n7():
+        expected = tuple(kreweras_dual(p) for p in reversed(chain.members))
+        assert dual_chain(chain).members == expected, chain.text()
+        assert canonical_chain(chain) == reference_canonical(chain), chain.text()
+        assert chain_orbit_size(chain) == reference_orbit_size(chain), chain.text()
+
+
+def test_literal_iii_beyond_n7():
+    for chain in _chains_beyond_n7():
+        literal = oracles.literal_iii(chain.n, chain.text())
+        assert cond_iii_bruteforce(chain) == literal, chain.text()
 
 
 def test_index_shares_families_and_groups_signatures():

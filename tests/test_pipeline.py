@@ -9,7 +9,6 @@ reference alignment). They are frozen so regressions surface loudly.
 from __future__ import annotations
 
 import csv
-import inspect
 import io
 import json
 import random
@@ -17,6 +16,8 @@ import random
 from ncpverify.chains import Chain, cond_iii_bruteforce, cond_iii_criterion
 from ncpverify.enumeration import enumerate_chains, sample_chains
 from ncpverify.pipeline import (
+    LEMMA3_SAMPLE_SIZE,
+    LEMMA3_SEED,
     VERDICT_VERIFIED,
     cond_i_rank_sets,
     duality_reduced_rank_sets,
@@ -193,10 +194,10 @@ def test_lemma3_sample_equals_materialised_sample():
     # validate_lemma3 streams its random corpus; CPython's sample depends
     # only on the population's length, so it must pick the same chains as
     # sampling the materialised list of all chains.
-    defaults = inspect.signature(validate_lemma3).parameters
-    k, seed = defaults["extra_random"].default, defaults["seed"].default
     population = list(enumerate_chains(7))
-    assert sample_chains(7, k, seed) == random.Random(seed).sample(population, k)
+    assert sample_chains(7, LEMMA3_SAMPLE_SIZE, LEMMA3_SEED) == random.Random(
+        LEMMA3_SEED
+    ).sample(population, LEMMA3_SAMPLE_SIZE)
 
 
 def test_report_to_json(pipeline_report, alignment_table, survey):

@@ -1,0 +1,95 @@
+"""Property tests over the chain grammar and the command line.
+
+Any text read at any n either parses or raises one of the package's
+input errors, and ``check`` and ``render`` answer any text and any n
+with a result or exit code 3, never an exception.  Skipped when
+``hypothesis`` is not installed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ncpverify.chains import Chain
+from ncpverify.cli import main
+from ncpverify.lattice import catalogue, iter_bits
+
+GRAMMAR = st.text(alphabet="0123456789,<-", max_size=24)
+
+
+@st.composite
+def valid_chains(draw) -> tuple[str, int]:
+    """(text, n) of a chain of NC(n), 3 <= n <= 7, grown member by member."""
+    n = draw(st.integers(3, 7))
+    cat = catalogue(n)
+    members: list[str] = []
+    candidates = cat.proper_mask
+    while candidates and (not members or draw(st.booleans())):
+        j = draw(st.sampled_from(list(iter_bits(candidates))))
+        members.append(cat.texts[j])
+        candidates = cat.above[j] & cat.proper_mask
+    return "<".join(members), n
+
+
+UNIVERSES = st.integers(-2, 12)
+TEXTS = st.one_of(GRAMMAR, st.text(max_size=12))
+# Any text at any n, and valid chains at their own n or at another.
+CASES = st.one_of(
+    st.tuples(TEXTS, UNIVERSES),
+    valid_chains(),
+    st.tuples(valid_chains().map(lambda chain: chain[0]), UNIVERSES),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CASES)
+def test_chain_text_parses_or_raises_an_input_error(case):
+    text, n = case
+    try:
+        chain = Chain.from_text(n, text)
+    except ValueError:  # every input error of the package is one
+        return
+    assert Chain.from_text(n, chain.text()) == chain
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_result_or_exit_3(code: int, out: str, err: str) -> None:
+    assert code in (0, 3)
+    if code == 3:
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@settings(max_examples=60, deadline=None)
+@given(CASES)
+def test_check_answers_any_text_and_n(case):
+    text, n = case
+    _assert_result_or_exit_3(*_run(["check", f"--n={n}", f"--chain={text}"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(CASES)
+def test_render_answers_any_text_and_n(case):
+    text, n = case
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch) / "out.svg"
+        _assert_result_or_exit_3(
+            *_run(["render", f"--n={n}", f"--input={text}", f"--out={out}"])
+        )
