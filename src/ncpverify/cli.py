@@ -75,13 +75,16 @@ def _print_chain_analysis(chain: Chain, strict_patterns: bool, dominant: bool) -
         f" literal={cond_iii_bruteforce(chain)}"
     )
     outcome = cond_iv(chain)
-    if outcome.satisfied:
-        print(
-            f"condition IV:  satisfied, witness {outcome.witness.text()}"
-            f" ({outcome.checked} maximal chains examined)"
-        )
+    # The index examines every maximal chain; the pruned walk (n > 7)
+    # counts only the leaves its pruning lets it reach.
+    if outcome.method == "index":
+        counted = f"{outcome.checked} maximal chains examined"
     else:
-        print(f"condition IV:  refuted ({outcome.checked} maximal chains examined)")
+        counted = f"{outcome.checked} maximal chains reached by the pruned search"
+    if outcome.satisfied:
+        print(f"condition IV:  satisfied, witness {outcome.witness.text()} ({counted})")
+    else:
+        print(f"condition IV:  refuted ({counted})")
     hits = detect_patterns(chain, strict=strict_patterns)
     convention = "strict" if strict_patterns else "non-strict"
     print(f"pattern hits ({convention}): " + (" ".join(h.text() for h in hits) or "none"))
@@ -136,11 +139,16 @@ def _cmd_theorem5(args) -> int:
     table = compare_fixture(report) if args.n == 7 else None
     survey = condition_iii_survey(args.n)
     with contextlib.ExitStack() as stack:
-        # Opened before the text report, so a bad path prints nothing.
-        json_out, csv_out = (
-            stack.enter_context(open(path, "w", encoding="ascii")) if path else None
+        # Opened before the text report, so a bad path prints nothing, and
+        # opened to append, so no file is emptied until both paths open.
+        outputs = [
+            stack.enter_context(open(path, "a", encoding="ascii")) if path else None
             for path in (args.json, args.csv)
-        )
+        ]
+        for out in outputs:
+            if out:
+                out.truncate(0)
+        json_out, csv_out = outputs
         sys.stdout.write(report_to_text(report, table, survey))
         if json_out:
             json_out.write(report_to_json(report, table, survey))

@@ -463,7 +463,7 @@ def _parse_partition(n: int, text: str, offset: int = 0) -> Partition:
                 raise NotationError("block needs at least two elements", start)
             blocks.append(current)
             current, current_size, start = 0, 0, pos + 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":  # ASCII only: str.isdigit() takes any script
             e = int(ch)
             if e == 0:
                 raise NotationError("element 0 does not exist", pos)

@@ -6,8 +6,16 @@ by rank-set, in depth-first order, as catalogue-index tuples grown over
 the order bitsets (``enumerate_chains`` wraps them as objects).  Each
 chain comes with its condition II/III code: the growth ORs in one step
 code per edge, so the windows of a prefix are read once for all the
-chains that extend it, and the scan and the survey read conditions II
-and III on both duality sides from that one small int.
+chains that extend it, and the scan reads conditions II and III on
+both duality sides from that one small int.
+
+Questions about how many chains there are, or which one sits at a
+given place of that order, need no stream.  Per rank-set suffix, a
+completion table counts the ways to finish a chain from each member of
+its first rank; ``count_chains`` sums the tables, and ``chains_at``
+unranks a position by choosing its rank set from the cumulative counts,
+then one successor per rank.  ``sample_chains`` draws its positions and
+unranks them.
 
 The maximal chains are the chains with rank set 1..n-2.  For n <= 7
 they are cached as an index, grown over the catalogue rows like any
@@ -34,6 +42,7 @@ condition-IV search passes the chain's own family.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from array import array
@@ -135,38 +144,88 @@ def all_chain_index_tuples(cat: Catalogue):
         yield from chain_index_tuples(cat, ranks)
 
 
-def count_chains(n: int) -> int:
-    """The number of chains of the proper part of NC(n), without a walk.
+@lru_cache(maxsize=None)
+def _completions(n: int) -> dict[tuple[int, ...], list[int]]:
+    """Per rank-set suffix, the number of ways to finish a chain.
 
-    ``up[i]`` counts the chains whose least member is i: i alone, or i
-    below a chain that starts above it.  Every index above i is larger,
-    so one pass in descending index order fills the table.
+    ``completions[suffix][k]`` counts the chains with rank set ``suffix``
+    whose least member is the k-th index of rank ``suffix[0]``: one if
+    the suffix is that rank alone, else the sum over its successors in
+    the next rank, read as the bits of its ``above`` row inside that
+    rank's slice (as ``_grow`` reads them).  Every rank set is a suffix
+    of itself, and its chain count is the sum of its table.  ``rank_sets``
+    yields the shorter suffixes first, so each table reads a finished one.
     """
     cat = catalogue(n)
-    proper = cat.proper_mask
-    up = [0] * len(cat.partitions)
-    for i in reversed(list(iter_bits(proper))):
-        up[i] = 1 + sum(up[j] for j in iter_bits(cat.above[i] & proper))
-    return sum(up)
+    completions: dict[tuple[int, ...], list[int]] = {}
+    for suffix in rank_sets(n):
+        members = cat.rank_indices[suffix[0]]
+        if len(suffix) == 1:
+            completions[suffix] = [1] * len(members)
+            continue
+        after = completions[suffix[1:]]
+        following = cat.rank_indices[suffix[1]]
+        first = following[0]
+        span = (1 << len(following)) - 1
+        completions[suffix] = [
+            sum(after[k] for k in iter_bits(cat.above[j] >> first & span))
+            for j in members
+        ]
+    return completions
+
+
+def count_chains(n: int) -> int:
+    """The number of chains of the proper part of NC(n), without a walk."""
+    return sum(map(sum, _completions(n).values()))
+
+
+def chains_at(n: int, positions) -> list[tuple[int, ...]]:
+    """The index tuples at the given places of the ``enumerate_chains`` order.
+
+    Each position is unranked, not walked to: its rank set comes from the
+    cumulative chain counts, then each member is the successor of the
+    last (bottom first) whose completions cover what is left of the
+    position, successors taken in index order as the depth-first sweep
+    takes them.
+    """
+    cat = catalogue(n)
+    completions = _completions(n)
+    sets = list(rank_sets(n))
+    starts = list(itertools.accumulate((sum(completions[r]) for r in sets), initial=0))
+    chains = []
+    for position in positions:
+        if not 0 <= position < starts[-1]:
+            raise IndexError(f"chain position {position} outside 0..{starts[-1] - 1}")
+        place = bisect.bisect_right(starts, position) - 1
+        ranks = sets[place]
+        position -= starts[place]
+        last = cat.bottom
+        members = []
+        for t, r in enumerate(ranks):
+            counts = completions[ranks[t:]]
+            first = cat.rank_indices[r][0]
+            span = (1 << len(counts)) - 1
+            for k in iter_bits(cat.above[last] >> first & span):
+                if position < counts[k]:
+                    break
+                position -= counts[k]
+            last = first + k
+            members.append(last)
+        chains.append(tuple(members))
+    return chains
 
 
 def sample_chains(n: int, k: int, seed: int) -> list[Chain]:
-    """``random.Random(seed).sample(list(enumerate_chains(n)), k)``, streamed.
+    """``random.Random(seed).sample(list(enumerate_chains(n)), k)``, unranked.
 
     ``sample`` draws positions from the population's length alone, so
-    drawing from ``range(count)`` and picking those positions from the
-    index-tuple stream gives the same chains without building them all.
+    drawing from ``range(count)`` and unranking those positions gives the
+    same chains without building the others.
     """
-    cat = catalogue(n)
     count = count_chains(n)
     positions = random.Random(seed).sample(range(count), min(k, count))
-    wanted = set(positions)
-    picked = {
-        position: indices
-        for position, (indices, _) in enumerate(all_chain_index_tuples(cat))
-        if position in wanted
-    }
-    return [chain_from_indices(cat, picked[position]) for position in positions]
+    cat = catalogue(n)
+    return [chain_from_indices(cat, indices) for indices in chains_at(n, positions)]
 
 
 # -- maximal chains -------------------------------------------------------

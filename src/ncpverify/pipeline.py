@@ -18,11 +18,12 @@ is meant to stand in for.  They are not equivalent: the criterion fires
 on some chains (for example "123,46") where no witness pair exists,
 because merging the four members can itself create a crossing partition.
 The criterion never misses a chain the literal search accepts -- at n=7
-this containment is checked exhaustively by condition_iii_survey -- so
-the pipeline filters candidates by the union of the two tests.  That
-keeps every class the reference tables list while still covering every
-chain the literal definition admits, and the report carries both
-verdicts per class instead of pretending they coincide.
+this containment is counted exhaustively by a DP over the order rows in
+condition_iii_survey -- so the pipeline filters candidates by the union
+of the two tests.  That keeps every class the reference tables list
+while still covering every chain the literal definition admits, and the
+report carries both verdicts per class instead of pretending they
+coincide.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from ncpverify.chains import (
     index_key,
     index_text,
     smallest_blocks,
+    window_code_of_indices,
 )
 from ncpverify.condition4 import (
     RefutationCertificate,
@@ -76,6 +78,7 @@ from ncpverify.lattice import (
     LITERAL,
     READINGS,
     catalogue,
+    iter_bits,
 )
 
 __all__ = [
@@ -493,51 +496,84 @@ def condition_iii_survey(n: int = 7) -> ConditionIIISurvey:
     """Compare criterion and literal condition III over every chain of one n.
 
     The two tests are not equivalent, so instead of asserting agreement the
-    artifact measures it: this scans all chains (every nonempty rank set),
-    counts each disagreement direction, and keeps the first
-    ``SURVEY_EXAMPLE_LIMIT`` example chains per direction plus every
-    affected reference-table chain.
+    artifact measures it.  The containment is counted exhaustively by a DP
+    over the order rows: every window of every chain is read, but no chain
+    is built.  The first ``SURVEY_EXAMPLE_LIMIT`` example chains per
+    direction come from the chain stream, read only as far as the last
+    one; every affected reference-table chain is read directly.
     """
     if not 3 <= n <= 7:
         raise ValueError("the survey supports 3 <= n <= 7")
     cat = catalogue(n)
-    fixture_chains: set[tuple[int, ...]] = set()
+    readings = _chain_readings(cat)
+    criterion_only = readings[CRITERION]
+    literal_only = readings[LITERAL]
+
+    examples: dict[int, list[str]] = {CRITERION: [], LITERAL: []}
+    missing = min(SURVEY_EXAMPLE_LIMIT, criterion_only) + min(
+        SURVEY_EXAMPLE_LIMIT, literal_only
+    )
+    chains = all_chain_index_tuples(cat)
+    while missing:
+        indices, code = next(chains)
+        found = examples.get(code & READINGS)
+        if found is not None and len(found) < SURVEY_EXAMPLE_LIMIT:
+            found.append(index_text(cat, indices))
+            missing -= 1
+
+    fixture_disagreements: set[tuple[int, ...]] = set()
     if n == 7:
         for text in load_fixtures().all_chain_texts():
             indices = chain_indices(cat, Chain.from_text(n, text))
-            fixture_chains.add(indices)
-            fixture_chains.add(dual_indices(cat, indices))
+            for variant in (indices, dual_indices(cat, indices)):
+                if window_code_of_indices(cat, variant) in (CRITERION, LITERAL):
+                    fixture_disagreements.add(variant)
 
-    checked = criterion_only = literal_only = 0
-    criterion_examples: list[str] = []
-    literal_examples: list[str] = []
-    fixture_disagreements: list[str] = []
-    for indices, code in all_chain_index_tuples(cat):
-        checked += 1
-        reading = code & READINGS
-        if reading == CRITERION:
-            criterion_only += 1
-            if len(criterion_examples) < SURVEY_EXAMPLE_LIMIT:
-                criterion_examples.append(index_text(cat, indices))
-        elif reading == LITERAL:
-            literal_only += 1
-            if len(literal_examples) < SURVEY_EXAMPLE_LIMIT:
-                literal_examples.append(index_text(cat, indices))
-        else:
-            continue
-        if indices in fixture_chains:
-            fixture_disagreements.append(index_text(cat, indices))
-    agreements = checked - criterion_only - literal_only
+    def stream_order(indices: tuple[int, ...]):
+        # all_chain_index_tuples visits rank sets by (size, lex), each in
+        # depth-first order, i.e. by index tuple.
+        return len(indices), tuple(cat.partitions[j].rank for j in indices), indices
+
     return ConditionIIISurvey(
         n=n,
-        chains_checked=checked,
-        agreements=agreements,
+        chains_checked=sum(readings),
+        agreements=readings[0] + readings[READINGS],
         criterion_only=criterion_only,
         literal_only=literal_only,
-        criterion_only_examples=tuple(criterion_examples),
-        literal_only_examples=tuple(literal_examples),
-        disagreeing_fixture_chains=tuple(fixture_disagreements),
+        criterion_only_examples=tuple(examples[CRITERION]),
+        literal_only_examples=tuple(examples[LITERAL]),
+        disagreeing_fixture_chains=tuple(
+            index_text(cat, indices)
+            for indices in sorted(fixture_disagreements, key=stream_order)
+        ),
     )
+
+
+def _chain_readings(cat) -> list[int]:
+    """The number of chains per condition-III reading (``READINGS`` code).
+
+    A chain's reading is the OR of its windows, so ``ending[j]`` counts
+    the chains whose greatest member is j by their reading so far: j
+    alone above bottom, or j above a chain that ends at a proper index
+    below it (smaller, so done first).  Each closes with its window to top.
+    """
+    windows = cat.windows
+    proper = cat.proper_mask
+    top = cat.top
+    totals = [0] * (READINGS + 1)
+    ending: dict[int, list[int]] = {}
+    for j in iter_bits(proper):
+        counts = [0] * (READINGS + 1)
+        counts[windows[cat.bottom, j]] = 1
+        for i in iter_bits(cat.below[j] & proper):
+            window = windows[i, j]
+            for reading, count in enumerate(ending[i]):
+                counts[reading | window] += count
+        ending[j] = counts
+        window = windows[j, top]
+        for reading, count in enumerate(counts):
+            totals[reading | window] += count
+    return totals
 
 
 def _certificate_style(certificate: RefutationCertificate | None) -> str:

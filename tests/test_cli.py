@@ -100,8 +100,30 @@ def test_check_beyond_the_maximal_chain_index(capsys):
     assert "condition III: criterion=True literal=True" in out
     assert (
         "condition IV:  satisfied, witness 57<567<48,567<45678<13,45678<123,45678"
-        " (29 maximal chains examined)" in out
+        " (29 maximal chains reached by the pruned search)" in out
     )
+
+
+def test_check_refuted_beyond_the_maximal_chain_index(capsys):
+    # The pruned walk cuts every branch for 12 at n = 8, so it reaches no
+    # maximal chain at all; the line says so instead of "examined".
+    code = main(["check", "--n", "8", "--chain", "12"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert (
+        "condition IV:  refuted (0 maximal chains reached by the pruned search)\n" in out
+    )
+    assert "examined" not in out
+
+
+def test_check_rejects_non_ascii_digits(capsys):
+    for text in ("\u00b2", "\u0661\u0662"):
+        code = main(["check", "--chain", text])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: unexpected character")
 
 
 def test_check_parse_error_reports_position(capsys):
@@ -185,6 +207,31 @@ def test_theorem5_bad_output_path_prints_nothing(capsys, tmp_path):
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_theorem5_bad_output_path_keeps_the_other_file(capsys, tmp_path):
+    bad = str(tmp_path / "missing" / "report")
+    for good_flag, bad_flag in (("--json", "--csv"), ("--csv", "--json")):
+        good = tmp_path / ("kept" + good_flag)
+        good.write_bytes(b"earlier output\n")
+        code = main(["theorem5", "--n", "5", good_flag, str(good), bad_flag, bad])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert good.read_bytes() == b"earlier output\n"
+
+
+def test_theorem5_replaces_existing_output_files(capsys, tmp_path):
+    json_path, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
+    for path in (json_path, csv_path):
+        path.write_text("x" * 100_000)
+    assert main(["theorem5", "--n", "5", "--json", str(json_path), "--csv", str(csv_path)]) == 0
+    capsys.readouterr()
+    assert json.loads(json_path.read_text())["n"] == 5
+    assert csv_path.read_text().startswith("representative,")
+    assert "x" not in csv_path.read_text()
 
 
 def test_validate_lemma3_cli(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from ncpverify.chains import Chain
 from ncpverify.core import (
     Block,
     CrossingPartitionError,
@@ -73,6 +74,12 @@ def test_partition_text_errors():
         Partition.from_text(7, "121")  # repeated digit inside a block
     with pytest.raises(NotationError):
         Partition.from_text(7, "12,23")  # element in two parts
+    # only ASCII digits name elements: other scripts' digits and
+    # superscripts are unexpected characters, not elements
+    for text in ("\u0661\u0662", "\u00b2"):
+        with pytest.raises(NotationError, match="unexpected character") as caught:
+            Chain.from_text(7, text)
+        assert caught.value.position == 0
     # from_text tolerates crossing set partitions (join/meet intermediates);
     # require_noncrossing is the explicit gate
     crossing = Partition.from_text(7, "13,24")

@@ -22,9 +22,12 @@ from hypothesis import strategies as st
 
 from ncpverify.chains import Chain
 from ncpverify.cli import main
+from ncpverify.core import NotationError
 from ncpverify.lattice import catalogue, iter_bits
 
-GRAMMAR = st.text(alphabet="0123456789,<-", max_size=24)
+# Digits of other scripts and superscripts are not element names.
+NON_ASCII_DIGITS = "\u00b2\u0661\u0662\u0967\uff11"
+GRAMMAR = st.text(alphabet="0123456789,<-" + NON_ASCII_DIGITS, max_size=24)
 
 
 @st.composite
@@ -59,7 +62,27 @@ def test_chain_text_parses_or_raises_an_input_error(case):
         chain = Chain.from_text(n, text)
     except ValueError:  # every input error of the package is one
         return
+    assert not set(text) & set(NON_ASCII_DIGITS)
     assert Chain.from_text(n, chain.text()) == chain
+
+
+def _foreign_digit(digit: int) -> st.SearchStrategy[str]:
+    """The same digit in another script, or as a superscript."""
+    superscripts = "\u2070\u00b9\u00b2\u00b3\u2074\u2075\u2076\u2077\u2078\u2079"
+    return st.sampled_from(
+        [chr(zero + digit) for zero in (0x0660, 0x0966, 0xFF10)] + [superscripts[digit]]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_chains(), st.data())
+def test_non_ascii_digits_are_unexpected_characters(chain, data):
+    text, n = chain
+    where = data.draw(st.sampled_from([i for i, ch in enumerate(text) if ch.isdigit()]))
+    foreign = data.draw(_foreign_digit(int(text[where])))
+    with pytest.raises(NotationError, match="unexpected character") as caught:
+        Chain.from_text(n, text[:where] + foreign + text[where + 1 :])
+    assert caught.value.position == where
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
