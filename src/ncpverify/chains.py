@@ -25,7 +25,8 @@ The same questions also come as functions of a chain's catalogue-index
 tuple (``*_of_indices``, ``dual_indices``, ``canonical_indices``,
 ``index_text``), for every n the catalogue accepts (n <= 9); the
 object-level functions wrap them, so each question has one path.
-Condition III of one chain is the OR of its window codes in the
+Orbit sizes come from ``enumeration.orbit_classes``, which builds each
+orbit once.  Condition III of one chain is the OR of its window codes in the
 catalogue's one window table (``window_code_of_indices``).  The theorem5
 scan and the survey do not call these per chain: they read conditions
 II and III from the code each chain carries out of enumeration, which
@@ -234,11 +235,6 @@ def index_key(cat: Catalogue, indices) -> tuple[int, ...]:
     return tuple(position[j] for j in indices)
 
 
-def cond_ii_of_indices(cat: Catalogue, indices) -> bool:
-    universal = cat.universal
-    return not all(universal[j] for j in indices)
-
-
 def window_code_of_indices(cat: Catalogue, indices) -> int:
     """OR of the window codes (``CRITERION``, ``LITERAL``) the chain leaves.
 
@@ -274,10 +270,6 @@ def canonical_indices(cat: Catalogue, indices) -> tuple[int, ...]:
     return min(tuple(perm[j] for j in indices) for perm in cat.symmetries)
 
 
-def orbit_size_of_indices(cat: Catalogue, indices) -> int:
-    return len({tuple(perm[j] for j in indices) for perm in cat.symmetries})
-
-
 # -- duality and symmetry -------------------------------------------------
 
 
@@ -285,14 +277,6 @@ def dual_chain(chain: Chain) -> Chain:
     """Memberwise Kreweras dual, re-sorted increasingly (duality reverses order)."""
     cat = catalogue(chain.n)
     return chain_from_indices(cat, dual_indices(cat, chain_indices(cat, chain)))
-
-
-def apply_symmetry_chain(chain: Chain, g: Symmetry) -> Chain:
-    from ncpverify.core import apply_symmetry
-
-    return Chain._trusted(
-        chain.n, tuple(apply_symmetry(p, g) for p in chain.members)
-    )
 
 
 def chain_key(chain: Chain) -> tuple:
@@ -303,11 +287,6 @@ def canonical_chain(chain: Chain) -> Chain:
     """Least dihedral image (same symmetry applied to every member)."""
     cat = catalogue(chain.n)
     return chain_from_indices(cat, canonical_indices(cat, chain_indices(cat, chain)))
-
-
-def chain_orbit_size(chain: Chain) -> int:
-    cat = catalogue(chain.n)
-    return orbit_size_of_indices(cat, chain_indices(cat, chain))
 
 
 def transformed_primes(n: int, primes: tuple[int, ...], g: Symmetry) -> tuple[int, ...]:

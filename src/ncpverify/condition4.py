@@ -323,15 +323,18 @@ class RefutationCertificate:
     steps: tuple[dict, ...]
     conclusion: str = CONCLUSION
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        """The JSON payload as a dict (the steps are shared, not copied)."""
+        return {
             "chain": self.chain_text,
             "n": self.n,
             "strict": self.strict,
             "steps": list(self.steps),
             "conclusion": self.conclusion,
         }
-        return json.dumps(payload, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> RefutationCertificate:

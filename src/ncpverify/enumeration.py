@@ -38,6 +38,12 @@ The walk tracks each element's first non-singleton block C_e and is
 pruned by an F' family: a branch ends when a new C_e meets F_e'.  With
 the all-zero family it visits every maximal chain; the pruned
 condition-IV search passes the chain's own family.
+
+``orbit_classes`` reduces the theorem5 candidates to dihedral orbits in
+one sweep over their index tuples: each orbit is built once from the
+catalogue's index permutations and every image is recorded with its
+class, so a later candidate in a known orbit costs one lookup, and a
+dual representative is the class of the representative's dual.
 """
 
 from __future__ import annotations
@@ -52,13 +58,10 @@ from functools import lru_cache
 from ncpverify.core import Partition, _masks_alternate, elements_of
 from ncpverify.chains import (
     Chain,
-    canonical_indices,
     chain_from_indices,
-    chain_indices,
     dual_indices,
     index_key,
     neighbor_mask,
-    orbit_size_of_indices,
     pack_primes,
 )
 from ncpverify.lattice import Catalogue, catalogue, iter_bits
@@ -405,36 +408,63 @@ def maximal_chain_index(n: int) -> MaximalChainIndex:
 
 @dataclass(frozen=True)
 class OrbitClass:
-    """One dihedral orbit of chains, with the data the pipeline reports."""
+    """One dihedral orbit of chains, with the data the pipeline reports.
+
+    ``rep_indices`` and ``dual_rep_indices`` are the index tuples of the
+    two representatives; ``members`` are the input tuples that lie in
+    the orbit, in input order (the same tuple objects, not copies).
+    """
 
     representative: Chain
     orbit_size: int
     dual_representative: Chain
+    rep_indices: tuple[int, ...]
+    dual_rep_indices: tuple[int, ...]
+    members: tuple[tuple[int, ...], ...]
 
 
-def orbit_classes(chains) -> list[OrbitClass]:
-    """Group chains (n <= 7) into dihedral orbit classes, in deterministic order.
+def orbit_classes(candidates, n: int) -> list[OrbitClass]:
+    """Group chain index tuples into dihedral orbit classes.
 
-    The grouping runs on catalogue-index tuples; objects are built only
-    for the class representatives and their duals.
+    One sweep in input order: a tuple not yet seen has its orbit built
+    once from ``cat.symmetries`` (at most 2n images), every image is
+    recorded with its class, the least image is the representative and
+    the number of distinct images the orbit size.  The input must be
+    closed under duality, as the theorem5 candidates are: a class's dual
+    representative is the representative of the class recorded for the
+    dual of its representative.  Classes come in (length, ranks, key)
+    order of their representatives, and objects are built only for the
+    representatives and their duals.
     """
-    chains = list(chains)
-    if not chains:
-        return []
-    cat = catalogue(chains[0].n)
-    reps = {canonical_indices(cat, chain_indices(cat, chain)) for chain in chains}
+    cat = catalogue(n)
+    symmetries = cat.symmetries
+    class_of: dict[tuple[int, ...], int] = {}
+    found: list[tuple[tuple[int, ...], int, list[tuple[int, ...]]]] = []
+    for indices in candidates:
+        place = class_of.get(indices)
+        if place is None:
+            images = {tuple(perm[j] for j in indices) for perm in symmetries}
+            place = len(found)
+            for image in images:
+                class_of[image] = place
+            found.append((min(images), len(images), []))
+        found[place][2].append(indices)
 
-    def order(rep: tuple[int, ...]):
+    def order(entry):
+        rep = entry[0]
         return len(rep), tuple(cat.partitions[j].rank for j in rep), index_key(cat, rep)
 
     classes: list[OrbitClass] = []
-    for rep_indices in sorted(reps, key=order):
-        dual = canonical_indices(cat, dual_indices(cat, rep_indices))
+    for rep, size, members in sorted(found, key=order):
+        dual_rep = found[class_of[dual_indices(cat, rep)]][0]
         classes.append(
             OrbitClass(
-                representative=chain_from_indices(cat, rep_indices),
-                orbit_size=orbit_size_of_indices(cat, rep_indices),
-                dual_representative=chain_from_indices(cat, dual),
+                representative=chain_from_indices(cat, rep),
+                orbit_size=size,
+                dual_representative=chain_from_indices(cat, dual_rep),
+                rep_indices=rep,
+                dual_rep_indices=dual_rep,
+                members=tuple(members),
             )
         )
     return classes

@@ -38,7 +38,6 @@ from ncpverify.chains import (
     Chain,
     canonical_chain,
     canonical_prime_signature,
-    chain_from_indices,
     chain_indices,
     chain_key,
     cond_i,
@@ -271,13 +270,11 @@ def run_theorem5(n: int = 7) -> PipelineReport:
                 disagree(dual_indices(cat, indices))
             candidates[indices] = code
 
-    candidate_chains = [chain_from_indices(cat, indices) for indices in candidates]
-    classes = orbit_classes(candidate_chains)
+    classes = orbit_classes(list(candidates), n)
     kept = [
         cls
         for cls in classes
-        if index_key(cat, chain_indices(cat, cls.representative))
-        <= index_key(cat, chain_indices(cat, cls.dual_representative))
+        if index_key(cat, cls.rep_indices) <= index_key(cat, cls.dual_rep_indices)
     ]
 
     fixture_keys: dict[tuple, int] = {}
@@ -321,7 +318,7 @@ def run_theorem5(n: int = 7) -> PipelineReport:
         # The representative is itself a candidate (the filter is dihedral
         # invariant), and condition III is invariant too, so the dual side
         # recorded for it holds for the dual representative.
-        code = candidates[chain_indices(cat, rep)]
+        code = candidates[cls.rep_indices]
         literal_iii = bool(code & LITERAL)
         dual_literal_iii = bool(code & DUAL_LITERAL)
         reports.append(
@@ -668,9 +665,7 @@ def _class_to_dict(cls: ClassReport) -> dict:
         "condIVWitness": cls.iv_witness,
         "condIVChecked": cls.iv_checked,
         "refutedByPatterns": cls.certificate is not None,
-        "certificate": (
-            json.loads(cls.certificate.to_json()) if cls.certificate else None
-        ),
+        "certificate": cls.certificate.to_dict() if cls.certificate else None,
         "matchedCase": cls.matched_case if cls.matched_case is not None else "unmatched",
         "signatureDuplicateOf": cls.signature_duplicate_of,
         "survives": cls.survives,
