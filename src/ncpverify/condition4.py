@@ -24,12 +24,12 @@ negative answer into a short, independently replayable argument:
   deduction sequence is recorded step by step.  The replay module
   re-checks such certificates from scratch.
 
-The search itself is either an index scan over the distinct C'
-signatures of the n^(n-2) maximal chains (n <= 7; one AND per
-signature, 826 of them at n = 7, in order of first occurrence) or the
-maximal-chain walk pruned by the chain's own F' family (n <= 9).  Both
-find the first compatible chain in canonical partition order, so the
-reported witness is deterministic and identical.
+The search itself is either the index's bit filter over the distinct
+C' signatures of the n^(n-2) maximal chains (n <= 7; 826 signatures at
+n = 7, in order of first occurrence, filtered by at most 2n ORs of
+per-bit bitsets) or the maximal-chain walk pruned by the chain's own F'
+family (n <= 9).  Both find the first compatible chain in canonical
+partition order, so the reported witness is deterministic and identical.
 """
 
 from __future__ import annotations
@@ -262,15 +262,11 @@ def cond_iv(chain: Chain, method: str = "auto") -> WitnessOrRefutation:
         method = "index" if n <= 7 else "dfs"
     fam = smallest_blocks(chain)
     if method == "index":
-        # The first compatible signature in first-occurrence order holds
-        # the least compatible position.
         idx = maximal_chain_index(n)
-        demand = fam.packed_primes()
-        for sig, positions in idx.groups.items():
-            if sig & demand == 0:
-                pos = positions[0]
-                return WitnessOrRefutation(True, idx.chain_at(pos), pos + 1, "index")
-        return WitnessOrRefutation(False, None, len(idx), "index")
+        pos = idx.first_compatible(fam.packed_primes())
+        if pos is None:
+            return WitnessOrRefutation(False, None, len(idx), "index")
+        return WitnessOrRefutation(True, idx.chain_at(pos), pos + 1, "index")
     if method == "dfs":
         checked = 0
         for members, enclosing in walk_maximal_chains(n, fam.primes):

@@ -20,12 +20,15 @@ unranks them.
 The maximal chains are the chains with rank set 1..n-2.  For n <= 7
 they are cached as an index, grown over the catalogue rows like any
 other rank set: for each of the n^(n-2) chains, the catalogue indices of
-its members, the enclosing-block family C_i, and the 2n-bit packed C'
-signature.  The family is carried through the growth as one int, one
-step code per edge, the way the II/III code is.  The chains share few
-families (5 103 at n = 7) and fewer signatures (826), so the index keeps
-each family once and groups the chains by signature: deciding condition
-IV is one AND per distinct signature.
+its members and the enclosing-block family C_i, carried through the
+growth as one int, one step code per edge, the way the II/III code is.
+The chains share few families (5 103 at n = 7) and fewer 2n-bit C'
+signatures (826), so the index keeps each family once with its
+signature and groups the chains by signature.  With one bitset of
+groups per signature bit, the groups compatible with an F' demand are
+all groups but the OR of the demand bits' bitsets: deciding condition
+IV is at most 2n ORs and a lowest set bit, and lemma 3 tests each
+compatible family once.
 
 ``walk_maximal_chains`` is the independent reference for the index and
 feeds what it cannot serve: ``enumerate_maximal_chains`` (n <= 9) and
@@ -61,7 +64,6 @@ from ncpverify.chains import (
     chain_from_indices,
     dual_indices,
     index_key,
-    neighbor_mask,
     pack_primes,
 )
 from ncpverify.lattice import Catalogue, catalogue, iter_bits
@@ -335,65 +337,117 @@ class MaximalChainIndex:
       catalogue indices of all chains in one flat ``array('H')`` (n - 2
       per chain);
     * ``enclosing[k]``: the family (C_1..C_n) of masks, carried through
-      the growth as one int (``_enclosing_step``);
-    * ``packed[k]``: the 2n-bit C' signature matching
-      SmallestBlockFamily.packed_primes.
+      the growth as one int (``_enclosing_step``).
 
-    Chains with equal families share one ``enclosing`` tuple and one
-    ``packed`` int, built once per distinct family code.
-    ``groups`` maps each distinct signature, in order of first
-    occurrence, to the ascending positions (an ``array('H')``) of its
-    chains; the first compatible signature in that order therefore
-    holds the least compatible position.
+    Chains with equal families share one ``enclosing`` tuple, built once
+    per distinct family code with its 2n-bit C' signature (the
+    SmallestBlockFamily.packed_primes layout).  ``groups`` maps each
+    distinct signature, in order of first occurrence, to the ascending
+    positions (an ``array('H')``) of its chains; the first compatible
+    signature in that order therefore holds the least compatible
+    position.  Per signature bit, a bitset of the groups with that bit
+    makes the compatible groups all but the OR of a demand's bitsets.
     """
 
-    __slots__ = ("n", "cat", "member_indices", "enclosing", "packed", "groups")
+    __slots__ = (
+        "n",
+        "cat",
+        "member_indices",
+        "enclosing",
+        "groups",
+        "_positions",
+        "_families",
+        "_with_bit",
+        "_all_groups",
+    )
 
     def __init__(self, n: int):
         self.n = n
         self.cat = cat = catalogue(n)
         self.member_indices = members_flat = array("H")
         self.enclosing: list[tuple[int, ...]] = []
-        self.packed: list[int] = []
         self.groups: dict[int, array] = {}
+        families: dict[int, list[tuple[int, ...]]] = {}
 
         full = (1 << n) - 1
-        neighbors = [neighbor_mask(n, i) for i in range(1, n + 1)]
+        shifts = range(0, n * n, n)
+        tables = _signature_tables(n)
         chains = _grow_chains(cat, range(1, n - 1), lambda j: 0, _enclosing_step(cat))
-        shared: dict[int, tuple[tuple[int, ...], int, array]] = {}
+        shared: dict[int, tuple[tuple[int, ...], array]] = {}
         add_enclosing = self.enclosing.append
-        add_packed = self.packed.append
         for position, (members, code) in enumerate(chains):
             members_flat.extend(members)
             family = shared.get(code)
             if family is None:
-                enclosing = tuple(code >> e * n & full for e in range(n))
-                sig = pack_primes(n, [c & m for c, m in zip(enclosing, neighbors)])
+                enclosing = tuple(code >> s & full for s in shifts)
+                sig = sum(map(list.__getitem__, tables, enclosing))
                 positions = self.groups.get(sig)
                 if positions is None:
                     positions = self.groups[sig] = array("H")
-                family = shared[code] = (enclosing, sig, positions)
-            enclosing, sig, positions = family
+                    families[sig] = []
+                families[sig].append(enclosing)
+                family = shared[code] = (enclosing, positions)
+            enclosing, positions = family
             add_enclosing(enclosing)
-            add_packed(sig)
             positions.append(position)
 
+        self._positions = list(self.groups.values())
+        self._families = list(families.values())
+        self._with_bit = [0] * (2 * n)
+        for g, sig in enumerate(self.groups):
+            for b in iter_bits(sig):
+                self._with_bit[b] |= 1 << g
+        self._all_groups = (1 << len(self.groups)) - 1
+
     def __len__(self) -> int:
-        return len(self.packed)
+        return len(self.enclosing)
 
     def chain_at(self, k: int) -> Chain:
         width = self.n - 2
         return chain_from_indices(self.cat, self.member_indices[k * width : (k + 1) * width])
 
+    def compatible(self, demand: int) -> int:
+        """The groups whose signature avoids the packed F' ``demand``, as a
+        bitset over ``groups`` in first-occurrence order."""
+        excluded = 0
+        for b in iter_bits(demand):
+            excluded |= self._with_bit[b]
+        return self._all_groups & ~excluded
+
+    def first_compatible(self, demand: int) -> int | None:
+        """The least position whose C' avoids the packed F' ``demand``, if any."""
+        compatible = self.compatible(demand)
+        if not compatible:
+            return None
+        return self._positions[(compatible & -compatible).bit_length() - 1][0]
+
     def survivors(self, packed_family: int) -> list[int]:
         """Positions of maximal chains whose C' avoids the given packed F', ascending."""
         return sorted(
             itertools.chain.from_iterable(
-                positions
-                for sig, positions in self.groups.items()
-                if sig & packed_family == 0
+                self._positions[g] for g in iter_bits(self.compatible(packed_family))
             )
         )
+
+    def families(self, packed_family: int = 0):
+        """The distinct families (C_1..C_n) whose C' avoids the given packed
+        F' (all of them by default), group by group."""
+        for g in iter_bits(self.compatible(packed_family)):
+            yield from self._families[g]
+
+
+def _signature_tables(n: int) -> list[list[int]]:
+    """Per element e, the ``pack_primes`` bits of each value of C_e: the
+    packing ORs in one bit per member bit, so a family's signature is the
+    sum of its members' entries."""
+    tables = []
+    for e in range(n):
+        row = [0]
+        for b in range(n):
+            unit = pack_primes(n, [1 << b if k == e else 0 for k in range(n)])
+            row += [value | unit for value in row]
+        tables.append(row)
+    return tables
 
 
 @lru_cache(maxsize=None)

@@ -97,7 +97,6 @@ def test_maximal_chain_index_matches_walk(n):
     flat = index.member_indices
     assert [tuple(flat[k * width : (k + 1) * width]) for k in range(len(index))] == members
     assert index.enclosing == enclosing
-    assert index.packed == packed
     assert [(sig, list(positions)) for sig, positions in index.groups.items()] == list(
         groups.items()
     )
@@ -106,11 +105,29 @@ def test_maximal_chain_index_matches_walk(n):
 def test_maximal_chain_enclosing_smallest_blocks():
     for n, stride in ((4, 1), (7, 53)):
         index = maximal_chain_index(n)
+        signature = {k: sig for sig, group in index.groups.items() for k in group}
         for k in range(0, len(index), stride):
             chain = index.chain_at(k)
             fam = smallest_blocks(chain)
             assert index.enclosing[k] == tuple(fam.block(i) for i in range(1, n + 1))
-            assert index.packed[k] == fam.packed_primes()
+            assert signature[k] == fam.packed_primes()
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_family_signatures_match_pack_primes(n):
+    # each distinct family's signature, computed once while the index is
+    # built, is its group's key; every family lies in exactly one group
+    index = maximal_chain_index(n)
+    neighbors = [neighbor_mask(n, i) for i in range(1, n + 1)]
+    seen = set()
+    for sig, positions in index.groups.items():
+        families = {index.enclosing[k] for k in positions}
+        for family in families:
+            assert pack_primes(n, [c & m for c, m in zip(family, neighbors)]) == sig
+        assert not families & seen
+        seen |= families
+    in_groups = (index.enclosing[k] for group in index.groups.values() for k in group)
+    assert list(index.families()) == list(dict.fromkeys(in_groups))
 
 
 def test_chain_counts():

@@ -32,6 +32,8 @@ from ncpverify.chains import (
     dual_chain,
     dual_indices,
     index_text,
+    neighbor_mask,
+    pack_primes,
     smallest_blocks,
 )
 from ncpverify.core import (
@@ -173,9 +175,21 @@ def reference_patterns(chain: Chain, strict: bool) -> tuple[PatternHit, ...]:
     return tuple(hits)
 
 
+@lru_cache(maxsize=None)
+def position_signatures(n: int) -> tuple[int, ...]:
+    """Each maximal chain's C' signature, packed from its family by
+    ``pack_primes``, in index order."""
+    neighbors = [neighbor_mask(n, i) for i in range(1, n + 1)]
+    return tuple(
+        pack_primes(n, [c & m for c, m in zip(family, neighbors)])
+        for family in maximal_chain_index(n).enclosing
+    )
+
+
 def reference_cond_iv(index, demand: int):
     """(satisfied, witness text, checked, survivors) by a plain scan."""
-    compatible = [k for k, sig in enumerate(index.packed) if sig & demand == 0]
+    signatures = position_signatures(index.n)
+    compatible = [k for k, sig in enumerate(signatures) if sig & demand == 0]
     if not compatible:
         return False, None, len(index), compatible
     return True, index.chain_at(compatible[0]).text(), compatible[0] + 1, compatible
@@ -495,6 +509,21 @@ def _assert_cond_iv(chains):
         witness = outcome.witness.text() if outcome.witness else None
         found = (outcome.satisfied, witness, outcome.checked, index.survivors(demand))
         assert found == reference_cond_iv(index, demand), chain.text()
+        _assert_signature_filter(index, demand)
+
+
+def _assert_signature_filter(index, demand: int):
+    """The bit filter's answers against a plain scan over ``groups``."""
+    groups = list(index.groups.items())
+    compatible = [g for g, (sig, _) in enumerate(groups) if sig & demand == 0]
+    assert list(iter_bits(index.compatible(demand))) == compatible
+    first = groups[compatible[0]][1][0] if compatible else None
+    assert index.first_compatible(demand) == first
+    # the sorted merge of the compatible groups' positions
+    merged = sorted(k for sig, positions in groups if sig & demand == 0 for k in positions)
+    assert index.survivors(demand) == merged
+    families = [index.enclosing[k] for g in compatible for k in groups[g][1]]
+    assert list(index.families(demand)) == list(dict.fromkeys(families))
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -561,7 +590,7 @@ def test_literal_iii_beyond_n7():
 def test_index_shares_families_and_groups_signatures():
     index = maximal_chain_index(7)
     assert len(index) == 16807
-    assert len(index.groups) == len(set(index.packed)) == 826
+    assert len(index.groups) == 826
     assert len(set(index.enclosing)) == 5103
     # equal families are one object, so the index stays small
     assert len({id(e) for e in index.enclosing}) == 5103
@@ -572,4 +601,4 @@ def test_index_shares_families_and_groups_signatures():
     assert firsts == sorted(firsts)
     for sig, group in index.groups.items():
         assert list(group) == sorted(group)
-        assert all(index.packed[k] == sig for k in group)
+        assert all(position_signatures(7)[k] == sig for k in group)

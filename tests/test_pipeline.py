@@ -13,8 +13,16 @@ import io
 import json
 import random
 
-from ncpverify.chains import Chain, cond_iii_bruteforce, cond_iii_criterion
-from ncpverify.enumeration import enumerate_chains, sample_chains
+from ncpverify import pipeline
+from ncpverify.chains import (
+    Chain,
+    cond_iii_bruteforce,
+    cond_iii_criterion,
+    neighbor_mask,
+    pack_primes,
+    smallest_blocks,
+)
+from ncpverify.enumeration import enumerate_chains, maximal_chain_index, sample_chains
 from ncpverify.pipeline import (
     LEMMA3_SAMPLE_SIZE,
     LEMMA3_SEED,
@@ -24,6 +32,7 @@ from ncpverify.pipeline import (
     report_to_csv,
     report_to_json,
     report_to_text,
+    run_theorem5,
     validate_lemma3,
 )
 
@@ -188,6 +197,55 @@ def test_validate_lemma3_report():
     assert report.pairs_checked == 460435
     assert report.violations == ()
     assert report.ci_always_proper is True
+
+
+def test_validate_lemma3_reports_every_violated_pair(monkeypatch):
+    # An injected fault: every backward hit also forbids i+1, which some
+    # surviving C_i hold and some do not.  The report must list the
+    # violated (survivor, hit) pairs exactly as a loop over every pair
+    # finds them, message for message and in the same order.
+    n = 7
+    run_theorem5(n)  # cached, so the corpus recorded below is lemma 3's alone
+    exclusion_mask = pipeline.exclusion_mask
+    detect_patterns = pipeline.detect_patterns
+    corpus = []
+
+    def widened(n, hit):
+        mask = exclusion_mask(n, hit)
+        return mask | 1 << hit.i % n if hit.sign == "-" else mask
+
+    def recording(chain, strict=False):
+        corpus.append(chain)
+        return detect_patterns(chain, strict)
+
+    monkeypatch.setattr(pipeline, "exclusion_mask", widened)
+    monkeypatch.setattr(pipeline, "detect_patterns", recording)
+    validate_lemma3.cache_clear()
+    try:
+        report = validate_lemma3(n)
+    finally:
+        validate_lemma3.cache_clear()
+
+    index = maximal_chain_index(n)
+    neighbors = [neighbor_mask(n, i) for i in range(1, n + 1)]
+    signatures = [
+        pack_primes(n, [c & m for c, m in zip(family, neighbors)]) for family in index.enclosing
+    ]
+    expected = []
+    for chain in corpus:
+        demand = smallest_blocks(chain).packed_primes()
+        text = chain.text()
+        masks = [(hit, widened(n, hit)) for hit in detect_patterns(chain)]
+        for k, sig in enumerate(signatures):
+            if sig & demand:
+                continue
+            for hit, mask in masks:
+                if index.enclosing[k][hit.i - 1] & mask:
+                    expected.append(f"chain {text} hit {hit.text()} violated by maximal chain #{k}")
+    assert len(corpus) == report.chains_checked == 484
+    assert (report.total_survivors, report.pairs_checked) == (48096, 460435)
+    assert 0 < len(expected) < report.pairs_checked
+    assert report.violations == tuple(expected)
 
 
 def test_lemma3_sample_equals_materialised_sample():
