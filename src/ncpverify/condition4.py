@@ -168,8 +168,11 @@ def detect_patterns(chain: Chain, strict: bool = False) -> tuple[PatternHit, ...
     Hits come ordered by base index, then sign (+ first), length and
     clause.
     """
-    n = chain.n
-    blocks = smallest_blocks(chain).blocks
+    return _patterns_of_blocks(chain.n, smallest_blocks(chain).blocks, strict)
+
+
+def _patterns_of_blocks(n: int, blocks, strict: bool = False) -> tuple[PatternHit, ...]:
+    """``detect_patterns`` of a chain whose F-family masks are ``blocks``."""
     # forward[j] relates F_(j+1) to the next block, backward[j] the next
     # block to F_(j+1).  Two laps let every window of four relations be
     # read without wrapping: forward by positive indices, backward by

@@ -34,7 +34,13 @@ tuples of indices instead of ``Partition`` objects:
   (``CRITERION``) and the literal reading (``LITERAL``, two crossing
   partitions inside).  The intervals below and above a chain are the
   ones from bottom and to top, so each reading of a chain is an OR over
-  its windows.
+  its windows.  The criterion asks whether four parts of ``lower``
+  inside one part of ``upper`` cross in union, and any four disjoint
+  nonempty blocks do: with least elements w < x < y < z, the union of
+  the first and third alternates with that of the second and fourth.
+  So it is a count, read from ``leaders`` (the least element of each
+  part, one mask per partition): some part of ``upper`` holds four of
+  ``lower``'s leaders.
 
 The code a chain carries through enumeration (``enumeration._grow``)
 extends the window code to 6 bits, laid out here and nowhere else:
@@ -104,22 +110,6 @@ def noncrossing_partitions(n: int):
     yield from partitions
 
 
-def _four_members_cross(n: int, members) -> bool:
-    """Do four of the given disjoint masks admit a crossing pairing?
-
-    For members a, b, c, d (any order) the three pairings (a+c vs b+d
-    up to relabeling) cover all arrangements of the alternation test.
-    """
-    for a, b, c, d in itertools.combinations(members, 4):
-        if (
-            _masks_alternate(a | b, c | d, n)
-            or _masks_alternate(a | c, b | d, n)
-            or _masks_alternate(a | d, b | c, n)
-        ):
-            return True
-    return False
-
-
 def iter_bits(mask: int):
     """Indices of set bits, ascending."""
     while mask:
@@ -151,7 +141,8 @@ class Catalogue:
 
     ``symmetries[g][i]`` is the index of ``dihedral_group(n)[g]`` applied
     to partition i; ``key_position[i]`` is the place of partition i when
-    all are sorted by ``sort_key``; ``texts[i]`` is its text.
+    all are sorted by ``sort_key``; ``texts[i]`` is its text;
+    ``leaders[i]`` the mask of the least elements of its parts.
     ``windows[i, j]`` is the 2-bit condition-III code (``CRITERION``,
     ``LITERAL``) of the open interval between partitions i < j, filled
     on first lookup, so building the catalogue computes none of them.
@@ -174,6 +165,7 @@ class Catalogue:
         "symmetries",
         "key_position",
         "texts",
+        "leaders",
         "windows",
     )
 
@@ -271,6 +263,9 @@ class Catalogue:
             position[i] = place
         self.key_position = tuple(position)
         self.texts = tuple(p.text() for p in partitions)
+        # The least element of each part as one mask (distinct bits, so
+        # the sum is their OR).
+        self.leaders = tuple(sum(s & -s for s in p.parts) for p in partitions)
         self.windows = _Memo(self._window_code)
 
     # -- condition III per open interval ---------------------------------
@@ -293,19 +288,16 @@ class Catalogue:
     def _criterion_in_window(self, lower: int, upper: int) -> bool:
         """Four parts of ``lower`` inside one part of ``upper`` cross in union.
 
-        From bottom this says ``upper`` has a part of size >= 4 (four
-        singletons always admit a crossing pairing); to top, that four
-        parts of ``lower`` cross in union.
+        Any four disjoint nonempty blocks cross in union: with least
+        elements w < x < y < z, the union of the first and third holds w
+        and y, that of the second and fourth x and z, so they alternate.
+        So the criterion holds exactly when some part of ``upper`` holds
+        the least elements of four parts of ``lower``.  From bottom this
+        says ``upper`` has a part of size >= 4; to top, that ``lower``
+        has four parts.
         """
-        groups: dict[int, list[int]] = {}
-        containers = self.part_by_element[upper]
-        for part in self.partitions[lower].parts:
-            container = containers[(part & -part).bit_length() - 1]
-            groups.setdefault(container, []).append(part)
-        return any(
-            len(members) >= 4 and _four_members_cross(self.n, members)
-            for members in groups.values()
-        )
+        leaders = self.leaders[lower]
+        return any((leaders & part).bit_count() >= 4 for part in self.partitions[upper].parts)
 
     # -- the condition II/III code of a chain -----------------------------
 

@@ -1,16 +1,27 @@
-"""End-to-end verification pipeline, fixture alignment, and reports.
+"""End-to-end verification pipeline and fixture alignment.
 
-The pipeline reproduces the whole argument mechanically: enumerate every
-chain of the proper part of NC(n) whose rank set leaves two consecutive
-coranks, keep those where the chain and its dual both satisfy conditions
-I, II, and III, reduce the survivors to dihedral orbit classes paired up
-to duality, and decide condition IV on every class representative --
-with the exhaustive scan as ground truth and the pattern engine adding a
-replayable certificate wherever it can.  The verdict line is the literal
-"THEOREM 5 VERIFIED" exactly when no class survives all four conditions
-on both sides.  Alignment with the embedded reference data (58 chains in
-39 cases) is computed separately so transcription drift is
-distinguishable from a mathematical failure.
+The pipeline reproduces the whole argument mechanically.  ``run_theorem5``
+runs five stages, each reading the output of the one before:
+
+1. scan -- every chain of the proper part of NC(n) whose rank set leaves
+   two consecutive coranks, kept when the chain and its dual both satisfy
+   conditions II and III (read from the code each chain carries out of
+   enumeration);
+2. orbit sweep -- the candidates grouped into dihedral orbit classes;
+3. duality -- one class kept per duality pair;
+4. condition IV on every kept representative, with the exhaustive scan as
+   ground truth and the pattern engine adding a replayable certificate
+   wherever it can;
+5. alignment keys and verdict -- each class's F' signatures and reference
+   case, and the verdict line, the literal "THEOREM 5 VERIFIED" exactly
+   when no class survives all four conditions on both sides.
+
+Stages 1-3 are cached per n in ``reduced_classes``.  ``validate_lemma3``
+reads its corpus from there and runs neither stage 4 nor stage 5.
+Alignment with the embedded reference data (58 chains in 39 cases) is
+computed separately by ``compare_fixture``, so transcription drift is
+distinguishable from a mathematical failure.  The text, JSON and CSV
+reports live in ``ncpverify.reports`` and are re-exported here.
 
 Condition III exists in two forms: the four-member union criterion used
 to enumerate the reference tables, and the literal two-witness search it
@@ -28,9 +39,6 @@ coincide.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,12 +59,15 @@ from ncpverify.chains import (
 )
 from ncpverify.condition4 import (
     RefutationCertificate,
+    WitnessOrRefutation,
+    _patterns_of_blocks,
     cond_iv,
     detect_patterns,
     exclusion_mask,
     pattern_refute,
 )
 from ncpverify.enumeration import (
+    OrbitClass,
     all_chain_index_tuples,
     chain_index_tuples,
     # Unused here, but part of this module's namespace that
@@ -79,17 +90,20 @@ from ncpverify.lattice import (
     catalogue,
     iter_bits,
 )
+from ncpverify.reports import report_to_csv, report_to_json, report_to_text
 
 __all__ = [
     "VERDICT_VERIFIED",
     "ClassReport",
     "PipelineReport",
+    "ReducedClasses",
     "ConditionIIISurvey",
     "FixtureAlignmentRow",
     "CaseConventionRow",
     "AlignmentTable",
     "cond_i_rank_sets",
     "duality_reduced_rank_sets",
+    "reduced_classes",
     "run_theorem5",
     "condition_iii_survey",
     "LemmaThreeReport",
@@ -146,6 +160,23 @@ class PipelineReport:
     unresolved: tuple[str, ...]
     survivors: tuple[str, ...]
     verdict: str
+
+
+@dataclass(frozen=True)
+class ReducedClasses:
+    """What stages 1-3 of ``run_theorem5`` know for one n.
+
+    ``candidates`` maps each candidate index tuple, in scan order, to its
+    condition II/III code; ``classes`` are the orbit classes kept after
+    duality, in report order.
+    """
+
+    n: int
+    cond_i_sets: tuple[tuple[int, ...], ...]
+    chains_scanned: int
+    candidates: dict[tuple[int, ...], int]
+    iii_disagreements: tuple[str, ...]
+    classes: tuple[OrbitClass, ...]
 
 
 @dataclass(frozen=True)
@@ -231,28 +262,21 @@ def _fixture_key_map(fixtures: FixtureSet) -> dict[tuple, int]:
     return mapping
 
 
-@lru_cache(maxsize=None)
-def run_theorem5(n: int = 7) -> PipelineReport:
-    """Run the full enumeration-and-refutation pipeline for one n."""
-    if not 3 <= n <= 7:
-        raise ValueError("the pipeline supports 3 <= n <= 7")
-    cond_i_sets = cond_i_rank_sets(n)
-    reduced_sets = duality_reduced_rank_sets(n)
+# -- stages 1-3: scan, orbit sweep, duality --------------------------------
 
+
+def _scan(n: int, cond_i_sets) -> tuple[int, dict[tuple[int, ...], int], tuple[str, ...]]:
+    """Stage 1: the chains scanned, the candidates and the III disagreements.
+
+    A candidate passed II on both sides and III under some reading on both
+    sides; it maps to its condition II/III code.  A disagreement is a
+    scanned chain, or the dual of one, that passes under one condition-III
+    reading only, listed once in scan order.
+    """
     cat = catalogue(n)
     chains_scanned = 0
-    # Candidate index tuple -> its condition II/III code: every candidate
-    # passed II on both sides and III under some reading on both sides.
     candidates: dict[tuple[int, ...], int] = {}
-    disagreements: list[str] = []
-    disagreement_seen: set[str] = set()
-
-    def disagree(indices: tuple[int, ...]) -> None:
-        text = index_text(cat, indices)
-        if text not in disagreement_seen:
-            disagreement_seen.add(text)
-            disagreements.append(text)
-
+    disagreements: dict[str, None] = {}
     for ranks in cond_i_sets:
         for indices, code in chain_index_tuples(cat, ranks):
             chains_scanned += 1
@@ -262,55 +286,95 @@ def run_theorem5(n: int = 7) -> PipelineReport:
             if not own:
                 continue
             if own != READINGS:
-                disagree(indices)
+                disagreements.setdefault(index_text(cat, indices))
             other = code >> DUAL_SHIFT & READINGS
             if not other:
                 continue
             if other != READINGS:
-                disagree(dual_indices(cat, indices))
+                disagreements.setdefault(index_text(cat, dual_indices(cat, indices)))
             candidates[indices] = code
+    return chains_scanned, candidates, tuple(disagreements)
 
-    classes = orbit_classes(list(candidates), n)
-    kept = [
+
+def _one_per_dual_pair(n: int, classes: list[OrbitClass]) -> tuple[OrbitClass, ...]:
+    """Stage 3: the classes whose representative's key is at most its dual's."""
+    cat = catalogue(n)
+    return tuple(
         cls
         for cls in classes
         if index_key(cat, cls.rep_indices) <= index_key(cat, cls.dual_rep_indices)
-    ]
+    )
 
-    fixture_keys: dict[tuple, int] = {}
-    if n == 7:
-        fixture_keys = _fixture_key_map(load_fixtures())
 
-    reports: list[ClassReport] = []
-    # The F' family of each kept class, computed on both duality sides: two
-    # classes whose families coincide on either side are interchangeable as
-    # far as condition IV is concerned, because the pattern clauses and the
-    # exclusion sets read nothing but F' (and refuting one side of a dual
-    # pair refutes the other).
-    signatures: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for cls in kept:
+@lru_cache(maxsize=None)
+def reduced_classes(n: int = 7) -> ReducedClasses:
+    """Stages 1-3 of ``run_theorem5``: scan, orbit sweep and duality."""
+    if not 3 <= n <= 7:
+        raise ValueError("the pipeline supports 3 <= n <= 7")
+    cond_i_sets = cond_i_rank_sets(n)
+    chains_scanned, candidates, disagreements = _scan(n, cond_i_sets)
+    classes = orbit_classes(list(candidates), n)  # stage 2
+    return ReducedClasses(
+        n=n,
+        cond_i_sets=cond_i_sets,
+        chains_scanned=chains_scanned,
+        candidates=candidates,
+        iii_disagreements=disagreements,
+        classes=_one_per_dual_pair(n, classes),
+    )
+
+
+# -- stages 4-5: condition IV, alignment keys and verdict -------------------
+
+
+def _decide_condition_iv(
+    reduced: ReducedClasses,
+) -> list[tuple[WitnessOrRefutation, RefutationCertificate | None]]:
+    """Stage 4: the exhaustive verdict and the pattern certificate per class."""
+    decisions = []
+    for cls in reduced.classes:
         rep = cls.representative
-        dual_rep = cls.dual_representative
-        signatures.append(
-            (canonical_prime_signature(rep), canonical_prime_signature(dual_rep))
-        )
-
-    for position, cls in enumerate(kept):
-        rep = cls.representative
-        dual_rep = cls.dual_representative
-        own = set(signatures[position])
-        duplicate_of = None
-        for earlier in range(position):
-            if own & set(signatures[earlier]):
-                duplicate_of = kept[earlier].representative.text()
-                break
-
         verdict_iv = cond_iv(rep)
         certificate = pattern_refute(rep)
         if certificate is not None and verdict_iv.satisfied:
             raise RuntimeError(
                 f"pattern engine refuted {rep.text()!r} but an exhaustive witness exists"
             )
+        decisions.append((verdict_iv, certificate))
+    return decisions
+
+
+def _align_and_decide(reduced: ReducedClasses, decisions) -> PipelineReport:
+    """Stage 5: signatures, reference cases and the verdict, as the report."""
+    n = reduced.n
+    fixture_keys: dict[tuple, int] = {}
+    if n == 7:
+        fixture_keys = _fixture_key_map(load_fixtures())
+
+    # The F' family of each kept class, computed on both duality sides: two
+    # classes whose families coincide on either side are interchangeable as
+    # far as condition IV is concerned, because the pattern clauses and the
+    # exclusion sets read nothing but F' (and refuting one side of a dual
+    # pair refutes the other).
+    signatures = [
+        {
+            canonical_prime_signature(cls.representative),
+            canonical_prime_signature(cls.dual_representative),
+        }
+        for cls in reduced.classes
+    ]
+
+    reports: list[ClassReport] = []
+    for position, (cls, (verdict_iv, certificate)) in enumerate(
+        zip(reduced.classes, decisions)
+    ):
+        rep = cls.representative
+        dual_rep = cls.dual_representative
+        duplicate_of = None
+        for earlier in range(position):
+            if signatures[position] & signatures[earlier]:
+                duplicate_of = reduced.classes[earlier].representative.text()
+                break
         matched = fixture_keys.get(chain_key(rep))
         if matched is None:
             matched = fixture_keys.get(chain_key(dual_rep))
@@ -318,7 +382,7 @@ def run_theorem5(n: int = 7) -> PipelineReport:
         # The representative is itself a candidate (the filter is dihedral
         # invariant), and condition III is invariant too, so the dual side
         # recorded for it holds for the dual representative.
-        code = candidates[cls.rep_indices]
+        code = reduced.candidates[cls.rep_indices]
         literal_iii = bool(code & LITERAL)
         dual_literal_iii = bool(code & DUAL_LITERAL)
         reports.append(
@@ -360,9 +424,8 @@ def run_theorem5(n: int = 7) -> PipelineReport:
         for i in range(len(reports)):
             if resolved[i]:
                 continue
-            own = set(signatures[i])
             for j in range(len(reports)):
-                if j != i and resolved[j] and own & set(signatures[j]):
+                if j != i and resolved[j] and signatures[i] & signatures[j]:
                     resolved[i] = True
                     changed = True
                     break
@@ -378,18 +441,26 @@ def run_theorem5(n: int = 7) -> PipelineReport:
         if not survivors
         else f"NOT VERIFIED: {len(survivors)} surviving class(es)"
     )
+    cat = catalogue(n)
     return PipelineReport(
         n=n,
-        cond_i_sets=cond_i_sets,
-        reduced_sets=reduced_sets,
-        chains_scanned=chains_scanned,
-        candidates=tuple(index_text(cat, indices) for indices in candidates),
+        cond_i_sets=reduced.cond_i_sets,
+        reduced_sets=duality_reduced_rank_sets(n),
+        chains_scanned=reduced.chains_scanned,
+        candidates=tuple(index_text(cat, indices) for indices in reduced.candidates),
         classes=tuple(reports),
-        iii_disagreements=tuple(disagreements),
+        iii_disagreements=reduced.iii_disagreements,
         unresolved=unresolved,
         survivors=survivors,
         verdict=verdict,
     )
+
+
+@lru_cache(maxsize=None)
+def run_theorem5(n: int = 7) -> PipelineReport:
+    """Run the full enumeration-and-refutation pipeline for one n."""
+    reduced = reduced_classes(n)
+    return _align_and_decide(reduced, _decide_condition_iv(reduced))
 
 
 @dataclass(frozen=True)
@@ -420,7 +491,11 @@ class LemmaThreeReport:
 def validate_lemma3(n: int = 7) -> LemmaThreeReport:
     """Test the exclusion rule on class representatives, reference chains,
     a witness-rich control chain, and a seeded random sample of
-    ``LEMMA3_SAMPLE_SIZE`` chains (seed ``LEMMA3_SEED``)."""
+    ``LEMMA3_SAMPLE_SIZE`` chains (seed ``LEMMA3_SEED``).
+
+    The representatives come from ``reduced_classes`` (stages 1-3 of
+    ``run_theorem5``); no condition-IV, certificate or signature work runs.
+    """
     if not 3 <= n <= 7:
         raise ValueError("lemma-3 validation supports 3 <= n <= 7")
     index = maximal_chain_index(n)
@@ -436,10 +511,9 @@ def validate_lemma3(n: int = 7) -> LemmaThreeReport:
 
     if n == 7:
         add(Chain.from_text(7, "24<246"))
-    report = run_theorem5(n)
-    for cls in report.classes:
-        add(Chain.from_text(n, cls.representative))
-        add(Chain.from_text(n, cls.dual_representative))
+    for cls in reduced_classes(n).classes:
+        add(cls.representative)
+        add(cls.dual_representative)
     if n == 7:
         for text in load_fixtures().all_chain_texts():
             add(Chain.from_text(7, text))
@@ -450,9 +524,10 @@ def validate_lemma3(n: int = 7) -> LemmaThreeReport:
     hits_checked = pairs_checked = 0
     violations: list[str] = []
     for chain in corpus:
-        packed = smallest_blocks(chain).packed_primes()
+        family = smallest_blocks(chain)
+        packed = family.packed_primes()
         surviving = index.survivors(packed)
-        hits = detect_patterns(chain)
+        hits = _patterns_of_blocks(n, family.blocks)
         hits_checked += len(hits)
         if not surviving:
             continue
@@ -649,264 +724,3 @@ def compare_fixture(
         conventions=tuple(conventions),
         all_aligned=all(r.aligned for r in rows),
     )
-
-
-# -- serialization ---------------------------------------------------------
-
-
-def _class_to_dict(cls: ClassReport) -> dict:
-    return {
-        "representative": cls.representative,
-        "ranks": list(cls.ranks),
-        "orbitSize": cls.orbit_size,
-        "dualRepresentative": cls.dual_representative,
-        "condI": cls.cond_i,
-        "condII": cls.cond_ii,
-        "condIIICriterion": cls.cond_iii_criterion,
-        "condIIILiteral": cls.cond_iii_literal,
-        "dualCondI": cls.dual_cond_i,
-        "dualCondII": cls.dual_cond_ii,
-        "dualCondIIICriterion": cls.dual_cond_iii_criterion,
-        "dualCondIIILiteral": cls.dual_cond_iii_literal,
-        "condIVSatisfied": cls.iv_satisfied,
-        "condIVWitness": cls.iv_witness,
-        "condIVChecked": cls.iv_checked,
-        "refutedByPatterns": cls.certificate is not None,
-        "certificate": cls.certificate.to_dict() if cls.certificate else None,
-        "matchedCase": cls.matched_case if cls.matched_case is not None else "unmatched",
-        "signatureDuplicateOf": cls.signature_duplicate_of,
-        "survives": cls.survives,
-    }
-
-
-def _alignment_to_dict(table: AlignmentTable) -> dict:
-    return {
-        "allAligned": table.all_aligned,
-        "rows": [
-            {
-                "caseId": row.case_id,
-                "chain": row.chain,
-                "foundInClass": row.found_in_class,
-                "hitsReproduced": row.hits_reproduced,
-                "strictAlsoReproduces": row.strict_also_reproduces,
-                "condIVRefuted": row.iv_refuted,
-                "certificateStyle": row.certificate_style,
-                "styleMatches": row.style_matches,
-                "aligned": row.aligned,
-            }
-            for row in table.rows
-        ],
-        "conventions": [
-            {
-                "caseId": row.case_id,
-                "nonstrictReproduces": row.nonstrict_reproduces,
-                "strictReproduces": row.strict_reproduces,
-            }
-            for row in table.conventions
-        ],
-    }
-
-
-def _survey_to_dict(survey: ConditionIIISurvey) -> dict:
-    return {
-        "n": survey.n,
-        "chainsChecked": survey.chains_checked,
-        "agreements": survey.agreements,
-        "criterionOnly": survey.criterion_only,
-        "literalOnly": survey.literal_only,
-        "criterionCoversLiteral": survey.criterion_covers_literal,
-        "criterionOnlyExamples": list(survey.criterion_only_examples),
-        "literalOnlyExamples": list(survey.literal_only_examples),
-        "disagreeingFixtureChains": list(survey.disagreeing_fixture_chains),
-    }
-
-
-def report_to_json(
-    report: PipelineReport,
-    table: AlignmentTable | None = None,
-    survey: ConditionIIISurvey | None = None,
-) -> str:
-    payload = {
-        "n": report.n,
-        "verdict": report.verdict,
-        "condIRankSets": [list(rs) for rs in report.cond_i_sets],
-        "reducedRankSets": [list(rs) for rs in report.reduced_sets],
-        "chainsScanned": report.chains_scanned,
-        "candidateCount": len(report.candidates),
-        "classCount": len(report.classes),
-        "classes": [_class_to_dict(cls) for cls in report.classes],
-        "condIIIDisagreements": list(report.iii_disagreements),
-        "unresolvedClasses": list(report.unresolved),
-        "survivors": list(report.survivors),
-    }
-    if survey is not None:
-        payload["condIIISurvey"] = _survey_to_dict(survey)
-    if table is not None:
-        payload["alignment"] = _alignment_to_dict(table)
-    return json.dumps(payload, indent=2) + "\n"
-
-
-_CSV_COLUMNS = [
-    "representative",
-    "ranks",
-    "orbitSize",
-    "dualRepresentative",
-    "condI",
-    "condII",
-    "condIIICriterion",
-    "condIIILiteral",
-    "dualCondI",
-    "dualCondII",
-    "dualCondIIICriterion",
-    "dualCondIIILiteral",
-    "condIVSatisfied",
-    "condIVChecked",
-    "refutedByPatterns",
-    "certificateConflict",
-    "matchedCase",
-    "signatureDuplicateOf",
-    "survives",
-]
-
-
-def report_to_csv(report: PipelineReport) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    for cls in report.classes:
-        conflict = ""
-        if cls.certificate is not None:
-            conflict = cls.certificate.steps[-1].get("conflict", "")
-        writer.writerow(
-            [
-                cls.representative,
-                " ".join(str(r) for r in cls.ranks),
-                cls.orbit_size,
-                cls.dual_representative,
-                cls.cond_i,
-                cls.cond_ii,
-                cls.cond_iii_criterion,
-                cls.cond_iii_literal,
-                cls.dual_cond_i,
-                cls.dual_cond_ii,
-                cls.dual_cond_iii_criterion,
-                cls.dual_cond_iii_literal,
-                cls.iv_satisfied,
-                cls.iv_checked,
-                cls.certificate is not None,
-                conflict,
-                cls.matched_case if cls.matched_case is not None else "unmatched",
-                cls.signature_duplicate_of or "",
-                cls.survives,
-            ]
-        )
-    return out.getvalue()
-
-
-def report_to_text(
-    report: PipelineReport,
-    table: AlignmentTable | None = None,
-    survey: ConditionIIISurvey | None = None,
-) -> str:
-    lines = [
-        f"universe size: {report.n}",
-        f"condition-I rank sets: {len(report.cond_i_sets)}"
-        f" (duality-reduced: {len(report.reduced_sets)})",
-        "reduced rank sets: "
-        + ", ".join("{" + ",".join(map(str, rs)) + "}" for rs in report.reduced_sets),
-        f"chains scanned: {report.chains_scanned}",
-        f"candidates passing I-III on both sides: {len(report.candidates)}",
-        f"orbit classes (duality-reduced): {len(report.classes)}",
-        f"condition-III criterion-vs-literal disagreements among scanned chains: "
-        f"{len(report.iii_disagreements)}",
-    ]
-    refuted = sum(1 for cls in report.classes if cls.certificate is not None)
-    lines.append(f"classes refuted by pattern certificates: {refuted}")
-    lines.append(
-        f"classes refuted by exhaustive scan: "
-        f"{sum(1 for cls in report.classes if not cls.iv_satisfied)}"
-    )
-    matched = sum(1 for cls in report.classes if cls.matched_case is not None)
-    lines.append(
-        f"classes matched to a reference case: {matched}"
-        f" (by duplicate F' family: {len(report.classes) - matched - len(report.unresolved)})"
-    )
-    criterion_gap = [
-        cls
-        for cls in report.classes
-        if not (cls.cond_iii_literal and cls.dual_cond_iii_literal)
-    ]
-    if criterion_gap:
-        lines.append(
-            f"classes admitted only by the four-member criterion "
-            f"(literal condition III fails): {len(criterion_gap)}"
-        )
-        for cls in criterion_gap:
-            if cls.iv_satisfied:
-                lines.append(
-                    f"  {cls.representative} EVEN SATISFIES CONDITION IV"
-                    f" (witness {cls.iv_witness}) -- the criterion alone"
-                    f" cannot replace the literal condition"
-                )
-    if report.unresolved:
-        by_rep = {cls.representative: cls for cls in report.classes}
-        literal_unresolved = [
-            text
-            for text in report.unresolved
-            if by_rep[text].cond_iii_literal and by_rep[text].dual_cond_iii_literal
-        ]
-        if literal_unresolved:
-            lines.append(
-                "UNRESOLVED CLASSES satisfying literal condition III (the"
-                " reference tables appear to be missing these):"
-            )
-            for text in literal_unresolved:
-                lines.append(f"  {text}")
-        gap_unresolved = [t for t in report.unresolved if t not in literal_unresolved]
-        if gap_unresolved:
-            lines.append(
-                "unresolved classes admitted only by the criterion (literal"
-                " condition III fails, so the reference tables rightly omit"
-                " them): " + ", ".join(gap_unresolved)
-            )
-    if report.survivors:
-        lines.append("SURVIVING CLASSES (I, II, literal III and IV on both sides):")
-        for text in report.survivors:
-            lines.append(f"  {text}")
-    if table is not None:
-        lines.append(
-            f"reference alignment: {sum(1 for r in table.rows if r.aligned)}"
-            f"/{len(table.rows)} chains aligned"
-        )
-        for row in table.rows:
-            if not row.aligned:
-                lines.append(
-                    f"  MISALIGNED case {row.case_id} chain {row.chain}: "
-                    f"found={row.found_in_class is not None} "
-                    f"hits={row.hits_reproduced} refuted={row.iv_refuted}"
-                )
-        nonstrict = sum(1 for c in table.conventions if c.nonstrict_reproduces)
-        strict = sum(1 for c in table.conventions if c.strict_reproduces)
-        lines.append(
-            f"convention report: non-strict reproduces {nonstrict}/39 cases, "
-            f"strict reproduces {strict}/39"
-        )
-    if survey is not None:
-        lines.append(
-            f"condition-III survey over all {survey.chains_checked} chains: "
-            f"{survey.agreements} agree, {survey.criterion_only} criterion-only, "
-            f"{survey.literal_only} literal-only"
-        )
-        lines.append(
-            "criterion covers literal: "
-            + ("yes (union filter = criterion)" if survey.criterion_covers_literal
-               else "NO -- literal-only chains exist")
-        )
-        if survey.disagreeing_fixture_chains:
-            lines.append(
-                "reference chains where the tests disagree (criterion fires, "
-                "literal fails): "
-                + ", ".join(survey.disagreeing_fixture_chains)
-            )
-    lines.append(f"verdict: {report.verdict}")
-    return "\n".join(lines) + "\n"

@@ -4,7 +4,7 @@ Any refactor of the kernel must leave the ``theorem5`` report unchanged
 byte for byte, so the files under ``tests/goldens/`` hold what
 ``ncpverify theorem5 --n N --json J --csv C`` wrote and printed for
 N = 3..7 (the 270 KB n = 7 JSON as its SHA-256 only), and what
-``ncpverify validate-lemma3 --n 7`` printed.  The runs here are
+``ncpverify validate-lemma3 --n N`` printed for N = 3..7.  The runs here are
 in-process through ``cli.main``, with the exit codes checked too.
 """
 
@@ -39,9 +39,10 @@ def test_theorem5_reports_match_goldens(n, tmp_path, capsys):
         assert json_path.read_bytes() == (GOLDENS / f"theorem5-n{n}.json").read_bytes()
 
 
-def test_validate_lemma3_matches_golden(capsys):
-    code = main(["validate-lemma3", "--n", "7"])
+@pytest.mark.parametrize("n", range(3, 8))
+def test_validate_lemma3_matches_golden(n, capsys):
+    code = main(["validate-lemma3", "--n", str(n)])
     assert code == 0
-    assert capsys.readouterr().out == (GOLDENS / "validate-lemma3-n7.txt").read_text(
+    assert capsys.readouterr().out == (GOLDENS / f"validate-lemma3-n{n}.txt").read_text(
         encoding="ascii"
     )

@@ -414,6 +414,27 @@ def test_dual_and_both_iii_readings_on_every_chain_n7():
     _assert_duals_readings_and_codes(7)
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_leader_count_criterion_matches_reference_on_windows(n):
+    # Every open interval (lower, upper) up to n = 7, every 7th lower
+    # partition at n = 8: the window's criterion bit against grouping the
+    # parts of lower by the part of upper that holds them.
+    cat = catalogue(n)
+    stride = 1 if n <= 7 else 7
+    for lower in range(0, len(cat.partitions), stride):
+        parts = cat.partitions[lower].parts
+        for upper in iter_bits(cat.above[lower]):
+            groups: dict[int, list[int]] = {}
+            for part in parts:
+                container = cat.partitions[upper].part_containing((part & -part).bit_length())
+                groups.setdefault(container, []).append(part)
+            expected = any(
+                len(members) >= 4 and _four_members_cross(n, members)
+                for members in groups.values()
+            )
+            assert bool(cat.windows[lower, upper] & CRITERION) == expected, (lower, upper)
+
+
 @pytest.mark.parametrize("n", range(3, 8))
 def test_member_code_is_condition_ii_on_both_sides(n):
     # Every index, bottom and top included: K swaps those two, and they

@@ -13,6 +13,8 @@ import io
 import json
 import random
 
+import pytest
+
 from ncpverify import pipeline
 from ncpverify.chains import (
     Chain,
@@ -204,22 +206,24 @@ def test_validate_lemma3_reports_every_violated_pair(monkeypatch):
     # surviving C_i hold and some do not.  The report must list the
     # violated (survivor, hit) pairs exactly as a loop over every pair
     # finds them, message for message and in the same order.
+    # The corpus is recorded through smallest_blocks, which
+    # validate_lemma3 calls once per corpus chain.
     n = 7
-    run_theorem5(n)  # cached, so the corpus recorded below is lemma 3's alone
     exclusion_mask = pipeline.exclusion_mask
     detect_patterns = pipeline.detect_patterns
+    family_of = pipeline.smallest_blocks
     corpus = []
 
     def widened(n, hit):
         mask = exclusion_mask(n, hit)
         return mask | 1 << hit.i % n if hit.sign == "-" else mask
 
-    def recording(chain, strict=False):
+    def recording(chain):
         corpus.append(chain)
-        return detect_patterns(chain, strict)
+        return family_of(chain)
 
     monkeypatch.setattr(pipeline, "exclusion_mask", widened)
-    monkeypatch.setattr(pipeline, "detect_patterns", recording)
+    monkeypatch.setattr(pipeline, "smallest_blocks", recording)
     validate_lemma3.cache_clear()
     try:
         report = validate_lemma3(n)
@@ -246,6 +250,43 @@ def test_validate_lemma3_reports_every_violated_pair(monkeypatch):
     assert (report.total_survivors, report.pairs_checked) == (48096, 460435)
     assert 0 < len(expected) < report.pairs_checked
     assert report.violations == tuple(expected)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_reduced_classes_are_the_report_classes(n):
+    # validate_lemma3 reads its corpus from stages 1-3; it must be the
+    # report's representatives and dual representatives, in report order.
+    reduced = pipeline.reduced_classes(n)
+    report = run_theorem5(n)
+    assert [(c.representative, c.dual_representative) for c in reduced.classes] == [
+        (Chain.from_text(n, c.representative), Chain.from_text(n, c.dual_representative))
+        for c in report.classes
+    ]
+
+
+def test_validate_lemma3_runs_no_condition_iv_work(monkeypatch):
+    # With every cache cleared, lemma 3 recomputes its corpus from scratch,
+    # and none of the condition-IV, certificate or signature code of
+    # stages 4 and 5 may run.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("validate_lemma3 ran a stage-4/5 function")
+
+    for name in ("cond_iv", "pattern_refute", "canonical_prime_signature"):
+        monkeypatch.setattr(pipeline, name, forbidden)
+    caches = (validate_lemma3, pipeline.reduced_classes, run_theorem5)
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        report = validate_lemma3(7)
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+    assert report.chains_checked == 484
+    assert report.chains_with_survivors == 165
+    assert report.total_survivors == 48096
+    assert report.hits_checked == 14651
+    assert report.pairs_checked == 460435
+    assert report.violations == ()
 
 
 def test_lemma3_sample_equals_materialised_sample():

@@ -2,8 +2,9 @@
 
 Any text read at any n either parses or raises one of the package's
 input errors, and ``check`` and ``render`` answer any text and any n
-with a result or exit code 3, never an exception.  Skipped when
-``hypothesis`` is not installed.
+with a result or exit code 3, never an exception.  Any four disjoint
+nonempty blocks cross in union, the fact that makes the condition-III
+criterion a count.  Skipped when ``hypothesis`` is not installed.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from ncpverify.chains import Chain
 from ncpverify.cli import main
 from ncpverify.core import NotationError
 from ncpverify.lattice import catalogue, iter_bits
+from test_index_kernel import _four_members_cross
 
 # Digits of other scripts and superscripts are not element names.
 NON_ASCII_DIGITS = "\u00b2\u0661\u0662\u0967\uff11"
@@ -116,3 +118,24 @@ def test_render_answers_any_text_and_n(case):
         _assert_result_or_exit_3(
             *_run(["render", f"--n={n}", f"--input={text}", f"--out={out}"])
         )
+
+
+@st.composite
+def disjoint_blocks(draw) -> tuple[int, list[int]]:
+    """(n, masks) of 4..n disjoint nonempty blocks of {1..n}, 4 <= n <= 9."""
+    n = draw(st.integers(4, 9))
+    k = draw(st.integers(4, n))
+    order = draw(st.permutations(range(n)))
+    blocks = [1 << e for e in order[:k]]
+    for e in order[k:]:
+        owner = draw(st.integers(-1, k - 1))  # -1: in no block
+        if owner >= 0:
+            blocks[owner] |= 1 << e
+    return n, blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(disjoint_blocks())
+def test_any_four_disjoint_blocks_cross_in_union(case):
+    n, blocks = case
+    assert _four_members_cross(n, blocks)
