@@ -75,7 +75,7 @@ def _print_chain_analysis(chain: Chain, strict_patterns: bool, dominant: bool) -
         f" literal={cond_iii_bruteforce(chain)}"
     )
     outcome = cond_iv(chain)
-    # The index examines every maximal chain; the pruned walk (n > 7)
+    # The index examines every maximal chain; the pruned grower (n > 7)
     # counts only the leaves its pruning lets it reach.
     if outcome.method == "index":
         counted = f"{outcome.checked} maximal chains examined"

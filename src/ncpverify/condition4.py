@@ -27,9 +27,10 @@ negative answer into a short, independently replayable argument:
 The search itself is either the index's bit filter over the distinct
 C' signatures of the n^(n-2) maximal chains (n <= 7; 826 signatures at
 n = 7, in order of first occurrence, filtered by at most 2n ORs of
-per-bit bitsets) or the maximal-chain walk pruned by the chain's own F'
-family (n <= 9).  Both find the first compatible chain in canonical
-partition order, so the reported witness is deterministic and identical.
+per-bit bitsets) or, for n = 8, 9, a depth-first grower over the
+catalogue's order rows that skips every edge whose step code meets the
+chain's own F' family.  Both find the first compatible chain in index
+order, so the reported witness is deterministic and identical.
 """
 
 from __future__ import annotations
@@ -39,9 +40,10 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ncpverify.chains import Chain, smallest_blocks
-from ncpverify.core import Partition, _masks_alternate, elements_of
-from ncpverify.enumeration import maximal_chain_index, walk_maximal_chains
+from ncpverify.chains import Chain, chain_from_indices, smallest_blocks
+from ncpverify.core import _masks_alternate, elements_of
+from ncpverify.enumeration import maximal_chain_index, pruned_maximal_chains
+from ncpverify.lattice import catalogue
 
 # Clause tables: CLAUSES[k][m-1] is the tuple of relations linking
 # F_i to F_{i+1}, F_{i+1} to F_{i+2}, ... (forward; backward mirrors).
@@ -259,26 +261,28 @@ class WitnessOrRefutation:
     method: str
 
 
-def cond_iv(chain: Chain, method: str = "auto") -> WitnessOrRefutation:
+def cond_iv(chain: Chain) -> WitnessOrRefutation:
+    """The first maximal chain whose C' family avoids the chain's F' family.
+
+    For n <= 7 the index's bit filter answers; beyond it the pruned
+    depth-first grower does, counting every leaf it reaches.
+    """
     n = chain.n
-    if method == "auto":
-        method = "index" if n <= 7 else "dfs"
     fam = smallest_blocks(chain)
-    if method == "index":
+    if n <= 7:
         idx = maximal_chain_index(n)
         pos = idx.first_compatible(fam.packed_primes())
         if pos is None:
             return WitnessOrRefutation(False, None, len(idx), "index")
         return WitnessOrRefutation(True, idx.chain_at(pos), pos + 1, "index")
-    if method == "dfs":
-        checked = 0
-        for members, enclosing in walk_maximal_chains(n, fam.primes):
-            checked += 1
-            if all(c & f == 0 for c, f in zip(enclosing, fam.primes)):
-                witness = Chain._trusted(n, tuple(Partition(n, parts) for parts in members))
-                return WitnessOrRefutation(True, witness, checked, "dfs")
-        return WitnessOrRefutation(False, None, checked, "dfs")
-    raise ValueError(f"unknown method {method!r} (expected auto, index, or dfs)")
+    cat = catalogue(n)
+    demand = sum(prime << e * n for e, prime in enumerate(fam.primes))
+    checked = 0
+    for indices, family in pruned_maximal_chains(cat, demand):
+        checked += 1
+        if not family & demand:
+            return WitnessOrRefutation(True, chain_from_indices(cat, indices), checked, "dfs")
+    return WitnessOrRefutation(False, None, checked, "dfs")
 
 
 def verify_witness(chain: Chain, witness: Chain) -> bool:

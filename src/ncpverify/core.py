@@ -204,14 +204,6 @@ class Partition:
         return cls(n, tuple(parts))
 
     @classmethod
-    def all_singletons(cls, n: int) -> Partition:
-        return cls(n, tuple(1 << e for e in range(n)))
-
-    @classmethod
-    def one_block(cls, n: int) -> Partition:
-        return cls(n, ((1 << n) - 1,))
-
-    @classmethod
     def from_text(cls, n: int, text: str) -> Partition:
         return _parse_partition(n, text)
 

@@ -30,17 +30,13 @@ all groups but the OR of the demand bits' bitsets: deciding condition
 IV is at most 2n ORs and a lowest set bit, and lemma 3 tests each
 compatible family once.
 
-``walk_maximal_chains`` is the independent reference for the index and
-feeds what it cannot serve: ``enumerate_maximal_chains`` (n <= 9) and
-the pruned condition-IV search.  It grows bottom-up by merging two parts
-at a time (each cover of the lattice merges exactly two parts, so the
-merge tree hits every maximal chain exactly once).  Children of a merge
-step are visited in canonical partition order, the catalogue's order
-within a rank, which fixes "the first witness" everywhere downstream.
-The walk tracks each element's first non-singleton block C_e and is
-pruned by an F' family: a branch ends when a new C_e meets F_e'.  With
-the all-zero family it visits every maximal chain; the pruned
-condition-IV search passes the chain's own family.
+Beyond the index (n = 8, 9), ``pruned_maximal_chains`` answers
+condition IV over the same rows and step codes, depth first so that it
+can stop at the first witness: an edge whose step code meets the
+chain's F' family is skipped with everything above it, and the leaves
+that remain come in index order, which fixes "the first witness" at
+every n.  The merge walk over part tuples that both replaced is
+kept in ``tests/oracles.py`` as their independent reference.
 
 ``orbit_classes`` reduces the theorem5 candidates to dihedral orbits in
 one sweep over their index tuples: each orbit is built once from the
@@ -58,7 +54,6 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ncpverify.core import Partition, _masks_alternate, elements_of
 from ncpverify.chains import (
     Chain,
     chain_from_indices,
@@ -236,68 +231,7 @@ def sample_chains(n: int, k: int, seed: int) -> list[Chain]:
 # -- maximal chains -------------------------------------------------------
 
 
-def _merge_children(n: int, parts: tuple[int, ...]):
-    """All one-merge coarsenings that stay non-crossing, in canonical order."""
-    children = []
-    for (ia, a), (ib, b) in itertools.combinations(enumerate(parts), 2):
-        merged = a | b
-        rest = [p for k, p in enumerate(parts) if k != ia and k != ib]
-        if any(_masks_alternate(merged, q, n) for q in rest):
-            continue
-        child = tuple(sorted(rest + [merged], key=lambda m: m & -m))
-        children.append((child, a, b, merged))
-    children.sort(key=lambda item: tuple(elements_of(p) for p in item[0]))
-    return children
-
-
-def walk_maximal_chains(n: int, primes: tuple[int, ...]):
-    """Every maximal chain whose C' family can avoid the F' family ``primes``.
-
-    Per chain, in depth-first merge order: the member part-tuples (ranks
-    1..n-2) and (C_1..C_n), where C_e is the first non-singleton block of
-    e, or the full set.  A merge that gives e its first block B fixes C_e
-    for every completion, so the branch is cut when B meets F_e'.  An
-    element still singleton at the last member has C_e the full set,
-    which the caller checks against F_e'.  An all-zero family cuts
-    nothing.
-    """
-    full = (1 << n) - 1
-    first_block = [0] * n
-    members: list[tuple[int, ...]] = []
-    # A partition recurs at many nodes of the merge tree (407 distinct
-    # ones at the 9 185 inner nodes for n = 7), so its merges are kept.
-    children: dict[tuple[int, ...], list] = {}
-
-    def grow(parts: tuple[int, ...]):
-        if len(members) == n - 2:
-            yield tuple(members), tuple(block or full for block in first_block)
-            return
-        merges = children.get(parts)
-        if merges is None:
-            merges = children[parts] = _merge_children(n, parts)
-        for child, a, b, merged in merges:
-            newly = [p.bit_length() - 1 for p in (a, b) if not p & (p - 1)]
-            if any(merged & primes[e] for e in newly):
-                continue
-            for e in newly:
-                first_block[e] = merged
-            members.append(child)
-            yield from grow(child)
-            members.pop()
-            for e in newly:
-                first_block[e] = 0
-
-    yield from grow(tuple(1 << e for e in range(n)))
-
-
-def enumerate_maximal_chains(n: int):
-    """Every maximal chain of the proper part (one member per rank 1..n-2)."""
-    if not 3 <= n <= 9:
-        raise ValueError("maximal-chain enumeration needs 3 <= n <= 9")
-    for members, _ in walk_maximal_chains(n, (0,) * n):
-        yield Chain._trusted(n, tuple(Partition(n, parts) for parts in members))
-
-
+@lru_cache(maxsize=None)
 def _enclosing_step(cat: Catalogue):
     """The edge code that carries a maximal chain's family (C_1..C_n).
 
@@ -324,14 +258,49 @@ def _enclosing_step(cat: Catalogue):
     return step
 
 
+def pruned_maximal_chains(cat: Catalogue, demand: int):
+    """(indices, family code) of every maximal chain that ``demand`` does not cut.
+
+    ``demand`` is an F' family in the layout of ``_enclosing_step``
+    (field e holds F'_e).  The chains with rank set 1..n-2 are grown
+    depth first over the ``above`` rows, successors in index order, so
+    the leaves come in index order; an edge whose step code meets the
+    demand is skipped with every chain through it.  A leaf's family code
+    includes its edge to top, which is not tested: the caller counts the
+    leaf, then tests the code.  Successors are computed once per member
+    and call.
+    """
+    step = _enclosing_step(cat)
+    top, leaf_rank = cat.top, cat.n - 2
+    successors: dict[int, list[tuple[int, int]]] = {}
+
+    def grow(prefix: tuple[int, ...], last: int, code: int, rank: int):
+        following = successors.get(last)
+        if following is None:
+            following = successors[last] = []
+            first = cat.rank_indices[rank][0]
+            span = (1 << len(cat.rank_indices[rank])) - 1
+            for k in iter_bits(cat.above[last] >> first & span):
+                j = first + k
+                edge = step(last, j)
+                if not edge & demand:
+                    following.append((j, edge | step(j, top) if rank == leaf_rank else edge))
+        for j, edge in following:
+            if rank == leaf_rank:
+                yield prefix + (j,), code | edge
+            else:
+                yield from grow(prefix + (j,), j, code | edge, rank + 1)
+
+    return grow((), cat.bottom, 0, 1)
+
+
 class MaximalChainIndex:
     """All maximal chains of the proper part of NC(n), n <= 7, as tables.
 
     The maximal chains are the chains with rank set 1..n-2, so the index
     grows them over the catalogue rows like every other rank set.  Within
-    a rank, index order is ``sort_key`` order, the order in which
-    ``walk_maximal_chains`` visits a node's children, so chain k here is
-    leaf k of the walk.  Per chain k:
+    a rank, index order is ``sort_key`` order, so chain k here is leaf k
+    of ``pruned_maximal_chains`` with an empty demand.  Per chain k:
 
     * ``chain_at(k)``: its members, read from ``member_indices``, the
       catalogue indices of all chains in one flat ``array('H')`` (n - 2

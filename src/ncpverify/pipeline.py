@@ -501,12 +501,11 @@ def validate_lemma3(n: int = 7) -> LemmaThreeReport:
     index = maximal_chain_index(n)
 
     corpus: list[Chain] = []
-    seen: set[str] = set()
+    seen: set[Chain] = set()
 
     def add(chain: Chain) -> None:
-        text = chain.text()
-        if text not in seen:
-            seen.add(text)
+        if chain not in seen:
+            seen.add(chain)
             corpus.append(chain)
 
     if n == 7:

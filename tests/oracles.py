@@ -16,6 +16,11 @@ docs/formats.md rather than from the package's bitmask code.
   which cross.
 * ``kreweras_dual_via_regions`` -- the Kreweras complement read off the
   interleaved circle, independent of the package's successor walk.
+* ``walk_maximal_chains`` -- every maximal chain by merging two parts at
+  a time, on bitmask part tuples (bit e-1 for element e), each leaf with
+  its family C_1..C_n, optionally pruned by an F' family: the reference
+  for the package's maximal-chain index and pruned grower, which grow
+  over the catalogue's order rows instead.
 """
 
 from __future__ import annotations
@@ -129,3 +134,66 @@ def kreweras_dual_via_regions(n: int, text: str) -> Partition:
     return frozenset(
         frozenset(j for j in elements if together(i, j)) for i in elements
     )
+
+
+def _elements(mask: int) -> tuple[int, ...]:
+    return tuple(e + 1 for e in range(mask.bit_length()) if mask >> e & 1)
+
+
+def _masks_alternate(s: int, t: int) -> bool:
+    """Disjoint masks whose elements, read in order, switch sides at least three times."""
+    sides = [1 if s >> e & 1 else 2 for e in range((s | t).bit_length()) if (s | t) >> e & 1]
+    return sum(a != b for a, b in itertools.pairwise(sides)) >= 3
+
+
+def _merge_children(parts: tuple[int, ...]):
+    """All one-merge coarsenings that stay non-crossing, in canonical order."""
+    children = []
+    for (ia, a), (ib, b) in itertools.combinations(enumerate(parts), 2):
+        merged = a | b
+        rest = [p for k, p in enumerate(parts) if k != ia and k != ib]
+        if any(_masks_alternate(merged, q) for q in rest):
+            continue
+        child = tuple(sorted(rest + [merged], key=lambda m: m & -m))
+        children.append((child, a, b, merged))
+    children.sort(key=lambda item: tuple(_elements(p) for p in item[0]))
+    return children
+
+
+def walk_maximal_chains(n: int, primes: tuple[int, ...]):
+    """Every maximal chain whose C' family can avoid the F' family ``primes``.
+
+    Per chain, in depth-first merge order: the member part-tuples (ranks
+    1..n-2) and (C_1..C_n), where C_e is the first non-singleton block of
+    e, or the full set.  Each cover of the lattice merges exactly two
+    parts, so the merge tree hits every maximal chain exactly once.  A
+    merge that gives e its first block B fixes C_e for every completion,
+    so the branch is cut when B meets F_e'.  An element still singleton
+    at the last member has C_e the full set, which the caller checks
+    against F_e'.  An all-zero family cuts nothing.
+    """
+    full = (1 << n) - 1
+    first_block = [0] * n
+    members: list[tuple[int, ...]] = []
+    children: dict[tuple[int, ...], list] = {}
+
+    def grow(parts: tuple[int, ...]):
+        if len(members) == n - 2:
+            yield tuple(members), tuple(block or full for block in first_block)
+            return
+        merges = children.get(parts)
+        if merges is None:
+            merges = children[parts] = _merge_children(parts)
+        for child, a, b, merged in merges:
+            newly = [p.bit_length() - 1 for p in (a, b) if not p & (p - 1)]
+            if any(merged & primes[e] for e in newly):
+                continue
+            for e in newly:
+                first_block[e] = merged
+            members.append(child)
+            yield from grow(child)
+            members.pop()
+            for e in newly:
+                first_block[e] = 0
+
+    yield from grow(tuple(1 << e for e in range(n)))

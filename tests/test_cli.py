@@ -91,8 +91,8 @@ def test_n_contract_matches_the_documented_table():
 
 
 def test_check_beyond_the_maximal_chain_index(capsys):
-    # n = 8 runs condition IV by the pruned walk; the witness and count
-    # are the ones test_condition4 pins for that walk.
+    # n = 8 runs condition IV by the pruned grower; the witness and count
+    # are the ones test_condition4 pins for it.
     code = main(["check", "--n", "8", "--chain", "24<246"])
     out = capsys.readouterr().out
     assert code == 0
@@ -105,7 +105,7 @@ def test_check_beyond_the_maximal_chain_index(capsys):
 
 
 def test_check_refuted_beyond_the_maximal_chain_index(capsys):
-    # The pruned walk cuts every branch for 12 at n = 8, so it reaches no
+    # The pruned grower cuts every branch for 12 at n = 8, so it reaches no
     # maximal chain at all; the line says so instead of "examined".
     code = main(["check", "--n", "8", "--chain", "12"])
     out = capsys.readouterr().out

@@ -19,7 +19,13 @@ from ncpverify.condition4 import (
     verify_witness,
 )
 from ncpverify.core import apply_symmetry, dihedral_group, mask_of
-from ncpverify.enumeration import enumerate_chains, maximal_chain_index
+from ncpverify.enumeration import (
+    chain_from_indices,
+    enumerate_chains,
+    maximal_chain_index,
+    pruned_maximal_chains,
+)
+from ncpverify.lattice import catalogue
 
 
 def test_pattern_hit_text_roundtrip():
@@ -133,32 +139,56 @@ def _verdict(outcome):
     return outcome.satisfied, outcome.witness.text() if outcome.witness else None
 
 
+def _grower_verdict(chain):
+    # the first leaf of the pruned grower whose family avoids the demand
+    n = chain.n
+    cat = catalogue(n)
+    demand = sum(prime << e * n for e, prime in enumerate(smallest_blocks(chain).primes))
+    for indices, family in pruned_maximal_chains(cat, demand):
+        if not family & demand:
+            return True, chain_from_indices(cat, indices).text()
+    return False, None
+
+
 def test_index_scan_and_pruned_walk_agree(pipeline_report):
-    # both scan maximal chains in one order, so they stop at the same first
-    # compatible one: every chain for n <= 5 and the 119 n = 7 classes
+    # the index and the pruned grower take maximal chains in one order, so
+    # they stop at the same first compatible one: every chain for n <= 5
+    # and the 119 n = 7 classes
     chains = [c for n in range(3, 6) for c in enumerate_chains(n)]
     chains += [Chain.from_text(7, cls.representative) for cls in pipeline_report.classes]
     assert len(chains) == 3 + 28 + 315 + 119
     for chain in chains:
-        index, walk = cond_iv(chain, method="index"), cond_iv(chain, method="dfs")
-        assert _verdict(index) == _verdict(walk), chain.text()
-
-
-def test_pruned_walk_goldens_n8():
-    # beyond the index (n = 8): (satisfied, witness, chains reached)
-    goldens = {
-        "13": (False, None, 216),
-        "24<246": (True, "57<567<48,567<45678<13,45678<123,45678", 29),
-        "12,46": (False, None, 540),
-        "1357": (True, "68<678<5678<24,5678<234,5678<2345678", 1),
-    }
-    for text, expected in goldens.items():
-        chain = Chain.from_text(8, text)
         outcome = cond_iv(chain)
-        assert outcome.method == "dfs"
-        assert _verdict(outcome) + (outcome.checked,) == expected, text
-        if outcome.witness:
-            assert verify_witness(chain, outcome.witness)
+        assert outcome.method == "index"
+        assert _verdict(outcome) == _grower_verdict(chain), chain.text()
+
+
+def test_pruned_grower_goldens_n8_n9():
+    # beyond the index: (satisfied, witness, chains reached) per n
+    goldens = {
+        8: {
+            "13": (False, None, 216),
+            "24<246": (True, "57<567<48,567<45678<13,45678<123,45678", 29),
+            "12,46": (False, None, 540),
+            "13<123<1234": (False, None, 338),
+            "1357": (True, "68<678<5678<24,5678<234,5678<2345678", 1),
+        },
+        9: {
+            "13": (False, None, 958),
+            "24<246": (False, None, 6174),
+            "12,46": (False, None, 2394),
+            "13<123<1234": (False, None, 1532),
+            "1357": (True, "68<678<5678<49,5678<456789<2456789<23456789", 436),
+        },
+    }
+    for n, cases in goldens.items():
+        for text, expected in cases.items():
+            chain = Chain.from_text(n, text)
+            outcome = cond_iv(chain)
+            assert outcome.method == "dfs"
+            assert _verdict(outcome) + (outcome.checked,) == expected, (n, text)
+            if outcome.witness:
+                assert verify_witness(chain, outcome.witness)
 
 
 def test_verify_witness_rejects_non_witness():

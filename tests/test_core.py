@@ -60,9 +60,11 @@ def test_partition_text_roundtrip():
     bottom = Partition.from_text(7, "")
     assert bottom.text() == ""
     assert bottom.parts == tuple(1 << e for e in range(7))
-    assert bottom == Partition.all_singletons(7)
     top = Partition.from_text(7, "1234567")
-    assert top == Partition.one_block(7)
+    assert top.text() == "1234567"
+    assert top.parts == ((1 << 7) - 1,)
+    cat = catalogue(7)
+    assert (bottom, top) == (cat.partitions[cat.bottom], cat.partitions[cat.top])
 
 
 def test_partition_text_errors():
@@ -134,8 +136,9 @@ def test_kreweras_examples():
     # quoted example: dual of {{1,3}} is {{1,2},{3,4,5,6,7}}
     assert kreweras_dual(Partition.from_text(7, "13")).text() == "12,34567"
     # dual of bottom is top and vice versa
-    assert kreweras_dual(Partition.from_text(7, "")) == Partition.one_block(7)
-    assert kreweras_dual(Partition.from_text(7, "1234567")) == Partition.all_singletons(7)
+    bottom, top = Partition.from_text(7, ""), Partition.from_text(7, "1234567")
+    assert kreweras_dual(bottom) == top
+    assert kreweras_dual(top) == bottom
 
 
 def test_kreweras_properties_exhaustive():
@@ -216,5 +219,5 @@ def test_catalogue_counts():
         assert len(catalogue(n).partitions) == size
     cat = catalogue(7)
     assert sum(1 for u in cat.universal if u) == 36
-    assert cat.partitions[cat.bottom] == Partition.all_singletons(7)
-    assert cat.partitions[cat.top] == Partition.one_block(7)
+    assert cat.partitions[cat.bottom] == Partition.from_text(7, "")
+    assert cat.partitions[cat.top] == Partition.from_text(7, "1234567")

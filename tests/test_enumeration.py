@@ -2,21 +2,24 @@
 
 from __future__ import annotations
 
+import ast
+import random
+from pathlib import Path
+
 import pytest
 
 from ncpverify.chains import Chain, neighbor_mask, pack_primes, smallest_blocks
-from ncpverify.core import elements_of, is_noncrossing, rank
+from ncpverify.core import Partition, elements_of, is_noncrossing, rank
 from ncpverify.enumeration import (
     all_chain_index_tuples,
     chain_from_indices,
     chain_index_tuples,
     count_chains,
     enumerate_chains,
-    enumerate_maximal_chains,
     maximal_chain_index,
     orbit_classes,
+    pruned_maximal_chains,
     rank_sets,
-    walk_maximal_chains,
 )
 from ncpverify.lattice import catalogue, noncrossing_partitions
 
@@ -72,11 +75,14 @@ def test_maximal_chain_structure():
         assert chain.ranks() == (1, 2, 3)  # one member of each proper rank
         seen.add(chain.text())
     assert len(seen) == 125
-    # streaming enumeration agrees with the index, chain for chain
+    # the reference merge walk agrees with the index, chain for chain
     for n in range(3, 8):
         index = maximal_chain_index(n)
-        streamed = [c.text() for c in enumerate_maximal_chains(n)]
-        assert streamed == [index.chain_at(k).text() for k in range(len(index))]
+        walked = [
+            "<".join(Partition(n, parts).text() for parts in members)
+            for members, _ in oracles.walk_maximal_chains(n, (0,) * n)
+        ]
+        assert walked == [index.chain_at(k).text() for k in range(len(index))]
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -86,7 +92,7 @@ def test_maximal_chain_index_matches_walk(n):
     cat = catalogue(n)
     neighbors = [neighbor_mask(n, i) for i in range(1, n + 1)]
     members, enclosing, packed, groups = [], [], [], {}
-    for position, (parts, family) in enumerate(walk_maximal_chains(n, (0,) * n)):
+    for position, (parts, family) in enumerate(oracles.walk_maximal_chains(n, (0,) * n)):
         members.append(tuple(cat.index_of[p] for p in parts))
         enclosing.append(family)
         packed.append(pack_primes(n, [c & m for c, m in zip(family, neighbors)]))
@@ -100,6 +106,61 @@ def test_maximal_chain_index_matches_walk(n):
     assert [(sig, list(positions)) for sig, positions in index.groups.items()] == list(
         groups.items()
     )
+
+
+def _assert_grower_matches_walk(cat, primes):
+    # leaf by leaf: the grower's index tuples and family codes, read back
+    # as part tuples and (C_1..C_n), are the walk's leaves in walk order
+    n = cat.n
+    demand = sum(prime << e * n for e, prime in enumerate(primes))
+    grown = [
+        (
+            tuple(cat.partitions[j].parts for j in indices),
+            tuple(family >> e * n & (1 << n) - 1 for e in range(n)),
+        )
+        for indices, family in pruned_maximal_chains(cat, demand)
+    ]
+    assert grown == list(oracles.walk_maximal_chains(n, primes)), primes
+
+
+def test_pruned_grower_matches_walk_leaf_by_leaf():
+    # every demand of an n <= 5 chain, the empty one included
+    for n in range(3, 6):
+        cat = catalogue(n)
+        demands = {smallest_blocks(chain).primes for chain in enumerate_chains(n)}
+        for primes in sorted(demands | {(0,) * n}):
+            _assert_grower_matches_walk(cat, primes)
+
+
+def _random_chain(cat, rng):
+    # a seeded climb: a random rank set, then a random member above the last
+    ranks = sorted(rng.sample(range(1, cat.n - 1), rng.randint(1, cat.n - 2)))
+    last, members = cat.bottom, []
+    for r in ranks:
+        above = [j for j in cat.rank_indices[r] if cat.above[last] >> j & 1]
+        last = rng.choice(above)
+        members.append(last)
+    return chain_from_indices(cat, members)
+
+
+def test_pruned_grower_matches_walk_on_sampled_n8_chains():
+    cat = catalogue(8)
+    rng = random.Random(8)
+    for _ in range(5):
+        _assert_grower_matches_walk(cat, smallest_blocks(_random_chain(cat, rng)).primes)
+
+
+def test_oracles_import_nothing_from_the_package():
+    # the references in oracles.py stay independent of the code they check
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+    assert imported, "the scan found no import at all"
+    assert not [name for name in imported if name.split(".")[0] == "ncpverify"]
 
 
 def test_maximal_chain_enclosing_smallest_blocks():

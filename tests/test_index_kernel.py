@@ -526,7 +526,7 @@ def _assert_cond_iv(chains):
     demands = {smallest_blocks(chain).packed_primes(): chain for chain in chains}
     for demand, chain in demands.items():
         index = maximal_chain_index(chain.n)
-        outcome = cond_iv(chain, method="index")
+        outcome = cond_iv(chain)
         witness = outcome.witness.text() if outcome.witness else None
         found = (outcome.satisfied, witness, outcome.checked, index.survivors(demand))
         assert found == reference_cond_iv(index, demand), chain.text()
