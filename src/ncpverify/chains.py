@@ -7,7 +7,8 @@ anywhere along the chain (``F_i``; the full ground set when i stays a
 singleton throughout) and its restriction to the cyclic neighbors of i
 (``F_i'``).  These neighbor sets are the entire interface between a
 chain and the maximal-chain search of the condition-four module, which
-is why they also come packed into a 2n-bit signature here.
+is why they also come packed into one int here, in the n-fields-of-n-bits
+layout of the maximal-chain family codes (``enumeration``).
 
 The four chain conditions:
 
@@ -131,27 +132,19 @@ class SmallestBlockFamily:
         return self.primes[i - 1]
 
     def packed_primes(self) -> int:
-        """2 bits per index: predecessor bit 2(i-1), successor bit 2(i-1)+1.
+        """n fields of n bits: field i-1 (bits (i-1)*n ..) holds F_i'.
 
-        Two families have pointwise-disjoint primes iff their packed
-        values AND to zero.
+        This is the layout of the maximal-chain family codes, so two
+        families have pointwise-disjoint primes iff their packed values
+        AND to zero, and a chain's F' meets a maximal chain's C' iff it
+        meets the family code itself.
         """
-        return pack_primes(self.n, self.primes)
+        n = self.n
+        return sum(prime << e * n for e, prime in enumerate(self.primes))
 
 
 def neighbor_mask(n: int, i: int) -> int:
     return 1 << (i - 2) % n | 1 << i % n
-
-
-def pack_primes(n: int, primes) -> int:
-    packed = 0
-    for i in range(1, n + 1):
-        pm = primes[i - 1]
-        if pm >> ((i - 2) % n) & 1:
-            packed |= 1 << (2 * (i - 1))
-        if pm >> (i % n) & 1:
-            packed |= 1 << (2 * (i - 1) + 1)
-    return packed
 
 
 def smallest_blocks(chain: Chain) -> SmallestBlockFamily:
@@ -198,7 +191,7 @@ def cond_iii_criterion(chain: Chain) -> bool:
     clauses are catalogue tables (any n <= 9).
     """
     cat = catalogue(chain.n)
-    return cond_iii_criterion_of_indices(cat, chain_indices(cat, chain))
+    return bool(window_code_of_indices(cat, chain_indices(cat, chain)) & CRITERION)
 
 
 def cond_iii_bruteforce(chain: Chain) -> bool:
@@ -209,7 +202,7 @@ def cond_iii_bruteforce(chain: Chain) -> bool:
     strictly above the top member.
     """
     cat = catalogue(chain.n)
-    return cond_iii_literal_of_indices(cat, chain_indices(cat, chain))
+    return bool(window_code_of_indices(cat, chain_indices(cat, chain)) & LITERAL)
 
 
 # -- chains as tuples of catalogue indices ---------------------------------
@@ -248,14 +241,6 @@ def window_code_of_indices(cat: Catalogue, indices) -> int:
         code |= windows[lower, upper]
         lower = upper
     return code | windows[lower, cat.top]
-
-
-def cond_iii_criterion_of_indices(cat: Catalogue, indices) -> bool:
-    return bool(window_code_of_indices(cat, indices) & CRITERION)
-
-
-def cond_iii_literal_of_indices(cat: Catalogue, indices) -> bool:
-    return bool(window_code_of_indices(cat, indices) & LITERAL)
 
 
 def dual_indices(cat: Catalogue, indices) -> tuple[int, ...]:

@@ -24,13 +24,15 @@ negative answer into a short, independently replayable argument:
   deduction sequence is recorded step by step.  The replay module
   re-checks such certificates from scratch.
 
-The search itself is either the index's bit filter over the distinct
-C' signatures of the n^(n-2) maximal chains (n <= 7; 826 signatures at
-n = 7, in order of first occurrence, filtered by at most 2n ORs of
-per-bit bitsets) or, for n = 8, 9, a depth-first grower over the
-catalogue's order rows that skips every edge whose step code meets the
-chain's own F' family.  Both find the first compatible chain in index
-order, so the reported witness is deterministic and identical.
+The search reads the chain's F' family as one demand, packed in the
+layout of the maximal chains' family codes (n fields of n bits).  It is
+either the index's bit filter over the distinct C' families of the
+n^(n-2) maximal chains (n <= 7; 826 at n = 7, in order of first
+occurrence, filtered by at most 2n ORs of per-bit bitsets) or, for
+n = 8, 9, a depth-first grower over the catalogue's order rows that
+skips every edge whose step code meets the demand.  Both find the first
+compatible chain in index order, so the reported witness is
+deterministic and identical.
 """
 
 from __future__ import annotations
@@ -268,15 +270,14 @@ def cond_iv(chain: Chain) -> WitnessOrRefutation:
     depth-first grower does, counting every leaf it reaches.
     """
     n = chain.n
-    fam = smallest_blocks(chain)
+    demand = smallest_blocks(chain).packed_primes()
     if n <= 7:
         idx = maximal_chain_index(n)
-        pos = idx.first_compatible(fam.packed_primes())
+        pos = idx.first_compatible(demand)
         if pos is None:
             return WitnessOrRefutation(False, None, len(idx), "index")
         return WitnessOrRefutation(True, idx.chain_at(pos), pos + 1, "index")
     cat = catalogue(n)
-    demand = sum(prime << e * n for e, prime in enumerate(fam.primes))
     checked = 0
     for indices, family in pruned_maximal_chains(cat, demand):
         checked += 1

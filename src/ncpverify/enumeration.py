@@ -22,13 +22,15 @@ they are cached as an index, grown over the catalogue rows like any
 other rank set: for each of the n^(n-2) chains, the catalogue indices of
 its members and the enclosing-block family C_i, carried through the
 growth as one int, one step code per edge, the way the II/III code is.
-The chains share few families (5 103 at n = 7) and fewer 2n-bit C'
-signatures (826), so the index keeps each family once with its
-signature and groups the chains by signature.  With one bitset of
-groups per signature bit, the groups compatible with an F' demand are
-all groups but the OR of the demand bits' bitsets: deciding condition
-IV is at most 2n ORs and a lowest set bit, and lemma 3 tests each
-compatible family once.
+That family code has n fields of n bits, field i-1 holding C_i; an F'
+family packs into the same layout (``SmallestBlockFamily.packed_primes``),
+and the C' family is the code ANDed with the neighbor bits of every
+field.  The chains share few families (5 103 at n = 7) and fewer C'
+families (826), so the index groups the chains by C' and keeps each
+group's distinct family codes once.  With one bitset of groups per bit,
+the groups compatible with an F' demand are all groups but the OR of
+the demand bits' bitsets: deciding condition IV is at most 2n ORs and a
+lowest set bit, and lemma 3 tests each compatible family with one AND.
 
 Beyond the index (n = 8, 9), ``pruned_maximal_chains`` answers
 condition IV over the same rows and step codes, depth first so that it
@@ -59,7 +61,7 @@ from ncpverify.chains import (
     chain_from_indices,
     dual_indices,
     index_key,
-    pack_primes,
+    neighbor_mask,
 )
 from ncpverify.lattice import Catalogue, catalogue, iter_bits
 
@@ -244,8 +246,9 @@ def _enclosing_step(cat: Catalogue):
     """
     n = cat.n
     parts = cat.part_by_element
+    # the one-element parts of a partition are distinct bits, so their sum is their OR
     singletons = [
-        sum(1 << e for e, part in enumerate(row) if part == 1 << e) for row in parts
+        sum(part for part in p.parts if not part & part - 1) for p in cat.partitions
     ]
 
     def step(lower: int, upper: int) -> int:
@@ -261,14 +264,14 @@ def _enclosing_step(cat: Catalogue):
 def pruned_maximal_chains(cat: Catalogue, demand: int):
     """(indices, family code) of every maximal chain that ``demand`` does not cut.
 
-    ``demand`` is an F' family in the layout of ``_enclosing_step``
-    (field e holds F'_e).  The chains with rank set 1..n-2 are grown
-    depth first over the ``above`` rows, successors in index order, so
-    the leaves come in index order; an edge whose step code meets the
-    demand is skipped with every chain through it.  A leaf's family code
-    includes its edge to top, which is not tested: the caller counts the
-    leaf, then tests the code.  Successors are computed once per member
-    and call.
+    ``demand`` is a chain's F' family as ``packed_primes()`` gives it:
+    the layout of ``_enclosing_step``, field e holding F'_(e+1).  The
+    chains with rank set 1..n-2 are grown depth first over the ``above``
+    rows, successors in index order, so the leaves come in index order;
+    an edge whose step code meets the demand is skipped with every chain
+    through it.  A leaf's family code includes its edge to top, which is
+    not tested: the caller counts the leaf, then tests the code.
+    Successors are computed once per member and call.
     """
     step = _enclosing_step(cat)
     top, leaf_rank = cat.top, cat.n - 2
@@ -305,17 +308,17 @@ class MaximalChainIndex:
     * ``chain_at(k)``: its members, read from ``member_indices``, the
       catalogue indices of all chains in one flat ``array('H')`` (n - 2
       per chain);
-    * ``enclosing[k]``: the family (C_1..C_n) of masks, carried through
-      the growth as one int (``_enclosing_step``).
+    * ``enclosing[k]``: its family code (C_1..C_n), carried through the
+      growth as one int (``_enclosing_step``), in one ``array('Q')``.
 
-    Chains with equal families share one ``enclosing`` tuple, built once
-    per distinct family code with its 2n-bit C' signature (the
-    SmallestBlockFamily.packed_primes layout).  ``groups`` maps each
-    distinct signature, in order of first occurrence, to the ascending
-    positions (an ``array('H')``) of its chains; the first compatible
-    signature in that order therefore holds the least compatible
-    position.  Per signature bit, a bitset of the groups with that bit
-    makes the compatible groups all but the OR of a demand's bitsets.
+    A chain's C' family is its code ANDed with the neighbor bits of
+    every field, in the layout of ``SmallestBlockFamily.packed_primes``.
+    ``groups`` maps each distinct C', in order of first occurrence, to
+    the ascending positions (an ``array('H')``) of its chains; the first
+    compatible group in that order therefore holds the least compatible
+    position.  Per bit, a bitset of the groups whose C' has that bit makes
+    the compatible groups all but the OR of a demand's bitsets.  Each
+    group keeps its distinct family codes in order of first occurrence.
     """
 
     __slots__ = (
@@ -334,37 +337,28 @@ class MaximalChainIndex:
         self.n = n
         self.cat = cat = catalogue(n)
         self.member_indices = members_flat = array("H")
-        self.enclosing: list[tuple[int, ...]] = []
+        self.enclosing = codes = array("Q")
         self.groups: dict[int, array] = {}
-        families: dict[int, list[tuple[int, ...]]] = {}
+        families: dict[int, dict[int, None]] = {}
 
-        full = (1 << n) - 1
-        shifts = range(0, n * n, n)
-        tables = _signature_tables(n)
+        neighbors = sum(neighbor_mask(n, i) << (i - 1) * n for i in range(1, n + 1))
         chains = _grow_chains(cat, range(1, n - 1), lambda j: 0, _enclosing_step(cat))
-        shared: dict[int, tuple[tuple[int, ...], array]] = {}
-        add_enclosing = self.enclosing.append
         for position, (members, code) in enumerate(chains):
             members_flat.extend(members)
-            family = shared.get(code)
-            if family is None:
-                enclosing = tuple(code >> s & full for s in shifts)
-                sig = sum(map(list.__getitem__, tables, enclosing))
-                positions = self.groups.get(sig)
-                if positions is None:
-                    positions = self.groups[sig] = array("H")
-                    families[sig] = []
-                families[sig].append(enclosing)
-                family = shared[code] = (enclosing, positions)
-            enclosing, positions = family
-            add_enclosing(enclosing)
+            codes.append(code)
+            key = code & neighbors
+            positions = self.groups.get(key)
+            if positions is None:
+                positions = self.groups[key] = array("H")
+                families[key] = {}
             positions.append(position)
+            families[key][code] = None
 
         self._positions = list(self.groups.values())
-        self._families = list(families.values())
-        self._with_bit = [0] * (2 * n)
-        for g, sig in enumerate(self.groups):
-            for b in iter_bits(sig):
+        self._families = [tuple(found) for found in families.values()]
+        self._with_bit = [0] * (n * n)
+        for g, key in enumerate(self.groups):
+            for b in iter_bits(key):
                 self._with_bit[b] |= 1 << g
         self._all_groups = (1 << len(self.groups)) - 1
 
@@ -376,8 +370,8 @@ class MaximalChainIndex:
         return chain_from_indices(self.cat, self.member_indices[k * width : (k + 1) * width])
 
     def compatible(self, demand: int) -> int:
-        """The groups whose signature avoids the packed F' ``demand``, as a
-        bitset over ``groups`` in first-occurrence order."""
+        """The groups whose C' avoids the packed F' ``demand``, as a bitset
+        over ``groups`` in first-occurrence order."""
         excluded = 0
         for b in iter_bits(demand):
             excluded |= self._with_bit[b]
@@ -399,24 +393,10 @@ class MaximalChainIndex:
         )
 
     def families(self, packed_family: int = 0):
-        """The distinct families (C_1..C_n) whose C' avoids the given packed
-        F' (all of them by default), group by group."""
+        """The distinct family codes whose C' avoids the given packed F'
+        (all of them by default), group by group."""
         for g in iter_bits(self.compatible(packed_family)):
             yield from self._families[g]
-
-
-def _signature_tables(n: int) -> list[list[int]]:
-    """Per element e, the ``pack_primes`` bits of each value of C_e: the
-    packing ORs in one bit per member bit, so a family's signature is the
-    sum of its members' entries."""
-    tables = []
-    for e in range(n):
-        row = [0]
-        for b in range(n):
-            unit = pack_primes(n, [1 << b if k == e else 0 for k in range(n)])
-            row += [value | unit for value in row]
-        tables.append(row)
-    return tables
 
 
 @lru_cache(maxsize=None)

@@ -524,36 +524,39 @@ def validate_lemma3(n: int = 7) -> LemmaThreeReport:
     violations: list[str] = []
     for chain in corpus:
         family = smallest_blocks(chain)
-        packed = family.packed_primes()
-        surviving = index.survivors(packed)
+        demand = family.packed_primes()
+        surviving = index.survivors(demand)
         hits = _patterns_of_blocks(n, family.blocks)
         hits_checked += len(hits)
         if not surviving:
             continue
         chains_with_survivors += 1
         total_survivors += len(surviving)
-        masks = [(hit, hit.i - 1, exclusion_mask(n, hit)) for hit in hits]
+        # each hit's exclusions, moved to the field of C_i in the family code
+        masks = [(hit, (hit.i - 1) * n, exclusion_mask(n, hit)) for hit in hits]
+        forbidden = 0
+        for _, shift, mask in masks:
+            forbidden |= mask << shift
         pairs_checked += len(surviving) * len(hits)
         # A survivor's test reads only its family, so testing each
         # surviving family once covers every (survivor, hit) pair.
-        if not any(
-            family[i] & mask for family in index.families(packed) for _, i, mask in masks
-        ):
+        if not any(code & forbidden for code in index.families(demand)):
             continue
         text = chain.text()
         for k in surviving:
-            enclosing = index.enclosing[k]
-            for hit, i, mask in masks:
-                if enclosing[i] & mask:
+            code = index.enclosing[k]
+            for hit, shift, mask in masks:
+                if code >> shift & mask:
                     violations.append(
                         f"chain {text} hit {hit.text()} violated by maximal chain #{k}"
                     )
 
     ci_always_proper = True
-    for enclosing in index.families():
-        for i in range(1, n + 1):
-            mask = enclosing[i - 1]
-            if not mask & (1 << (i - 1)) or mask == 1 << (i - 1):
+    full = (1 << n) - 1
+    for code in index.families():
+        for e in range(n):
+            mask = code >> e * n & full
+            if not mask & (1 << e) or mask == 1 << e:
                 ci_always_proper = False
 
     return LemmaThreeReport(

@@ -140,36 +140,18 @@ _CSV_COLUMNS = [
 
 
 def report_to_csv(report: PipelineReport) -> str:
+    """One row per class: the JSON record's fields, ``ranks`` space-joined
+    and the certificate cut to its conflict style (``None`` is written empty)."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for cls in report.classes:
-        conflict = ""
-        if cls.certificate is not None:
-            conflict = cls.certificate.steps[-1].get("conflict", "")
-        writer.writerow(
-            [
-                cls.representative,
-                " ".join(str(r) for r in cls.ranks),
-                cls.orbit_size,
-                cls.dual_representative,
-                cls.cond_i,
-                cls.cond_ii,
-                cls.cond_iii_criterion,
-                cls.cond_iii_literal,
-                cls.dual_cond_i,
-                cls.dual_cond_ii,
-                cls.dual_cond_iii_criterion,
-                cls.dual_cond_iii_literal,
-                cls.iv_satisfied,
-                cls.iv_checked,
-                cls.certificate is not None,
-                conflict,
-                cls.matched_case if cls.matched_case is not None else "unmatched",
-                cls.signature_duplicate_of or "",
-                cls.survives,
-            ]
+        row = _class_to_dict(cls)
+        row["ranks"] = " ".join(str(r) for r in cls.ranks)
+        row["certificateConflict"] = (
+            cls.certificate.steps[-1].get("conflict", "") if cls.certificate is not None else ""
         )
+        writer.writerow([row[column] for column in _CSV_COLUMNS])
     return out.getvalue()
 
 

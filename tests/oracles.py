@@ -21,6 +21,8 @@ docs/formats.md rather than from the package's bitmask code.
   its family C_1..C_n, optionally pruned by an F' family: the reference
   for the package's maximal-chain index and pruned grower, which grow
   over the catalogue's order rows instead.
+* ``code_fields`` -- a family code read back as masks: n fields of n
+  bits, field i-1 (bits (i-1)*n ..) for element i.
 """
 
 from __future__ import annotations
@@ -158,6 +160,11 @@ def _merge_children(parts: tuple[int, ...]):
         children.append((child, a, b, merged))
     children.sort(key=lambda item: tuple(_elements(p) for p in item[0]))
     return children
+
+
+def code_fields(n: int, code: int) -> tuple[int, ...]:
+    """The masks held in the n fields of n bits of ``code``, field 0 first."""
+    return tuple(code >> e * n & (1 << n) - 1 for e in range(n))
 
 
 def walk_maximal_chains(n: int, primes: tuple[int, ...]):

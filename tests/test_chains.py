@@ -16,7 +16,6 @@ from ncpverify.chains import (
     cond_iii_criterion,
     dual_chain,
     neighbor_mask,
-    pack_primes,
     smallest_blocks,
 )
 from ncpverify.core import (
@@ -93,14 +92,21 @@ def test_smallest_blocks_multi_member():
     assert fam.prime(1) == mask_of([2, 7])
 
 
-def test_pack_primes_roundtrip():
-    chain = Chain.from_text(7, "12<12,34<123456")
-    fam = smallest_blocks(chain)
-    packed = fam.packed_primes()
-    assert packed == pack_primes(7, tuple(fam.prime(i) for i in range(1, 8)))
-    # the package-free oracle reads the same block family off the text
-    rebuilt = oracles.smallest_blocks(7, chain.text())
-    assert tuple(mask_of(rebuilt[i]) for i in range(1, 8)) == fam.blocks
+def test_packed_primes_layout():
+    # bit (i-1)*n + e-1 is set iff e lies in F'_i: in F_i and next to i
+    # on the circle, F_i read off the text by the package-free oracle
+    for n, text in ((3, "13"), (7, "12<12,34<123456"), (7, "24<246"), (9, "1357<13579")):
+        fam = smallest_blocks(Chain.from_text(n, text))
+        blocks = oracles.smallest_blocks(n, text)
+        assert tuple(mask_of(blocks[i]) for i in range(1, n + 1)) == fam.blocks
+        expected = {
+            (i - 1) * n + e - 1
+            for i in range(1, n + 1)
+            for e in blocks[i]
+            if (e - i) % n in (1, n - 1)
+        }
+        packed = fam.packed_primes()
+        assert {b for b in range(packed.bit_length()) if packed >> b & 1} == expected, text
 
 
 def test_cond_i_explicit_table():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ncpverify.chains import Chain, neighbor_mask, pack_primes, smallest_blocks
+from ncpverify.chains import Chain, neighbor_mask, smallest_blocks
 from ncpverify.core import Partition, elements_of, is_noncrossing, rank
 from ncpverify.enumeration import (
     all_chain_index_tuples,
@@ -75,14 +75,6 @@ def test_maximal_chain_structure():
         assert chain.ranks() == (1, 2, 3)  # one member of each proper rank
         seen.add(chain.text())
     assert len(seen) == 125
-    # the reference merge walk agrees with the index, chain for chain
-    for n in range(3, 8):
-        index = maximal_chain_index(n)
-        walked = [
-            "<".join(Partition(n, parts).text() for parts in members)
-            for members, _ in oracles.walk_maximal_chains(n, (0,) * n)
-        ]
-        assert walked == [index.chain_at(k).text() for k in range(len(index))]
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -91,21 +83,24 @@ def test_maximal_chain_index_matches_walk(n):
     # way the index tables its grown chains.
     cat = catalogue(n)
     neighbors = [neighbor_mask(n, i) for i in range(1, n + 1)]
-    members, enclosing, packed, groups = [], [], [], {}
-    for position, (parts, family) in enumerate(oracles.walk_maximal_chains(n, (0,) * n)):
-        members.append(tuple(cat.index_of[p] for p in parts))
+    members, texts, enclosing, groups = [], [], [], {}
+    walk = oracles.walk_maximal_chains(n, (0,) * n)
+    for position, (chain_parts, family) in enumerate(walk):
+        members.append(tuple(cat.index_of[p] for p in chain_parts))
+        texts.append("<".join(Partition(n, parts).text() for parts in chain_parts))
         enclosing.append(family)
-        packed.append(pack_primes(n, [c & m for c, m in zip(family, neighbors)]))
-        groups.setdefault(packed[-1], []).append(position)
+        primes = tuple(c & m for c, m in zip(family, neighbors))
+        groups.setdefault(primes, []).append(position)
 
     index = maximal_chain_index(n)
     width = n - 2
     flat = index.member_indices
     assert [tuple(flat[k * width : (k + 1) * width]) for k in range(len(index))] == members
-    assert index.enclosing == enclosing
-    assert [(sig, list(positions)) for sig, positions in index.groups.items()] == list(
-        groups.items()
-    )
+    assert [index.chain_at(k).text() for k in range(len(index))] == texts
+    assert [oracles.code_fields(n, code) for code in index.enclosing] == enclosing
+    assert [
+        (oracles.code_fields(n, key), list(positions)) for key, positions in index.groups.items()
+    ] == list(groups.items())
 
 
 def _assert_grower_matches_walk(cat, primes):
@@ -114,10 +109,7 @@ def _assert_grower_matches_walk(cat, primes):
     n = cat.n
     demand = sum(prime << e * n for e, prime in enumerate(primes))
     grown = [
-        (
-            tuple(cat.partitions[j].parts for j in indices),
-            tuple(family >> e * n & (1 << n) - 1 for e in range(n)),
-        )
+        (tuple(cat.partitions[j].parts for j in indices), oracles.code_fields(n, family))
         for indices, family in pruned_maximal_chains(cat, demand)
     ]
     assert grown == list(oracles.walk_maximal_chains(n, primes)), primes
@@ -170,21 +162,23 @@ def test_maximal_chain_enclosing_smallest_blocks():
         for k in range(0, len(index), stride):
             chain = index.chain_at(k)
             fam = smallest_blocks(chain)
-            assert index.enclosing[k] == tuple(fam.block(i) for i in range(1, n + 1))
+            assert oracles.code_fields(n, index.enclosing[k]) == fam.blocks
             assert signature[k] == fam.packed_primes()
 
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_family_signatures_match_pack_primes(n):
-    # each distinct family's signature, computed once while the index is
-    # built, is its group's key; every family lies in exactly one group
+    # a group's key is its families' C' in the packed_primes layout:
+    # field i-1 of the key is C_i & neighbor_mask(n, i), decoded field by
+    # field; every family lies in exactly one group
     index = maximal_chain_index(n)
     neighbors = [neighbor_mask(n, i) for i in range(1, n + 1)]
     seen = set()
-    for sig, positions in index.groups.items():
+    for key, positions in index.groups.items():
         families = {index.enclosing[k] for k in positions}
-        for family in families:
-            assert pack_primes(n, [c & m for c, m in zip(family, neighbors)]) == sig
+        for code in families:
+            primes = tuple(c & m for c, m in zip(oracles.code_fields(n, code), neighbors))
+            assert primes == oracles.code_fields(n, key)
         assert not families & seen
         seen |= families
     in_groups = (index.enclosing[k] for group in index.groups.values() for k in group)

@@ -27,14 +27,12 @@ from ncpverify.chains import (
     chain_from_indices,
     chain_indices,
     cond_iii_bruteforce,
-    cond_iii_criterion_of_indices,
-    cond_iii_literal_of_indices,
     dual_chain,
     dual_indices,
     index_text,
     neighbor_mask,
-    pack_primes,
     smallest_blocks,
+    window_code_of_indices,
 )
 from ncpverify.core import (
     Symmetry,
@@ -176,20 +174,27 @@ def reference_patterns(chain: Chain, strict: bool) -> tuple[PatternHit, ...]:
 
 
 @lru_cache(maxsize=None)
-def position_signatures(n: int) -> tuple[int, ...]:
-    """Each maximal chain's C' signature, packed from its family by
-    ``pack_primes``, in index order."""
+def c_prime_positions(n: int) -> dict[tuple[int, ...], list[int]]:
+    """Per C' family (C'_1..C'_n), the ascending positions of the maximal
+    chains that have it, decoded from their family codes field by field."""
     neighbors = [neighbor_mask(n, i) for i in range(1, n + 1)]
-    return tuple(
-        pack_primes(n, [c & m for c, m in zip(family, neighbors)])
-        for family in maximal_chain_index(n).enclosing
-    )
+    positions: dict[tuple[int, ...], list[int]] = {}
+    for k, code in enumerate(maximal_chain_index(n).enclosing):
+        c_primes = tuple(c & m for c, m in zip(oracles.code_fields(n, code), neighbors))
+        positions.setdefault(c_primes, []).append(k)
+    return positions
 
 
 def reference_cond_iv(index, demand: int):
-    """(satisfied, witness text, checked, survivors) by a plain scan."""
-    signatures = position_signatures(index.n)
-    compatible = [k for k, sig in enumerate(signatures) if sig & demand == 0]
+    """(satisfied, witness text, checked, survivors): every maximal chain
+    whose C' avoids the decoded F' ``demand``, compared field by field."""
+    primes = oracles.code_fields(index.n, demand)
+    compatible = sorted(
+        k
+        for c_primes, positions in c_prime_positions(index.n).items()
+        if not any(c & f for c, f in zip(c_primes, primes))
+        for k in positions
+    )
     if not compatible:
         return False, None, len(index), compatible
     return True, index.chain_at(compatible[0]).text(), compatible[0] + 1, compatible
@@ -375,16 +380,16 @@ def _assert_duals_readings_and_codes(n: int) -> None:
         dual = dual_indices(cat, indices)
         expected = tuple(dual_of[p] for p in reversed(chain.members))
         assert chain_from_indices(cat, dual).members == expected
-        criterion = cond_iii_criterion_of_indices(cat, indices)
-        literal = cond_iii_literal_of_indices(cat, indices)
+        windows = window_code_of_indices(cat, indices)
+        criterion, literal = bool(windows & CRITERION), bool(windows & LITERAL)
         assert criterion == reference_criterion(chain)
         assert literal == reference_literal(cat, indices)
         assert index_text(cat, indices) == chain.text()
         assert _bits(code) == (
             criterion,
             literal,
-            cond_iii_criterion_of_indices(cat, dual),
-            cond_iii_literal_of_indices(cat, dual),
+            bool(window_code_of_indices(cat, dual) & CRITERION),
+            bool(window_code_of_indices(cat, dual) & LITERAL),
             cond_ii_of_indices(cat, indices),
             cond_ii_of_indices(cat, dual),
         ), chain.text()
@@ -613,8 +618,6 @@ def test_index_shares_families_and_groups_signatures():
     assert len(index) == 16807
     assert len(index.groups) == 826
     assert len(set(index.enclosing)) == 5103
-    # equal families are one object, so the index stays small
-    assert len({id(e) for e in index.enclosing}) == 5103
     assert len(index.member_indices) == 16807 * 5
     positions = [k for group in index.groups.values() for k in group]
     assert sorted(positions) == list(range(16807))
@@ -622,4 +625,4 @@ def test_index_shares_families_and_groups_signatures():
     assert firsts == sorted(firsts)
     for sig, group in index.groups.items():
         assert list(group) == sorted(group)
-        assert all(position_signatures(7)[k] == sig for k in group)
+        assert c_prime_positions(7)[oracles.code_fields(7, sig)] == list(group)

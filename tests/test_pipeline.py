@@ -21,7 +21,6 @@ from ncpverify.chains import (
     cond_iii_bruteforce,
     cond_iii_criterion,
     neighbor_mask,
-    pack_primes,
     smallest_blocks,
 )
 from ncpverify.enumeration import enumerate_chains, maximal_chain_index, sample_chains
@@ -37,6 +36,8 @@ from ncpverify.pipeline import (
     run_theorem5,
     validate_lemma3,
 )
+
+import oracles
 
 TEN_REDUCED_SETS = [
     frozenset({1}),
@@ -201,13 +202,13 @@ def test_validate_lemma3_report():
     assert report.ci_always_proper is True
 
 
-def test_validate_lemma3_reports_every_violated_pair(monkeypatch):
-    # An injected fault: every backward hit also forbids i+1, which some
-    # surviving C_i hold and some do not.  The report must list the
-    # violated (survivor, hit) pairs exactly as a loop over every pair
-    # finds them, message for message and in the same order.
-    # The corpus is recorded through smallest_blocks, which
-    # validate_lemma3 calls once per corpus chain.
+def _assert_every_violated_pair_reported(monkeypatch, fault):
+    # An injected fault: ``fault(n, hit, mask)`` replaces each hit's
+    # exclusions, and forbids some companion that some surviving C_i hold
+    # and some do not.  The report must list the violated (survivor, hit)
+    # pairs exactly as a loop over every pair finds them, message for
+    # message and in the same order.  The corpus is recorded through
+    # smallest_blocks, which validate_lemma3 calls once per corpus chain.
     n = 7
     exclusion_mask = pipeline.exclusion_mask
     detect_patterns = pipeline.detect_patterns
@@ -215,8 +216,7 @@ def test_validate_lemma3_reports_every_violated_pair(monkeypatch):
     corpus = []
 
     def widened(n, hit):
-        mask = exclusion_mask(n, hit)
-        return mask | 1 << hit.i % n if hit.sign == "-" else mask
+        return fault(n, hit, exclusion_mask(n, hit))
 
     def recording(chain):
         corpus.append(chain)
@@ -232,24 +232,46 @@ def test_validate_lemma3_reports_every_violated_pair(monkeypatch):
 
     index = maximal_chain_index(n)
     neighbors = [neighbor_mask(n, i) for i in range(1, n + 1)]
-    signatures = [
-        pack_primes(n, [c & m for c, m in zip(family, neighbors)]) for family in index.enclosing
-    ]
+    families = [oracles.code_fields(n, code) for code in index.enclosing]
+    # the positions of each C' family, decoded field by field
+    by_primes: dict[tuple[int, ...], list[int]] = {}
+    for k, family in enumerate(families):
+        by_primes.setdefault(tuple(c & m for c, m in zip(family, neighbors)), []).append(k)
     expected = []
     for chain in corpus:
-        demand = smallest_blocks(chain).packed_primes()
+        primes = smallest_blocks(chain).primes
         text = chain.text()
         masks = [(hit, widened(n, hit)) for hit in detect_patterns(chain)]
-        for k, sig in enumerate(signatures):
-            if sig & demand:
-                continue
+        surviving = sorted(
+            k
+            for c_primes, positions in by_primes.items()
+            if not any(c & f for c, f in zip(c_primes, primes))
+            for k in positions
+        )
+        for k in surviving:
             for hit, mask in masks:
-                if index.enclosing[k][hit.i - 1] & mask:
+                if families[k][hit.i - 1] & mask:
                     expected.append(f"chain {text} hit {hit.text()} violated by maximal chain #{k}")
     assert len(corpus) == report.chains_checked == 484
     assert (report.total_survivors, report.pairs_checked) == (48096, 460435)
     assert 0 < len(expected) < report.pairs_checked
     assert report.violations == tuple(expected)
+
+
+def test_validate_lemma3_reports_every_violated_pair(monkeypatch):
+    # every backward hit also forbids i+1
+    _assert_every_violated_pair_reported(
+        monkeypatch, lambda n, hit, mask: mask | 1 << hit.i % n if hit.sign == "-" else mask
+    )
+
+
+def test_validate_lemma3_reports_violations_in_the_last_field(monkeypatch):
+    # The backward hits at i = n forbid element 1 and every other
+    # exclusion is dropped, so every violation sits in the last field of
+    # a family code: a field shift that misplaces it hides them all.
+    _assert_every_violated_pair_reported(
+        monkeypatch, lambda n, hit, mask: 1 if hit.sign == "-" and hit.i == n else 0
+    )
 
 
 @pytest.mark.parametrize("n", range(3, 8))
