@@ -12,9 +12,8 @@ admits a compatible maximal chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from ncpverify.chains import Chain
 from ncpverify.condition4 import cond_iv
@@ -41,29 +40,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NCSpanningTree:
-    """A spanning tree of 1..n whose chords are pairwise non-crossing."""
-
+class _NCSpanningTreeFields(NamedTuple):
     n: int
     edges: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        n = self.n
+
+class NCSpanningTree(_NCSpanningTreeFields):
+    """A spanning tree of 1..n whose chords are pairwise non-crossing."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, edges: tuple[tuple[int, int], ...]):
         if not 1 <= n <= MAX_N:
             raise ValueError(f"universe size {n} outside 1..{MAX_N}")
-        if len(self.edges) != n - 1:
+        if len(edges) != n - 1:
             raise ValueError(
-                f"a spanning tree on {n} elements needs {n - 1} edges, got {len(self.edges)}"
+                f"a spanning tree on {n} elements needs {n - 1} edges, got {len(edges)}"
             )
         seen = set()
-        for a, b in self.edges:
+        for a, b in edges:
             if not (1 <= a < b <= n):
                 raise ValueError(f"edge ({a},{b}) is not an ordered chord of 1..{n}")
             if (a, b) in seen:
                 raise ValueError(f"edge ({a},{b}) repeated")
             seen.add((a, b))
-        if self.edges != tuple(sorted(self.edges)):
+        if edges != tuple(sorted(edges)):
             raise ValueError("edges must be listed in ascending order")
         # Connectivity: n-1 distinct edges with no cycle span the circle.
         parent = list(range(n + 1))
@@ -74,25 +75,28 @@ class NCSpanningTree:
                 x = parent[x]
             return x
 
-        for a, b in self.edges:
+        for a, b in edges:
             ra, rb = find(a), find(b)
             if ra == rb:
                 raise ValueError(f"edge ({a},{b}) closes a cycle")
             parent[ra] = rb
-        for i, e in enumerate(self.edges):
-            for f in self.edges[i + 1 :]:
+        for i, e in enumerate(edges):
+            for f in edges[i + 1 :]:
                 if blocks_cross(
                     Block.from_elements(n, e), Block.from_elements(n, f)
                 ) is not None:
                     raise ValueError(f"edges {e} and {f} cross")
+        return tuple.__new__(cls, (n, edges))
+
+    @classmethod
+    def _make(cls, iterable) -> NCSpanningTree:
+        # Validates, so ``_replace`` cannot build an invalid tree.
+        return cls(*iterable)
 
     @classmethod
     def _trusted(cls, n: int, edges: tuple[tuple[int, int], ...]) -> NCSpanningTree:
         # Constructor for already-validated edges (hot enumeration paths).
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
-        return self
+        return tuple.__new__(cls, (n, edges))
 
     @classmethod
     def from_text(cls, n: int, text: str) -> NCSpanningTree:
@@ -114,8 +118,7 @@ class NCSpanningTree:
         return ",".join(f"{a}-{b}" for a, b in self.edges)
 
 
-@dataclass(frozen=True)
-class DominanceReport:
+class DominanceReport(NamedTuple):
     """Outcome of the exhaustive dominant-vertex scan for one chain."""
 
     dominant: Partition | None

@@ -37,7 +37,7 @@ is built from the same table and tested against these functions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ncpverify.core import (
     Partition,
@@ -54,39 +54,43 @@ class InvalidChainError(ValueError):
     """Members do not form a strictly increasing chain of proper rank."""
 
 
-@dataclass(frozen=True)
-class Chain:
-    """Strictly increasing non-crossing partitions with ranks in 1..n-2."""
-
+class _ChainFields(NamedTuple):
     n: int
     members: tuple[Partition, ...]
 
-    def __post_init__(self):
-        if not self.members:
+
+class Chain(_ChainFields):
+    """Strictly increasing non-crossing partitions with ranks in 1..n-2."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, members: tuple[Partition, ...]):
+        if not members:
             raise InvalidChainError("chain needs at least one member")
-        for p in self.members:
-            if p.n != self.n:
-                raise UniverseMismatch(
-                    f"member over universe {p.n} in a chain over {self.n}"
-                )
+        for p in members:
+            if p.n != n:
+                raise UniverseMismatch(f"member over universe {p.n} in a chain over {n}")
             require_noncrossing(p)
-            if not 1 <= p.rank <= self.n - 2:
+            if not 1 <= p.rank <= n - 2:
                 raise InvalidChainError(
-                    f"member {p.text()!r} has rank {p.rank}, outside 1..{self.n - 2}"
+                    f"member {p.text()!r} has rank {p.rank}, outside 1..{n - 2}"
                 )
-        for a, b in itertools.pairwise(self.members):
+        for a, b in itertools.pairwise(members):
             if a.parts == b.parts or not leq(a, b):
                 raise InvalidChainError(
                     f"members {a.text()!r} and {b.text()!r} are not strictly increasing"
                 )
+        return tuple.__new__(cls, (n, members))
+
+    @classmethod
+    def _make(cls, iterable) -> Chain:
+        # Validates, so ``_replace`` cannot build an invalid chain.
+        return cls(*iterable)
 
     @classmethod
     def _trusted(cls, n: int, members: tuple[Partition, ...]) -> Chain:
         # Constructor for already-validated members (hot enumeration paths).
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "members", members)
-        return self
+        return tuple.__new__(cls, (n, members))
 
     @classmethod
     def from_text(cls, n: int, text: str) -> Chain:
@@ -113,8 +117,7 @@ def _parse_at(n: int, segment: str, offset: int) -> Partition:
     return _parse_partition(n, segment, offset)
 
 
-@dataclass(frozen=True)
-class SmallestBlockFamily:
+class SmallestBlockFamily(NamedTuple):
     """The indexed family i -> F_i, with the neighbor restrictions F_i'.
 
     ``blocks[i-1]`` is the mask of F_i; ``primes[i-1]`` the mask of

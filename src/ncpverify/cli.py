@@ -10,6 +10,10 @@ Exit codes: 0 success (for ``theorem5``: verified and aligned); 1 a
 mathematical check failed (a surviving class, or an exclusion
 violation); 2 reference misalignment only; 3 usage or input error; 141
 the reader closed stdout (a broken pipe).
+
+``apartments`` and ``svg`` are imported inside the commands that run
+them (``check --dominant``, ``enumerate --what trees``, ``render``), so
+no other command's fresh process loads them.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import json
 import os
 import sys
 
-from ncpverify.apartments import NCSpanningTree, cond_iv_prime, dominant_vertex, spanning_trees
 from ncpverify.chains import (
     Chain,
     InvalidChainError,
@@ -51,7 +54,6 @@ from ncpverify.pipeline import (
     run_theorem5,
     validate_lemma3,
 )
-from ncpverify.svg import render_to_file
 
 __all__ = ["main"]
 
@@ -96,6 +98,8 @@ def _print_chain_analysis(chain: Chain, strict_patterns: bool, dominant: bool) -
     elif not outcome.satisfied:
         print("pattern refutation certificate: none (exhaustive scan only)")
     if dominant:
+        from ncpverify.apartments import cond_iv_prime, dominant_vertex
+
         report = dominant_vertex(chain)
         if report.dominant is None:
             print(f"dominant vertex: none ({report.checked_trees} trees scanned)")
@@ -129,6 +133,8 @@ def _cmd_enumerate(args) -> int:
         for k in range(len(index)):
             print(index.chain_at(k).text())
     else:
+        from ncpverify.apartments import spanning_trees
+
         for t in spanning_trees(n):
             print(t.text())
     return 0
@@ -183,6 +189,9 @@ def _cmd_validate_lemma3(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from ncpverify.apartments import NCSpanningTree
+    from ncpverify.svg import render_to_file
+
     text = args.input
     if "-" in text:
         obj = NCSpanningTree.from_text(args.n, text)

@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from ncpverify.chains import Chain, chain_from_indices, smallest_blocks
 from ncpverify.core import _masks_alternate, elements_of
@@ -79,25 +79,31 @@ MAX_PATTERN_LENGTH = max(CLAUSES)
 _HIT_RE = re.compile(r"\((\d+),([+-]),(\d+)\)\((\d+)\)\Z")
 
 
-@dataclass(frozen=True)
-class PatternHit:
-    """One satisfied clause: family (k, sign), base index i, clause m."""
-
+class _PatternHitFields(NamedTuple):
     k: int
     sign: str
     i: int
     variant: int
 
-    def __post_init__(self):
-        if self.k not in CLAUSES:
-            raise ValueError(f"pattern length {self.k} outside 1..{MAX_PATTERN_LENGTH}")
-        if self.sign not in ("+", "-"):
-            raise ValueError(f"pattern sign must be + or -, got {self.sign!r}")
-        if not 1 <= self.variant <= len(CLAUSES[self.k]):
-            raise ValueError(
-                f"clause {self.variant} outside 1..{len(CLAUSES[self.k])}"
-                f" for length {self.k}"
-            )
+
+class PatternHit(_PatternHitFields):
+    """One satisfied clause: family (k, sign), base index i, clause m."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, sign: str, i: int, variant: int):
+        if k not in CLAUSES:
+            raise ValueError(f"pattern length {k} outside 1..{MAX_PATTERN_LENGTH}")
+        if sign not in ("+", "-"):
+            raise ValueError(f"pattern sign must be + or -, got {sign!r}")
+        if not 1 <= variant <= len(CLAUSES[k]):
+            raise ValueError(f"clause {variant} outside 1..{len(CLAUSES[k])} for length {k}")
+        return tuple.__new__(cls, (k, sign, i, variant))
+
+    @classmethod
+    def _make(cls, iterable) -> PatternHit:
+        # Validates, so ``_replace`` cannot build an invalid hit.
+        return cls(*iterable)
 
     def text(self) -> str:
         return f"({self.k},{self.sign},{self.i})({self.variant})"
@@ -212,8 +218,7 @@ def exclusion_mask(n: int, hit: PatternHit) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class ExclusionTable:
+class ExclusionTable(NamedTuple):
     """Per-index union of pattern exclusions and the contributing hits."""
 
     n: int
@@ -246,8 +251,7 @@ def pattern_exclusions(chain: Chain, strict: bool = False) -> ExclusionTable:
 # -- the exhaustive decision ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessOrRefutation:
+class WitnessOrRefutation(NamedTuple):
     """Outcome of the maximal-chain search for one chain.
 
     ``witness`` is the first compatible maximal chain in canonical
@@ -301,8 +305,7 @@ def verify_witness(chain: Chain, witness: Chain) -> bool:
 CONCLUSION = "condition IV fails"
 
 
-@dataclass(frozen=True)
-class RefutationCertificate:
+class RefutationCertificate(NamedTuple):
     """Ordered deduction record ending in a contradiction.
 
     Step records (JSON-ready dicts):

@@ -17,13 +17,18 @@ of non-crossing partitions of {1..n}, ordered by refinement.
 The text notation lists blocks as digit strings and omits singletons:
 "12,46" is the partition with blocks {1,2} and {4,6}.  Digits cap the
 universe at n = 9.
+
+The value types here, as everywhere in the package, are immutable
+``typing.NamedTuple`` records.  A validating type (``Block``,
+``Partition``) checks its fields in ``__new__``, and ``_make`` calls the
+constructor, so ``_replace`` validates too.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 MAX_N = 9
 
@@ -64,18 +69,27 @@ def popcount(mask: int) -> int:
     return mask.bit_count()
 
 
-@dataclass(frozen=True)
-class Block:
-    """One part of a partition: a nonempty subset of {1..n} as a bitmask."""
-
+class _BlockFields(NamedTuple):
     n: int
     mask: int
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_N:
+
+class Block(_BlockFields):
+    """One part of a partition: a nonempty subset of {1..n} as a bitmask."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, mask: int):
+        if not 1 <= n <= MAX_N:
             raise ValueError(f"universe size must be in 1..{MAX_N}")
-        if self.mask == 0 or self.mask >> self.n:
+        if mask == 0 or mask >> n:
             raise ValueError("block must be a nonempty subset of the universe")
+        return tuple.__new__(cls, (n, mask))
+
+    @classmethod
+    def _make(cls, iterable) -> Block:
+        # Validates, so ``_replace`` cannot build an invalid block.
+        return cls(*iterable)
 
     @classmethod
     def from_elements(cls, n: int, elements) -> Block:
@@ -100,8 +114,7 @@ def _is_cyclic_arc(mask: int, n: int) -> bool:
     return popcount(mask ^ rotated) <= 2
 
 
-@dataclass(frozen=True)
-class CrossingWitness:
+class CrossingWitness(NamedTuple):
     """A concrete alternation a < b < c < d proving two blocks cross.
 
     `first` contains a and c, `second` contains b and d.
@@ -157,8 +170,12 @@ def _sorted_parts(parts) -> tuple[int, ...]:
     return tuple(sorted(parts, key=lambda m: m & -m))
 
 
-@dataclass(frozen=True)
-class Partition:
+class _PartitionFields(NamedTuple):
+    n: int
+    parts: tuple[int, ...]
+
+
+class Partition(_PartitionFields):
     """A partition of {1..n} into disjoint covering parts (bitmasks).
 
     Parts are stored sorted by least element and include singletons.
@@ -166,23 +183,27 @@ class Partition:
     input validate explicitly and raise CrossingPartitionError.
     """
 
-    n: int
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_N:
+    def __new__(cls, n: int, parts):
+        if not 1 <= n <= MAX_N:
             raise ValueError(f"universe size must be in 1..{MAX_N}")
-        full = (1 << self.n) - 1
+        full = (1 << n) - 1
         seen = 0
-        for p in self.parts:
-            if p == 0 or p >> self.n:
+        for p in parts:
+            if p == 0 or p >> n:
                 raise ValueError("part is not a nonempty subset of the universe")
             if p & seen:
                 raise ValueError("parts must be disjoint")
             seen |= p
         if seen != full:
             raise ValueError("parts must cover the universe")
-        object.__setattr__(self, "parts", _sorted_parts(self.parts))
+        return tuple.__new__(cls, (n, _sorted_parts(parts)))
+
+    @classmethod
+    def _make(cls, iterable) -> Partition:
+        # Validates, so ``_replace`` cannot build an invalid partition.
+        return cls(*iterable)
 
     # -- construction ---------------------------------------------------
 
@@ -378,8 +399,7 @@ def nc_join(p: Partition, q: Partition) -> Partition:
 # -- dihedral symmetry --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Symmetry:
+class Symmetry(NamedTuple):
     """One of the 2n rotations/reflections of the labeled circle.
 
     `perm[e-1]` is the image of element e.

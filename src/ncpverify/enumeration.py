@@ -53,8 +53,8 @@ import bisect
 import itertools
 import random
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from ncpverify.chains import (
     Chain,
@@ -409,8 +409,7 @@ def maximal_chain_index(n: int) -> MaximalChainIndex:
 # -- orbit bookkeeping -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitClass:
+class OrbitClass(NamedTuple):
     """One dihedral orbit of chains, with the data the pipeline reports.
 
     ``rep_indices`` and ``dual_rep_indices`` are the index tuples of the

@@ -39,8 +39,8 @@ coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from ncpverify.chains import (
     Chain,
@@ -123,8 +123,7 @@ LEMMA3_SEED = 20260816
 SURVEY_EXAMPLE_LIMIT = 10
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(NamedTuple):
     """Everything the pipeline knows about one duality-reduced orbit class."""
 
     representative: str
@@ -148,8 +147,7 @@ class ClassReport:
     survives: bool
 
 
-@dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(NamedTuple):
     n: int
     cond_i_sets: tuple[tuple[int, ...], ...]
     reduced_sets: tuple[tuple[int, ...], ...]
@@ -162,8 +160,7 @@ class PipelineReport:
     verdict: str
 
 
-@dataclass(frozen=True)
-class ReducedClasses:
+class ReducedClasses(NamedTuple):
     """What stages 1-3 of ``run_theorem5`` know for one n.
 
     ``candidates`` maps each candidate index tuple, in scan order, to its
@@ -179,8 +176,7 @@ class ReducedClasses:
     classes: tuple[OrbitClass, ...]
 
 
-@dataclass(frozen=True)
-class ConditionIIISurvey:
+class ConditionIIISurvey(NamedTuple):
     """Exhaustive criterion-vs-literal comparison over every chain of one n.
 
     ``criterion_only`` chains pass the four-member union criterion while the
@@ -204,8 +200,7 @@ class ConditionIIISurvey:
         return self.literal_only == 0
 
 
-@dataclass(frozen=True)
-class FixtureAlignmentRow:
+class FixtureAlignmentRow(NamedTuple):
     case_id: int
     chain: str
     found_in_class: str | None
@@ -217,8 +212,7 @@ class FixtureAlignmentRow:
     aligned: bool
 
 
-@dataclass(frozen=True)
-class CaseConventionRow:
+class CaseConventionRow(NamedTuple):
     """Which inclusion conventions reproduce a case's quoted hits."""
 
     case_id: int
@@ -226,8 +220,7 @@ class CaseConventionRow:
     strict_reproduces: bool
 
 
-@dataclass(frozen=True)
-class AlignmentTable:
+class AlignmentTable(NamedTuple):
     rows: tuple[FixtureAlignmentRow, ...]
     conventions: tuple[CaseConventionRow, ...]
     all_aligned: bool
@@ -463,8 +456,7 @@ def run_theorem5(n: int = 7) -> PipelineReport:
     return _align_and_decide(reduced, _decide_condition_iv(reduced))
 
 
-@dataclass(frozen=True)
-class LemmaThreeReport:
+class LemmaThreeReport(NamedTuple):
     """Empirical check of the pattern exclusions against real maximal chains.
 
     For every corpus chain F and every pattern hit (k,s,i) of F, every

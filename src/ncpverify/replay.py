@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ncpverify.chains import Chain
 
@@ -51,8 +51,7 @@ _DESIGNATOR = re.compile(r"\((\d+),([+-]),(\d+)\)\((\d+)\)\Z")
 _EXPECTED_CONCLUSION = "condition IV fails"
 
 
-@dataclass(frozen=True)
-class ReplayResult:
+class ReplayResult(NamedTuple):
     ok: bool
     failure: str | None
     steps_checked: int

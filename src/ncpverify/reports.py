@@ -2,8 +2,9 @@
 
 ``report_to_json`` and ``report_to_csv`` write the files of ``ncpverify
 theorem5 --json/--csv`` (keys and columns in docs/formats.md), and
-``report_to_text`` what it prints.  They read the pipeline's frozen
-report objects and run none of its stages.
+``report_to_text`` what it prints.  They read the pipeline's report
+records (immutable ``NamedTuple``s) field by field and run none of its
+stages.
 """
 
 from __future__ import annotations

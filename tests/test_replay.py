@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -37,7 +36,7 @@ def test_replay_rejects_tampered_exclusion():
     cert = _cert()
     steps = [dict(s) for s in cert.steps]
     steps[0]["excluded"] = [5]
-    result = replay_certificate(dataclasses.replace(cert, steps=tuple(steps)))
+    result = replay_certificate(cert._replace(steps=tuple(steps)))
     assert result.ok is False
     assert "excludes" in result.failure
 
@@ -45,24 +44,24 @@ def test_replay_rejects_tampered_exclusion():
 def test_replay_rejects_retargeted_certificate():
     cert = _cert()
     # aiming the certificate at a chain without the claimed hits fails
-    result = replay_certificate(dataclasses.replace(cert, chain_text="13"))
+    result = replay_certificate(cert._replace(chain_text="13"))
     assert result.ok is False
     assert "does not hold" in result.failure
     # aiming it at a chain whose condition IV is satisfied also fails
-    result2 = replay_certificate(dataclasses.replace(cert, chain_text="24<246"))
+    result2 = replay_certificate(cert._replace(chain_text="24<246"))
     assert result2.ok is False
 
 
 def test_replay_rejects_dropped_conflict():
     cert = _cert()
-    result = replay_certificate(dataclasses.replace(cert, steps=cert.steps[:-1]))
+    result = replay_certificate(cert._replace(steps=cert.steps[:-1]))
     assert result.ok is False
     assert "without a contradiction" in result.failure
 
 
 def test_replay_rejects_bad_conclusion():
     cert = _cert()
-    result = replay_certificate(dataclasses.replace(cert, conclusion="nonsense"))
+    result = replay_certificate(cert._replace(conclusion="nonsense"))
     assert result.ok is False
     assert "conclusion" in result.failure
 
@@ -71,7 +70,7 @@ def test_replay_rejects_tampered_forced_block():
     cert = _cert()
     steps = [dict(s) for s in cert.steps]
     steps[2]["block"] = [3, 6]
-    result = replay_certificate(dataclasses.replace(cert, steps=tuple(steps)))
+    result = replay_certificate(cert._replace(steps=tuple(steps)))
     assert result.ok is False
 
 
@@ -79,7 +78,7 @@ def test_replay_rejects_tampered_propagation():
     cert = _cert()
     steps = [dict(s) for s in cert.steps]
     steps[3]["target"] = 6
-    result = replay_certificate(dataclasses.replace(cert, steps=tuple(steps)))
+    result = replay_certificate(cert._replace(steps=tuple(steps)))
     assert result.ok is False
     assert "target" in result.failure
 
