@@ -19,12 +19,11 @@ from ncpverify.chains import Chain
 from ncpverify.condition4 import cond_iv
 from ncpverify.core import (
     MAX_N,
-    Block,
     NotationError,
     Partition,
     UniverseMismatch,
     _masks_alternate,
-    blocks_cross,
+    mask_of,
 )
 
 __all__ = [
@@ -82,9 +81,8 @@ class NCSpanningTree(_NCSpanningTreeFields):
             parent[ra] = rb
         for i, e in enumerate(edges):
             for f in edges[i + 1 :]:
-                if blocks_cross(
-                    Block.from_elements(n, e), Block.from_elements(n, f)
-                ) is not None:
+                s, t = mask_of(e), mask_of(f)
+                if not s & t and _masks_alternate(s, t, n):
                     raise ValueError(f"edges {e} and {f} cross")
         return tuple.__new__(cls, (n, edges))
 

@@ -19,9 +19,9 @@ The text notation lists blocks as digit strings and omits singletons:
 universe at n = 9.
 
 The value types here, as everywhere in the package, are immutable
-``typing.NamedTuple`` records.  A validating type (``Block``,
-``Partition``) checks its fields in ``__new__``, and ``_make`` calls the
-constructor, so ``_replace`` validates too.
+``typing.NamedTuple`` records.  The validating type here, ``Partition``,
+checks its fields in ``__new__``, and ``_make`` calls the constructor, so
+``_replace`` validates too.
 """
 
 from __future__ import annotations
@@ -65,67 +65,11 @@ def elements_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
-class _BlockFields(NamedTuple):
-    n: int
-    mask: int
-
-
-class Block(_BlockFields):
-    """One part of a partition: a nonempty subset of {1..n} as a bitmask."""
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, mask: int):
-        if not 1 <= n <= MAX_N:
-            raise ValueError(f"universe size must be in 1..{MAX_N}")
-        if mask == 0 or mask >> n:
-            raise ValueError("block must be a nonempty subset of the universe")
-        return tuple.__new__(cls, (n, mask))
-
-    @classmethod
-    def _make(cls, iterable) -> Block:
-        # Validates, so ``_replace`` cannot build an invalid block.
-        return cls(*iterable)
-
-    @classmethod
-    def from_elements(cls, n: int, elements) -> Block:
-        return cls(n, mask_of(elements))
-
-    @property
-    def elements(self) -> tuple[int, ...]:
-        return elements_of(self.mask)
-
-    @property
-    def size(self) -> int:
-        return popcount(self.mask)
-
-    def __contains__(self, e: int) -> bool:
-        return bool(self.mask >> (e - 1) & 1)
-
-
 def _is_cyclic_arc(mask: int, n: int) -> bool:
     # An arc has exactly two cyclic boundaries (or zero, for the full set).
     full = (1 << n) - 1
     rotated = (mask >> 1 | mask << (n - 1)) & full
-    return popcount(mask ^ rotated) <= 2
-
-
-class CrossingWitness(NamedTuple):
-    """A concrete alternation a < b < c < d proving two blocks cross.
-
-    `first` contains a and c, `second` contains b and d.
-    """
-
-    a: int
-    b: int
-    c: int
-    d: int
-    first: int
-    second: int
+    return (mask ^ rotated).bit_count() <= 2
 
 
 def _masks_alternate(s: int, t: int, n: int) -> bool:
@@ -146,21 +90,6 @@ def _masks_alternate(s: int, t: int, n: int) -> bool:
             runs += 1
             last = cur
     return runs >= 4
-
-
-def blocks_cross(s: Block, t: Block) -> CrossingWitness | None:
-    """Crossing test with witness: the lexicographically least (a, b, c, d)."""
-    if s.n != t.n:
-        raise UniverseMismatch(f"blocks over different universes: {s.n} vs {t.n}")
-    if s.mask & t.mask or not _masks_alternate(s.mask, t.mask, s.n):
-        return None
-    together = elements_of(s.mask | t.mask)
-    for a, b, c, d in itertools.combinations(together, 4):
-        for first, second in ((s.mask, t.mask), (t.mask, s.mask)):
-            amask, bmask = 1 << (a - 1) | 1 << (c - 1), 1 << (b - 1) | 1 << (d - 1)
-            if amask & first == amask and bmask & second == bmask:
-                return CrossingWitness(a, b, c, d, first, second)
-    raise AssertionError("alternating masks must yield a witness")
 
 
 def _sorted_parts(parts) -> tuple[int, ...]:
@@ -234,13 +163,6 @@ class Partition(_PartitionFields):
     def rank(self) -> int:
         return self.n - len(self.parts)
 
-    def members(self) -> tuple[Block, ...]:
-        return tuple(Block(self.n, p) for p in self.parts)
-
-    def blocks(self) -> tuple[Block, ...]:
-        """Only the parts of size >= 2."""
-        return tuple(Block(self.n, p) for p in self.parts if p & (p - 1))
-
     def part_containing(self, e: int) -> int:
         if not 1 <= e <= self.n:
             raise ValueError(f"element {e} outside universe 1..{self.n}")
@@ -283,17 +205,6 @@ def require_noncrossing(p: Partition) -> Partition:
     return p
 
 
-def partitions_cross(p: Partition, q: Partition) -> bool:
-    """True iff some block of p crosses some block of q (written p ∦ q)."""
-    if p.n != q.n:
-        raise UniverseMismatch(f"partitions over different universes: {p.n} vs {q.n}")
-    pb = [m for m in p.parts if m & (m - 1)]
-    qb = [m for m in q.parts if m & (m - 1)]
-    return any(
-        not s & t and _masks_alternate(s, t, p.n) for s in pb for t in qb
-    )
-
-
 def leq(p: Partition, q: Partition) -> bool:
     """Refinement order: every part of p lies inside a part of q."""
     if p.n != q.n:
@@ -304,10 +215,6 @@ def leq(p: Partition, q: Partition) -> bool:
         if part & ~container:
             return False
     return True
-
-
-def rank(p: Partition) -> int:
-    return p.rank
 
 
 # -- Kreweras duality ---------------------------------------------------
@@ -340,60 +247,6 @@ def kreweras_dual(p: Partition) -> Partition:
         remaining.difference_update(cycle)
         parts.append(mask_of(cycle))
     return Partition(n, tuple(parts))
-
-
-# -- lattice operations -------------------------------------------------
-
-
-def pi_join(p: Partition, q: Partition) -> Partition:
-    """Join in the full partition lattice (may be crossing)."""
-    if p.n != q.n:
-        raise UniverseMismatch(f"partitions over different universes: {p.n} vs {q.n}")
-    parent = list(range(p.n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for part in itertools.chain(p.parts, q.parts):
-        elems = elements_of(part)
-        for e in elems[1:]:
-            parent[find(elems[0])] = find(e)
-    groups: dict[int, int] = {}
-    for e in range(1, p.n + 1):
-        r = find(e)
-        groups[r] = groups.get(r, 0) | 1 << (e - 1)
-    return Partition(p.n, tuple(groups.values()))
-
-
-def pi_meet(p: Partition, q: Partition) -> Partition:
-    """Meet in the full partition lattice: nonempty pairwise intersections."""
-    if p.n != q.n:
-        raise UniverseMismatch(f"partitions over different universes: {p.n} vs {q.n}")
-    parts = [a & b for a in p.parts for b in q.parts if a & b]
-    return Partition(p.n, tuple(parts))
-
-
-def nc_join(p: Partition, q: Partition) -> Partition:
-    """Join in the non-crossing lattice: pi_join, then merge crossing parts.
-
-    Crossing parts of any coarsening must share a part, so repeatedly
-    merging the first crossing pair converges to the finest non-crossing
-    partition above pi_join(p, q), independent of merge order.
-    """
-    parts = list(pi_join(p, q).parts)
-    merged = True
-    while merged:
-        merged = False
-        for (i, s), (j, t) in itertools.combinations(enumerate(parts), 2):
-            if not s & t and _masks_alternate(s, t, p.n):
-                parts[i] = s | t
-                del parts[j]
-                merged = True
-                break
-    return Partition(p.n, tuple(parts))
 
 
 # -- dihedral symmetry --------------------------------------------------
@@ -434,26 +287,6 @@ def dihedral_group(n: int) -> tuple[Symmetry, ...]:
     rot = [Symmetry.rotation(n, k) for k in range(n)]
     ref = [Symmetry.reflection(n, c) for c in range(n)]
     return tuple(rot + ref)
-
-
-def apply_symmetry(p: Partition, g: Symmetry) -> Partition:
-    if p.n != g.n:
-        raise UniverseMismatch(f"symmetry over universe {g.n} applied to partition over {p.n}")
-    return Partition(p.n, tuple(g.apply_mask(m) for m in p.parts))
-
-
-def orbit(p: Partition) -> tuple[Partition, ...]:
-    """The distinct dihedral images of p, sorted canonically."""
-    images = {apply_symmetry(p, g).sort_key(): apply_symmetry(p, g) for g in dihedral_group(p.n)}
-    return tuple(images[k] for k in sorted(images))
-
-
-def canonical_form(p: Partition) -> Partition:
-    """Lexicographically least dihedral image — the orbit's representative."""
-    return min(
-        (apply_symmetry(p, g) for g in dihedral_group(p.n)),
-        key=Partition.sort_key,
-    )
 
 
 # -- text notation ------------------------------------------------------

@@ -23,6 +23,14 @@ docs/formats.md rather than from the package's bitmask code.
   over the catalogue's order rows instead.
 * ``code_fields`` -- a family code read back as masks: n fields of n
   bits, field i-1 (bits (i-1)*n ..) for element i.
+* ``from_masks`` -- a bitmask part tuple as a frozenset partition, so
+  the set-level crossing tests read the package's partitions.
+* ``apply_symmetry`` -- a dihedral symmetry, given as its image list
+  ``perm`` (``perm[e-1]`` is the image of e), applied to a bitmask part
+  tuple; the result is sorted by least element, as ``Partition.parts``.
+* ``cycle_type`` -- the cycle type of P^-1 Q for bitmask part tuples P
+  and Q, each block read as the permutation that cycles it in
+  increasing order.
 """
 
 from __future__ import annotations
@@ -75,6 +83,42 @@ def partitions_cross(p: Partition, q: Partition) -> bool:
 
 def refines(p: Partition, q: Partition) -> bool:
     return all(any(part <= big for big in q) for part in p)
+
+
+def from_masks(parts) -> Partition:
+    return frozenset(frozenset(_elements(mask)) for mask in parts)
+
+
+def apply_symmetry(perm: tuple[int, ...], parts) -> tuple[int, ...]:
+    images = [sum(1 << (perm[e - 1] - 1) for e in _elements(mask)) for mask in parts]
+    return tuple(sorted(images, key=lambda m: m & -m))
+
+
+def _cycling(parts) -> dict[int, int]:
+    """The permutation that sends each element to the next larger one of
+    its part, and the largest back to the smallest."""
+    step = {}
+    for mask in parts:
+        elements = _elements(mask)
+        step.update(zip(elements, elements[1:] + elements[:1]))
+    return step
+
+
+def cycle_type(lower, upper) -> tuple[int, ...]:
+    """Cycle lengths of P^-1 Q (P = ``lower``, Q = ``upper``), longest first."""
+    p, q = _cycling(lower), _cycling(upper)
+    p_inverse = {image: e for e, image in p.items()}
+    lengths = []
+    unseen = set(p)
+    while unseen:
+        e = min(unseen)
+        length = 0
+        while e in unseen:
+            unseen.discard(e)
+            length += 1
+            e = p_inverse[q[e]]
+        lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
 
 
 def _set_partitions(n: int):

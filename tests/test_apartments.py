@@ -18,8 +18,10 @@ from ncpverify.apartments import (
     tree_membership_bits,
 )
 from ncpverify.chains import Chain, smallest_blocks
-from ncpverify.core import Block, Partition, blocks_cross, mask_of
+from ncpverify.core import Partition
 from ncpverify.lattice import catalogue
+
+import oracles
 
 
 def test_tree_counts_match_closed_form():
@@ -58,7 +60,7 @@ def test_tree_count_independent_bruteforce():
         if not ok:
             continue
         crossing = any(
-            blocks_cross(Block(n, mask_of(e)), Block(n, mask_of(f))) is not None
+            oracles.parts_cross(frozenset(e), frozenset(f))
             for e, f in itertools.combinations(subset, 2)
         )
         if not crossing:
@@ -133,6 +135,16 @@ def test_tree_membership_bits_agrees_with_contains():
         bits = tree_membership_bits(p)
         for k, tree in enumerate(trees):
             assert bool(bits >> k & 1) == apartment_contains(tree, p)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_every_apartment_holds_two_to_the_n_minus_one_partitions(n):
+    # The apartment's partitions are the component partitions of the
+    # subsets of the tree's n - 1 edges, and distinct subsets give
+    # distinct partitions.
+    rows = [tree_membership_bits(p) for p in catalogue(n).partitions]
+    for t, tree in enumerate(spanning_trees(n)):
+        assert sum(bits >> t & 1 for bits in rows) == 2 ** (n - 1), tree.text()
 
 
 def test_quoted_chain_has_no_dominant_vertex_but_satisfies_iv_prime():

@@ -20,8 +20,8 @@ from ncpverify.chains import (
 )
 from ncpverify.core import (
     CrossingPartitionError,
+    Partition,
     Symmetry,
-    apply_symmetry,
     dihedral_group,
     mask_of,
 )
@@ -30,7 +30,10 @@ import oracles
 
 
 def apply_symmetry_chain(chain: Chain, g: Symmetry) -> Chain:
-    return Chain(chain.n, tuple(apply_symmetry(p, g) for p in chain.members))
+    return Chain(
+        chain.n,
+        tuple(Partition(p.n, oracles.apply_symmetry(g.perm, p.parts)) for p in chain.members),
+    )
 
 
 def test_chain_parse_and_text():

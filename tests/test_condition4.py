@@ -18,7 +18,7 @@ from ncpverify.condition4 import (
     pattern_refute,
     verify_witness,
 )
-from ncpverify.core import apply_symmetry, dihedral_group, mask_of
+from ncpverify.core import Partition, dihedral_group, mask_of
 from ncpverify.enumeration import (
     chain_from_indices,
     enumerate_chains,
@@ -26,6 +26,8 @@ from ncpverify.enumeration import (
     pruned_maximal_chains,
 )
 from ncpverify.lattice import catalogue
+
+import oracles
 
 
 def test_pattern_hit_text_roundtrip():
@@ -267,7 +269,8 @@ def test_detect_patterns_equivariance():
         chain = Chain.from_text(7, text)
         base = len(detect_patterns(chain))
         for g in group:
-            image = Chain(7, tuple(apply_symmetry(p, g) for p in chain.members))
+            members = (Partition(7, oracles.apply_symmetry(g.perm, p.parts)) for p in chain.members)
+            image = Chain(7, tuple(members))
             assert len(detect_patterns(image)) == base
 
 

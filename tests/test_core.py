@@ -6,14 +6,10 @@ import pytest
 
 from ncpverify.chains import Chain
 from ncpverify.core import (
-    Block,
     CrossingPartitionError,
     NotationError,
     Partition,
     UniverseMismatch,
-    apply_symmetry,
-    blocks_cross,
-    canonical_form,
     dihedral_group,
     elements_of,
     is_noncrossing,
@@ -21,13 +17,6 @@ from ncpverify.core import (
     kreweras_dual,
     leq,
     mask_of,
-    nc_join,
-    orbit,
-    partitions_cross,
-    pi_join,
-    pi_meet,
-    popcount,
-    rank,
 )
 from ncpverify.lattice import catalogue
 
@@ -38,8 +27,6 @@ def test_mask_roundtrip():
     assert mask_of([2, 3, 5]) == 0b10110
     assert elements_of(0b10110) == (2, 3, 5)
     assert elements_of(0) == ()
-    assert popcount(0b10110) == 3
-    assert popcount(0) == 0
 
 
 def test_partition_text_roundtrip():
@@ -55,7 +42,7 @@ def test_partition_text_roundtrip():
         [7],
     ]
     # blocks are the parts of size >= 2 only
-    assert [sorted(elements_of(b.mask)) for b in p.blocks()] == [[1, 2], [4, 6]]
+    assert [elements_of(m) for m in p.parts if m & (m - 1)] == [(1, 2), (4, 6)]
     # empty text is the all-singleton partition
     bottom = Partition.from_text(7, "")
     assert bottom.text() == ""
@@ -82,8 +69,8 @@ def test_partition_text_errors():
         with pytest.raises(NotationError, match="unexpected character") as caught:
             Chain.from_text(7, text)
         assert caught.value.position == 0
-    # from_text tolerates crossing set partitions (join/meet intermediates);
-    # require_noncrossing is the explicit gate
+    # from_text tolerates crossing set partitions (Partition is any set
+    # partition); require_noncrossing is the explicit gate
     crossing = Partition.from_text(7, "13,24")
     assert not is_noncrossing(crossing)
     with pytest.raises(CrossingPartitionError):
@@ -92,31 +79,33 @@ def test_partition_text_errors():
 
 
 def test_blocks_cross_alternation():
-    def cross(a, b):
-        return blocks_cross(Block(7, mask_of(a)), Block(7, mask_of(b)))
+    # A partition with two blocks is crossing exactly when they alternate.
+    # Two blocks sharing an element are no partition; the spanning-tree
+    # check covers that case (a path's edges share endpoints).
+    def cross(text):
+        p = Partition.from_text(7, text)
+        crossing = not is_noncrossing(p)
+        s, t = (frozenset(elements_of(m)) for m in p.parts if m & (m - 1))
+        assert oracles.parts_cross(s, t) == crossing
+        return crossing
 
-    assert cross([1, 3], [2, 4]) is not None  # alternating quadruple
-    assert cross([1, 2], [3, 4]) is None  # disjoint arcs
-    assert cross([1, 4], [2, 3]) is None  # nested
-    assert cross([1, 2], [2, 3]) is None  # sharing an element never "crosses"
-    witness = cross([1, 3], [2, 4])
-    assert (witness.a, witness.b, witness.c, witness.d) == (1, 2, 3, 4)
+    assert cross("13,24")  # alternating quadruple
+    assert not cross("12,34")  # disjoint arcs
+    assert not cross("14,23")  # nested
     # cyclic alternation with no linear one: {2,7} vs {1,3} alternates 7,1,2,3
-    assert cross([2, 7], [1, 3]) is not None
-    with pytest.raises(UniverseMismatch):
-        blocks_cross(Block(6, 0b11), Block(7, 0b1100))
+    assert cross("13,27")
 
 
 def test_is_noncrossing_and_partitions_cross():
+    def sets(text):
+        return oracles.from_masks(Partition.from_text(7, text).parts)
+
     good = Partition.from_text(7, "123,46")
     assert is_noncrossing(good)
-    assert not partitions_cross(good, good)
+    assert not oracles.partitions_cross(sets("123,46"), sets("123,46"))
     # {{1,2,3,5},{4,6}} crosses itself is impossible; build a crossing pair
-    a = Partition.from_text(7, "1235")
-    b = Partition.from_text(7, "46")
-    assert partitions_cross(a, b)
-    c = Partition.from_text(7, "12")
-    assert not partitions_cross(a, c)
+    assert oracles.partitions_cross(sets("1235"), sets("46"))
+    assert not oracles.partitions_cross(sets("1235"), sets("12"))
 
 
 def test_leq_and_rank():
@@ -124,12 +113,14 @@ def test_leq_and_rank():
     large = Partition.from_text(7, "12346")
     assert leq(small, large)
     assert not leq(large, small)
-    assert rank(small) == 1
-    assert rank(large) == 4
-    assert rank(Partition.from_text(7, "")) == 0
-    assert rank(Partition.from_text(7, "1234567")) == 6
+    assert small.rank == 1
+    assert large.rank == 4
+    assert Partition.from_text(7, "").rank == 0
+    assert Partition.from_text(7, "1234567").rank == 6
     # incomparable
     assert not leq(Partition.from_text(7, "13"), Partition.from_text(7, "24"))
+    with pytest.raises(UniverseMismatch):
+        leq(Partition.from_text(6, "12"), small)
 
 
 def test_kreweras_examples():
@@ -147,7 +138,7 @@ def test_kreweras_properties_exhaustive():
     for p in parts:
         d = kreweras_dual(p)
         assert is_noncrossing(d)
-        assert rank(d) == 6 - rank(p)
+        assert d.rank == 6 - p.rank
         assert oracles.kreweras_dual_via_regions(7, p.text()) == oracles.parse_partition(
             7, d.text()
         )
@@ -160,30 +151,46 @@ def test_kreweras_properties_exhaustive():
     # double dual is rotation by one step (i -> i-1 cyclically)
     rot = next(g for g in dihedral_group(7) if g.perm == (7, 1, 2, 3, 4, 5, 6))
     for p in parts:
-        assert kreweras_dual(kreweras_dual(p)) == apply_symmetry(p, rot)
+        twice = kreweras_dual(kreweras_dual(p))
+        assert twice.parts == oracles.apply_symmetry(rot.perm, p.parts)
+
+
+def _join(cat, i, j):
+    # Partitions are sorted by rank: the lowest common upper bound is the join.
+    common = (cat.above[i] | 1 << i) & (cat.above[j] | 1 << j)
+    return (common & -common).bit_length() - 1
+
+
+def _meet(cat, i, j):
+    common = (cat.below[i] | 1 << i) & (cat.below[j] | 1 << j)
+    return common.bit_length() - 1
 
 
 def test_join_meet():
-    a = Partition.from_text(7, "12")
-    b = Partition.from_text(7, "23")
-    j = pi_join(a, b)
-    assert j.text() == "123"
-    assert pi_meet(j, a) == a
-    # nc_join can be coarser than pi_join when the union would cross
-    x = Partition.from_text(7, "13")
-    y = Partition.from_text(7, "24")
-    assert pi_join(x, y).text() == "13,24"  # crossing as a plain set partition
-    assert nc_join(x, y).text() == "1234"
-    # lattice laws on a sample
+    cat = catalogue(7)
+
+    def text(k):
+        return cat.partitions[k].text()
+
+    a, b, c = (cat.index_of[Partition.from_text(7, t).parts] for t in ("12", "23", "123"))
+    assert text(_join(cat, a, b)) == "123"
+    assert _meet(cat, c, a) == a
+    # the join of a crossing pair merges both blocks
+    x, y = (cat.index_of[Partition.from_text(7, t).parts] for t in ("13", "24"))
+    assert text(_join(cat, x, y)) == "1234"
+    assert _meet(cat, x, y) == cat.bottom
+    # lattice laws on all of NC(5), against the package-free order
     cat = catalogue(5)
-    sample = cat.partitions
-    for p in sample:
-        for q in sample:
-            j = nc_join(p, q)
-            m = pi_meet(p, q)
-            assert leq(p, j) and leq(q, j)
-            assert leq(m, p) and leq(m, q)
-            assert is_noncrossing(j) and is_noncrossing(m)
+    size = len(cat.partitions)
+    sets = [oracles.from_masks(p.parts) for p in cat.partitions]
+    order = [[oracles.refines(p, q) for q in sets] for p in sets]
+    for i in range(size):
+        for j in range(size):
+            upper = [k for k in range(size) if order[i][k] and order[j][k]]
+            lower = [k for k in range(size) if order[k][i] and order[k][j]]
+            join, meet = _join(cat, i, j), _meet(cat, i, j)
+            assert join in upper and all(order[join][k] for k in upper)
+            assert meet in lower and all(order[k][meet] for k in lower)
 
 
 def test_dihedral_group_structure():
@@ -194,24 +201,11 @@ def test_dihedral_group_structure():
     assert sum(1 for g in group if g.name.startswith("s")) == 7
     identity = next(g for g in group if g.name == "r0")
     p = Partition.from_text(7, "123,46")
-    assert apply_symmetry(p, identity) == p
+    assert oracles.apply_symmetry(identity.perm, p.parts) == p.parts
     for g in group:
-        q = apply_symmetry(p, g)
+        q = Partition(7, oracles.apply_symmetry(g.perm, p.parts))
         assert is_noncrossing(q)
-        assert rank(q) == rank(p)
-
-
-def test_orbit_and_canonical_form():
-    p = Partition.from_text(7, "12")
-    orb = orbit(p)
-    assert len(orb) == 7  # the seven edges {i,i+1} cyclically
-    assert len(set(orb)) == 7
-    canon = canonical_form(p)
-    for q in orb:
-        assert canonical_form(q) == canon
-    assert canon in orb
-    # canonical form is idempotent
-    assert canonical_form(canon) == canon
+        assert q.rank == p.rank
 
 
 def test_catalogue_counts():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from ncpverify.chains import Chain, neighbor_mask, smallest_blocks
-from ncpverify.core import Partition, elements_of, is_noncrossing, rank
+from ncpverify.core import Partition, elements_of, is_noncrossing
 from ncpverify.enumeration import (
     all_chain_index_tuples,
     chain_from_indices,
@@ -202,7 +202,7 @@ def test_chain_counts():
     assert all(len(c.members) in (1, 2) for c in chains4)
     for c in pairs:
         lo, hi = c.members
-        assert rank(lo) == 1 and rank(hi) == 2
+        assert lo.rank == 1 and hi.rank == 2
 
 
 def test_rank_filtered_counts():

@@ -9,12 +9,14 @@ N = 3..7 (the 270 KB n = 7 JSON as its SHA-256 only), and what
 five chains of ``CHECK_CHAINS``, one after another: past the maximal-chain
 index, these pin the pruned search's witnesses and leaf counts.  The
 runs here are in-process through ``cli.main``, with the exit codes
-checked too.
+checked too.  ``demo-01.txt`` is what ``demos/01_lattice_tour.py``
+prints, its join and meet read from the catalogue's order rows.
 """
 
 from __future__ import annotations
 
 import hashlib
+import runpy
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ import pytest
 from ncpverify.cli import main
 
 GOLDENS = Path(__file__).parent / "goldens"
+DEMOS = Path(__file__).parents[1] / "demos"
 
 # theorem5 exits 2 at n = 7: five quoted reference hits do not hold
 # (README, "Findings"), which is reference misalignment only.
@@ -61,3 +64,8 @@ def test_check_beyond_the_index_matches_golden(n, capsys):
         assert main(["check", "--n", str(n), "--chain", chain, "--dual"]) == 0
         out.append(capsys.readouterr().out)
     assert "".join(out) == (GOLDENS / f"check-n{n}.txt").read_text(encoding="ascii")
+
+
+def test_lattice_tour_demo_matches_golden(capsys):
+    runpy.run_path(str(DEMOS / "01_lattice_tour.py"), run_name="__main__")
+    assert capsys.readouterr().out == (GOLDENS / "demo-01.txt").read_text(encoding="ascii")

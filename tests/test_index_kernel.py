@@ -2,15 +2,15 @@
 
 The theorem5 scan runs on tuples of catalogue indices.  Each table and
 index-tuple function is compared here against an object-level reference
-built from ``Partition`` methods and ``core`` functions only, and the
-condition II/III code each chain carries out of enumeration is checked
-bit by bit against the single-chain functions on every chain.  The
-catalogue's block-built tables are compared against the pairwise loop
-over ``leq`` and ``partitions_cross`` that they replace, and checked
-against the lattice laws they must obey up to n = 8.  The
-table-driven condition-IV kernels (pattern detection by relation keys,
-the index scan by signature group) are compared against a clause-by-
-clause detector and a plain scan over every maximal chain.
+built from ``Partition`` methods, ``core`` functions and the package-free
+helpers in ``tests/oracles.py``, and the condition II/III code each chain
+carries out of enumeration is checked bit by bit against the single-chain
+functions on every chain.  The catalogue's block-built tables are compared
+against the pairwise loop over ``leq`` and the oracles' ``partitions_cross``
+and ``apply_symmetry``, and checked against the lattice laws they must obey
+up to n = 8.  The table-driven condition-IV kernels (pattern detection by
+relation keys, the index scan by signature group) are compared against a
+clause-by-clause detector and a plain scan over every maximal chain.
 """
 
 from __future__ import annotations
@@ -35,14 +35,12 @@ from ncpverify.chains import (
     window_code_of_indices,
 )
 from ncpverify.core import (
+    Partition,
     Symmetry,
     _masks_alternate,
-    apply_symmetry,
     dihedral_group,
     kreweras_dual,
     leq,
-    partitions_cross,
-    popcount,
 )
 from ncpverify.condition4 import CLAUSES, PatternHit, cond_iv, detect_patterns
 from ncpverify.enumeration import (
@@ -96,7 +94,7 @@ def reference_criterion(chain: Chain) -> bool:
         for members in groups.values():
             if len(members) >= 4 and _four_members_cross(n, members):
                 return True
-    return any(popcount(p) >= 4 for p in chain.members[0].parts)
+    return any(p.bit_count() >= 4 for p in chain.members[0].parts)
 
 
 def reference_literal(cat, indices) -> bool:
@@ -115,7 +113,7 @@ def _has_crossing_pair(cat, region: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _image(p, g):
-    return apply_symmetry(p, g)
+    return Partition(p.n, oracles.apply_symmetry(g.perm, p.parts))
 
 
 def _images(chain: Chain):
@@ -202,9 +200,10 @@ def reference_cond_iv(index, demand: int):
 
 def reference_tables(n: int) -> dict:
     """The catalogue's tables as the pairwise loop builds them: one ``leq``
-    per pair of ranks, one ``partitions_cross`` per unordered pair, and one
-    object-level image per partition and symmetry."""
+    per pair of ranks, one oracle ``partitions_cross`` per unordered pair,
+    and one oracle image per partition and symmetry."""
     partitions = tuple(noncrossing_partitions(n))
+    sets = [oracles.from_masks(p.parts) for p in partitions]
     index_of = {p.parts: i for i, p in enumerate(partitions)}
     size = len(partitions)
     above = [0] * size
@@ -215,7 +214,7 @@ def reference_tables(n: int) -> dict:
         if p.rank < q.rank and leq(p, q):
             above[i] |= 1 << j
             below[j] |= 1 << i
-        if partitions_cross(p, q):
+        if oracles.partitions_cross(sets[i], sets[j]):
             crossing[i] |= 1 << j
             crossing[j] |= 1 << i
     by_key = sorted(range(size), key=lambda i: partitions[i].sort_key())
@@ -225,7 +224,7 @@ def reference_tables(n: int) -> dict:
         "below": tuple(below),
         "crossing": tuple(crossing),
         "symmetries": tuple(
-            tuple(index_of[apply_symmetry(p, g).parts] for p in partitions)
+            tuple(index_of[oracles.apply_symmetry(g.perm, p.parts)] for p in partitions)
             for g in dihedral_group(n)
         ),
         "dual_index": tuple(index_of[kreweras_dual(p).parts] for p in partitions),
@@ -266,6 +265,7 @@ def test_catalogue_n8_rows_match_pairwise_reference():
     parts = cat.partitions
     assert parts == tuple(noncrossing_partitions(8))
     group = dihedral_group(8)
+    sets = [oracles.from_masks(p.parts) for p in parts]
     for i in range(0, len(parts), 13):
         p = parts[i]
         above = below = crossing = 0
@@ -274,12 +274,12 @@ def test_catalogue_n8_rows_match_pairwise_reference():
                 above |= 1 << j
             if j != i and leq(q, p):
                 below |= 1 << j
-            if partitions_cross(p, q):
+            if oracles.partitions_cross(sets[i], sets[j]):
                 crossing |= 1 << j
         assert (cat.above[i], cat.below[i], cat.crossing[i]) == (above, below, crossing)
         assert cat.dual_index[i] == cat.index_of[kreweras_dual(p).parts]
         assert [table[i] for table in cat.symmetries] == [
-            cat.index_of[apply_symmetry(p, g).parts] for g in group
+            cat.index_of[oracles.apply_symmetry(g.perm, p.parts)] for g in group
         ]
         assert cat.universal[i] == p.is_universal()
         assert cat.part_by_element[i] == tuple(p.part_containing(e) for e in range(1, 9))
@@ -346,8 +346,8 @@ def test_symmetry_tables_match_apply_symmetry(n):
     group = dihedral_group(n)
     assert len(cat.symmetries) == len(group) == 2 * n
     for table, g in zip(cat.symmetries, group):
-        assert [cat.partitions[j] for j in table] == [
-            apply_symmetry(p, g) for p in cat.partitions
+        assert [cat.partitions[j].parts for j in table] == [
+            oracles.apply_symmetry(g.perm, p.parts) for p in cat.partitions
         ]
 
 
@@ -419,25 +419,58 @@ def test_dual_and_both_iii_readings_on_every_chain_n7():
     _assert_duals_readings_and_codes(7)
 
 
-@pytest.mark.parametrize("n", range(3, 9))
-def test_leader_count_criterion_matches_reference_on_windows(n):
-    # Every open interval (lower, upper) up to n = 7, every 7th lower
-    # partition at n = 8: the window's criterion bit against grouping the
-    # parts of lower by the part of upper that holds them.
+def _windows(n: int):
+    """Every open interval (lower, upper) up to n = 7, and those of every
+    7th lower partition at n = 8."""
     cat = catalogue(n)
     stride = 1 if n <= 7 else 7
     for lower in range(0, len(cat.partitions), stride):
-        parts = cat.partitions[lower].parts
         for upper in iter_bits(cat.above[lower]):
-            groups: dict[int, list[int]] = {}
-            for part in parts:
-                container = cat.partitions[upper].part_containing((part & -part).bit_length())
-                groups.setdefault(container, []).append(part)
-            expected = any(
-                len(members) >= 4 and _four_members_cross(n, members)
-                for members in groups.values()
-            )
-            assert bool(cat.windows[lower, upper] & CRITERION) == expected, (lower, upper)
+            yield cat, lower, upper
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_leader_count_criterion_matches_reference_on_windows(n):
+    # The window's criterion bit against grouping the parts of lower by
+    # the part of upper that holds them.
+    for cat, lower, upper in _windows(n):
+        groups: dict[int, list[int]] = {}
+        for part in cat.partitions[lower].parts:
+            container = cat.partitions[upper].part_containing((part & -part).bit_length())
+            groups.setdefault(container, []).append(part)
+        expected = any(
+            len(members) >= 4 and _four_members_cross(n, members)
+            for members in groups.values()
+        )
+        assert bool(cat.windows[lower, upper] & CRITERION) == expected, (lower, upper)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_literal_window_is_a_cycle_of_length_four(n):
+    # With P, Q read as the permutations that cycle each part in
+    # increasing order, [P, Q] is the product of the lattices NC(k) over
+    # the cycle lengths k of P^-1 Q, and NC(k) holds a crossing pair
+    # exactly when k >= 4.
+    for cat, lower, upper in _windows(n):
+        lengths = oracles.cycle_type(cat.partitions[lower].parts, cat.partitions[upper].parts)
+        literal = bool(cat.windows[lower, upper] & LITERAL)
+        assert literal == (lengths[0] >= 4), (cat.texts[lower], cat.texts[upper], lengths)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_literal_window_implies_criterion(n):
+    # Each cycle of P^-1 Q lies in one part B of Q, and the parts of P
+    # inside B number one more than the sum of (k - 1) over B's cycles.
+    # So a cycle of length k >= 4 puts k or more parts of P in B, and the
+    # leader count fires: the literal reading implies the criterion.
+    for cat, lower, upper in _windows(n):
+        parts = cat.partitions[lower].parts
+        for block in cat.partitions[upper].parts:
+            inside = [part for part in parts if part & block]
+            lengths = oracles.cycle_type(inside, (block,))
+            assert len(inside) - 1 == sum(k - 1 for k in lengths)
+        code = cat.windows[lower, upper]
+        assert not code & LITERAL or code & CRITERION, (cat.texts[lower], cat.texts[upper])
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -500,7 +533,9 @@ def test_dual_twice_is_a_rotation_never_the_identity():
         count += 1
         twice = dual_chain(dual_chain(chain))
         assert twice != chain
-        assert twice.members == tuple(apply_symmetry(p, back) for p in chain.members)
+        assert [p.parts for p in twice.members] == [
+            oracles.apply_symmetry(back.perm, p.parts) for p in chain.members
+        ]
         indices = chain_indices(cat, chain)
         assert canonical_indices(
             cat, dual_indices(cat, dual_indices(cat, indices))

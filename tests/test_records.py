@@ -3,9 +3,9 @@
 Every record keeps what the code and the reports rely on: attributes
 cannot be assigned, the hash is the hash of the field tuple (so set and
 dict orders depend only on the fields), and a record rebuilt from its
-own fields is equal to it.  The five validating types (``Block``,
-``Partition``, ``Chain``, ``PatternHit``, ``NCSpanningTree``) reject bad
-input through the constructor and through ``_replace`` alike.  A fresh
+own fields is equal to it.  The four validating types (``Partition``,
+``Chain``, ``PatternHit``, ``NCSpanningTree``) reject bad input through
+the constructor and through ``_replace`` alike.  A fresh
 ``import ncpverify.cli`` loads neither ``dataclasses`` nor the modules
 that only ``check --dominant``, ``enumerate --what trees`` and
 ``render`` run.
@@ -32,7 +32,7 @@ from ncpverify.condition4 import (
     pattern_exclusions,
     pattern_refute,
 )
-from ncpverify.core import Block, Partition, blocks_cross, dihedral_group
+from ncpverify.core import Partition, dihedral_group
 from ncpverify.enumeration import OrbitClass
 from ncpverify.fixtures import load_fixtures
 from ncpverify.pipeline import (
@@ -57,8 +57,6 @@ def _records():
     row = FixtureAlignmentRow(9, "12<12346", "12<12346", True, True, True, "forced", True, True)
     convention = CaseConventionRow(9, True, False)
     return [
-        Block(7, 0b11),
-        blocks_cross(Block(4, 0b0101), Block(4, 0b1010)),
         Partition.from_text(7, "12,46"),
         dihedral_group(7)[8],
         chain,
@@ -97,7 +95,7 @@ def test_every_record_type_is_covered():
                 if value.__module__ == module.__name__ and not value.__name__.startswith("_"):
                     found.add(value)
     assert found == {type(x) for x in RECORDS}
-    assert len(found) == 25
+    assert len(found) == 23
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda x: type(x).__name__)
@@ -121,7 +119,6 @@ def test_record_semantics(record):
 
 
 def test_repr_names_the_type_and_fields():
-    assert repr(Block(7, 3)) == "Block(n=7, mask=3)"
     assert repr(PatternHit(1, "+", 2, 1)) == "PatternHit(k=1, sign='+', i=2, variant=1)"
     assert repr(Chain.from_text(7, "12<1234")) == "Chain(7, '12<1234')"
 
@@ -139,13 +136,6 @@ def _both_ways(build, replace, error, match):
         build()
     with pytest.raises(error, match=match):
         replace()
-
-
-def test_block_validates():
-    good = Block(7, 0b11)
-    _both_ways(lambda: Block(7, 0), lambda: good._replace(mask=0), ValueError, "nonempty")
-    _both_ways(lambda: Block(7, 1 << 7), lambda: good._replace(mask=1 << 7), ValueError, "nonempty")
-    _both_ways(lambda: Block(10, 1), lambda: good._replace(n=10), ValueError, "universe size")
 
 
 def test_partition_validates():

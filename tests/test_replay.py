@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from ncpverify.chains import Chain
+from ncpverify.chains import Chain, chain_from_indices, chain_indices
 from ncpverify.condition4 import pattern_refute
+from ncpverify.lattice import catalogue
 from ncpverify.replay import replay_certificate
 
 
@@ -30,6 +31,22 @@ def test_replay_all_fixture_certificates(fixture_set):
         assert cert is not None, text
         result = replay_certificate(cert)
         assert result.ok, (text, result.failure)
+
+
+def test_certificates_survive_every_dihedral_symmetry(pipeline_report):
+    # Condition IV and its refutations are dihedrally invariant, so every
+    # image of a certified class is certified too, and the image's
+    # certificate replays.
+    cat = catalogue(7)
+    certified = [c for c in pipeline_report.classes if c.certificate is not None]
+    assert len(certified) == 112
+    for c in certified:
+        indices = chain_indices(cat, Chain.from_text(7, c.representative))
+        for table in cat.symmetries:
+            image = chain_from_indices(cat, tuple(table[j] for j in indices))
+            cert = pattern_refute(image)
+            assert cert is not None, image.text()
+            assert replay_certificate(cert).ok, image.text()
 
 
 def test_replay_rejects_tampered_exclusion():
