@@ -226,7 +226,7 @@ def index_text(cat: Catalogue, indices) -> str:
 
 
 def index_key(cat: Catalogue, indices) -> tuple[int, ...]:
-    """The chain key as ints: orders like ``chain_key`` of the chain."""
+    """The members' ``sort_key`` places: orders like the tuple of their keys."""
     position = cat.key_position
     return tuple(position[j] for j in indices)
 
@@ -265,10 +265,6 @@ def dual_chain(chain: Chain) -> Chain:
     """Memberwise Kreweras dual, re-sorted increasingly (duality reverses order)."""
     cat = catalogue(chain.n)
     return chain_from_indices(cat, dual_indices(cat, chain_indices(cat, chain)))
-
-
-def chain_key(chain: Chain) -> tuple:
-    return tuple(p.sort_key() for p in chain.members)
 
 
 def canonical_chain(chain: Chain) -> Chain:

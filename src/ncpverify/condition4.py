@@ -29,10 +29,10 @@ layout of the maximal chains' family codes (n fields of n bits).  It is
 either the index's bit filter over the distinct C' families of the
 n^(n-2) maximal chains (n <= 7; 826 at n = 7, in order of first
 occurrence, filtered by at most 2n ORs of per-bit bitsets) or, for
-n = 8, 9, a depth-first grower over the catalogue's order rows that
-skips every edge whose step code meets the demand.  Both find the first
-compatible chain in index order, so the reported witness is
-deterministic and identical.
+n = 8, 9, the depth-first grower that builds the index, given the
+demand to avoid: it skips every edge whose step code meets it.  Both
+find the first compatible chain in index order, so the reported witness
+is deterministic and identical.
 """
 
 from __future__ import annotations

@@ -33,12 +33,14 @@ the demand bits' bitsets: deciding condition IV is at most 2n ORs and a
 lowest set bit, and lemma 3 tests each compatible family with one AND.
 
 Beyond the index (n = 8, 9), ``pruned_maximal_chains`` answers
-condition IV over the same rows and step codes, depth first so that it
-can stop at the first witness: an edge whose step code meets the
-chain's F' family is skipped with everything above it, and the leaves
-that remain come in index order, which fixes "the first witness" at
-every n.  The merge walk over part tuples that both replaced is
-kept in ``tests/oracles.py`` as their independent reference.
+condition IV with the same grower and step codes, given the chain's F'
+family to avoid: an edge whose step code meets it is skipped with
+everything above it.  The growth is depth first, so the search can stop
+at the first witness, and the leaves that remain come in index order,
+which fixes "the first witness" at every n.  One grower,
+``_grow_chains``, serves the scan, the survey stream, the index and
+this search.  The merge walk over part tuples that it replaced is kept
+in ``tests/oracles.py`` as its independent reference.
 
 ``orbit_classes`` reduces the theorem5 candidates to dihedral orbits in
 one sweep over their index tuples: each orbit is built once from the
@@ -83,48 +85,58 @@ def chain_index_tuples(cat: Catalogue, ranks):
     return _grow_chains(cat, ranks, cat.member_code, cat.edge_code)
 
 
-def _grow_chains(cat: Catalogue, ranks, member_code, edge_code):
-    """(indices, code) for every chain with the given rank set.
+def _grow_chains(cat: Catalogue, ranks, member_code, edge_code, avoid: int = 0):
+    """(indices, code) for every chain with the given, strictly increasing ranks.
 
-    Grown one rank at a time; the last rank is streamed, so only the
-    shorter prefixes are held.  Each member j brings ``member_code(j)``
-    and each edge (lower, upper) ``edge_code(lower, upper)``, the last
-    member's edge to top included; a chain's code is the OR of them all.
+    A chain's code is the OR of ``member_code(j)`` per member and
+    ``edge_code(lower, upper)`` per edge, the last member's edge to top
+    included.  A rank is one contiguous slice of indices, so a member's
+    successors are the bits of its ``above`` row shifted down to the next
+    rank's slice, found once per member in index order: the leaves come
+    in index-tuple order.  An edge whose code meets ``avoid`` is skipped
+    with every chain through it; the edge to top is not tested.
     """
-    level: list[tuple[tuple[int, ...], int]] = [((), 0)]
-    for r in ranks[:-1]:
-        members = [(j, member_code(j)) for j in cat.rank_indices[r]]
-        level = list(_grow(cat, level, members, edge_code))
-    top = cat.top
-    members = [
-        (j, member_code(j) | edge_code(j, top)) for j in cat.rank_indices[ranks[-1]]
-    ]
-    return _grow(cat, level, members, edge_code)
-
-
-def _grow(cat: Catalogue, prefixes, members, edge_code):
-    """Each (prefix, code) extended by every member above the prefix's last.
-
-    ``members`` pairs each index j of the next rank, in index order, with
-    the code it brings wherever it sits.  A rank is one contiguous slice
-    of indices, so the members above ``last`` are the bits of its
-    ``above`` row shifted down to the slice.  The step code of an edge
-    (last, j) adds ``edge_code(last, j)``; it is computed once per edge,
-    in the successor cache.
-    """
-    first = members[0][0]
-    span = (1 << len(members)) - 1
+    top, above, leaf = cat.top, cat.above, len(ranks) - 1
+    levels = []
+    for t, r in enumerate(ranks):
+        members = cat.rank_indices[r]
+        own = [member_code(j) | (edge_code(j, top) if t == leaf else 0) for j in members]
+        levels.append((members[0], (1 << len(members)) - 1, own))
     successors: dict[int, list[tuple[int, int]]] = {}
-    for prefix, code in prefixes:
-        last = prefix[-1] if prefix else cat.bottom
-        following = successors.get(last)
-        if following is None:
-            following = successors[last] = []
-            for k in iter_bits(cat.above[last] >> first & span):
-                j, own = members[k]
-                following.append((j, own | edge_code(last, j)))
-        for j, step in following:
-            yield prefix + (j,), code | step
+
+    def following(last: int, t: int) -> list[tuple[int, int]]:
+        found = successors.get(last)
+        if found is None:
+            first, span, own = levels[t]
+            found = successors[last] = []
+            for k in iter_bits(above[last] >> first & span):
+                edge = edge_code(last, first + k)
+                if not edge & avoid:
+                    found.append((first + k, own[k] | edge))
+        return found
+
+    if not leaf:
+        for j, step in following(cat.bottom, 0):
+            yield (j,), step
+        return
+    # Each entry holds a prefix, its code and the successors of its last
+    # member still to visit; the members of the last rank are not pushed.
+    stack = [((), 0, iter(following(cat.bottom, 0)))]
+    while stack:
+        prefix, code, pending = stack[-1]
+        t = len(prefix) + 1
+        if t == leaf:
+            stack.pop()
+            for j, step in pending:
+                chain, reached = prefix + (j,), code | step
+                for k, last_step in following(j, t):
+                    yield chain + (k,), reached | last_step
+            continue
+        for j, step in pending:
+            stack.append((prefix + (j,), code | step, iter(following(j, t))))
+            break
+        else:
+            stack.pop()
 
 
 def enumerate_chains(n: int, rank_filter=None):
@@ -136,6 +148,8 @@ def enumerate_chains(n: int, rank_filter=None):
     for ranks in sets:
         if not ranks or not all(1 <= r <= n - 2 for r in ranks):
             raise ValueError(f"ranks {ranks} outside 1..{n - 2}")
+        if len(set(ranks)) < len(ranks):
+            raise ValueError(f"ranks {ranks} repeat a rank")
         for indices, _ in chain_index_tuples(cat, ranks):
             yield chain_from_indices(cat, indices)
 
@@ -154,7 +168,7 @@ def _completions(n: int) -> dict[tuple[int, ...], list[int]]:
     whose least member is the k-th index of rank ``suffix[0]``: one if
     the suffix is that rank alone, else the sum over its successors in
     the next rank, read as the bits of its ``above`` row inside that
-    rank's slice (as ``_grow`` reads them).  Every rank set is a suffix
+    rank's slice (as ``_grow_chains`` reads them).  Every rank set is a suffix
     of itself, and its chain count is the sum of its table.  ``rank_sets``
     yields the shorter suffixes first, so each table reads a finished one.
     """
@@ -264,37 +278,12 @@ def _enclosing_step(cat: Catalogue):
 def pruned_maximal_chains(cat: Catalogue, demand: int):
     """(indices, family code) of every maximal chain that ``demand`` does not cut.
 
-    ``demand`` is a chain's F' family as ``packed_primes()`` gives it:
-    the layout of ``_enclosing_step``, field e holding F'_(e+1).  The
-    chains with rank set 1..n-2 are grown depth first over the ``above``
-    rows, successors in index order, so the leaves come in index order;
-    an edge whose step code meets the demand is skipped with every chain
-    through it.  A leaf's family code includes its edge to top, which is
-    not tested: the caller counts the leaf, then tests the code.
-    Successors are computed once per member and call.
+    ``demand`` is a chain's F' family as ``packed_primes()`` gives it, in
+    the layout of ``_enclosing_step``.  Leaves come in index order.  A
+    leaf's family code includes its untested edge to top: the caller
+    counts the leaf, then tests the code.
     """
-    step = _enclosing_step(cat)
-    top, leaf_rank = cat.top, cat.n - 2
-    successors: dict[int, list[tuple[int, int]]] = {}
-
-    def grow(prefix: tuple[int, ...], last: int, code: int, rank: int):
-        following = successors.get(last)
-        if following is None:
-            following = successors[last] = []
-            first = cat.rank_indices[rank][0]
-            span = (1 << len(cat.rank_indices[rank])) - 1
-            for k in iter_bits(cat.above[last] >> first & span):
-                j = first + k
-                edge = step(last, j)
-                if not edge & demand:
-                    following.append((j, edge | step(j, top) if rank == leaf_rank else edge))
-        for j, edge in following:
-            if rank == leaf_rank:
-                yield prefix + (j,), code | edge
-            else:
-                yield from grow(prefix + (j,), j, code | edge, rank + 1)
-
-    return grow((), cat.bottom, 0, 1)
+    return _grow_chains(cat, range(1, cat.n - 1), lambda j: 0, _enclosing_step(cat), demand)
 
 
 class MaximalChainIndex:

@@ -42,7 +42,7 @@ tuples of indices instead of ``Partition`` objects:
   part, one mask per partition): some part of ``upper`` holds four of
   ``lower``'s leaders.
 
-The code a chain carries through enumeration (``enumeration._grow``)
+The code a chain carries through enumeration (``enumeration._grow_chains``)
 extends the window code to 6 bits, laid out here and nowhere else:
 bits 0 and 1 are the chain's own readings, bits 2 and 3 the same
 readings of the dual chain (``DUAL_SHIFT`` up), and bits 4 and 5 say

@@ -44,13 +44,10 @@ from typing import NamedTuple
 
 from ncpverify.chains import (
     Chain,
-    canonical_chain,
+    canonical_indices,
     canonical_prime_signature,
     chain_indices,
-    chain_key,
-    cond_i,
     cond_i_of_ranks,
-    dual_chain,
     dual_indices,
     index_key,
     index_text,
@@ -244,15 +241,9 @@ def duality_reduced_rank_sets(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(keep, key=lambda rs: (len(rs), rs)))
 
 
-def _fixture_key_map(fixtures: FixtureSet) -> dict[tuple, int]:
-    """Canonical chain keys (of each fixture chain and its dual) -> case id."""
-    mapping: dict[tuple, int] = {}
-    for case in fixtures.cases:
-        for text in case.chains:
-            chain = Chain.from_text(fixtures.n, text)
-            for variant in (chain, dual_chain(chain)):
-                mapping.setdefault(chain_key(canonical_chain(variant)), case.case_id)
-    return mapping
+def _orbit_text(cat, indices) -> str:
+    """The text of the least dihedral image: the orbit's class representative."""
+    return index_text(cat, canonical_indices(cat, indices))
 
 
 # -- stages 1-3: scan, orbit sweep, duality --------------------------------
@@ -340,9 +331,16 @@ def _decide_condition_iv(
 def _align_and_decide(reduced: ReducedClasses, decisions) -> PipelineReport:
     """Stage 5: signatures, reference cases and the verdict, as the report."""
     n = reduced.n
-    fixture_keys: dict[tuple, int] = {}
+    cat = catalogue(n)
+    # The orbit text of each reference chain and of its dual -> first case.
+    # Both sides are keys, so a class's own text finds any case it holds.
+    fixture_cases: dict[str, int] = {}
     if n == 7:
-        fixture_keys = _fixture_key_map(load_fixtures())
+        for case in load_fixtures().cases:
+            for text in case.chains:
+                indices = chain_indices(cat, Chain.from_text(n, text))
+                for variant in (indices, dual_indices(cat, indices)):
+                    fixture_cases.setdefault(_orbit_text(cat, variant), case.case_id)
 
     # The F' family of each kept class, computed on both duality sides: two
     # classes whose families coincide on either side are interchangeable as
@@ -356,21 +354,19 @@ def _align_and_decide(reduced: ReducedClasses, decisions) -> PipelineReport:
         }
         for cls in reduced.classes
     ]
+    # A class's earliest signature sharer is the least first class of its signatures.
+    first_class: dict[tuple[int, ...], int] = {}
+    for position, found in enumerate(signatures):
+        for signature in found:
+            first_class.setdefault(signature, position)
 
     reports: list[ClassReport] = []
     for position, (cls, (verdict_iv, certificate)) in enumerate(
         zip(reduced.classes, decisions)
     ):
-        rep = cls.representative
-        dual_rep = cls.dual_representative
-        duplicate_of = None
-        for earlier in range(position):
-            if signatures[position] & signatures[earlier]:
-                duplicate_of = reduced.classes[earlier].representative.text()
-                break
-        matched = fixture_keys.get(chain_key(rep))
-        if matched is None:
-            matched = fixture_keys.get(chain_key(dual_rep))
+        rep_text = cls.representative.text()
+        earliest = min(first_class[signature] for signature in signatures[position])
+        duplicate_of = reports[earliest].representative if earliest < position else None
 
         # The representative is itself a candidate (the filter is dihedral
         # invariant), and condition III is invariant too, so the dual side
@@ -380,15 +376,17 @@ def _align_and_decide(reduced: ReducedClasses, decisions) -> PipelineReport:
         dual_literal_iii = bool(code & DUAL_LITERAL)
         reports.append(
             ClassReport(
-                representative=rep.text(),
-                ranks=rep.ranks(),
+                representative=rep_text,
+                ranks=cls.representative.ranks(),
                 orbit_size=cls.orbit_size,
-                dual_representative=dual_rep.text(),
-                cond_i=cond_i(rep),
+                dual_representative=cls.dual_representative.text(),
+                # Every scanned rank set passes condition I, and duality
+                # maps consecutive coranks to consecutive coranks.
+                cond_i=True,
                 cond_ii=True,
                 cond_iii_criterion=bool(code & CRITERION),
                 cond_iii_literal=literal_iii,
-                dual_cond_i=cond_i(dual_rep),
+                dual_cond_i=True,
                 dual_cond_ii=True,
                 dual_cond_iii_criterion=bool(code & DUAL_CRITERION),
                 dual_cond_iii_literal=dual_literal_iii,
@@ -396,7 +394,7 @@ def _align_and_decide(reduced: ReducedClasses, decisions) -> PipelineReport:
                 iv_witness=verdict_iv.witness.text() if verdict_iv.witness else None,
                 iv_checked=verdict_iv.checked,
                 certificate=certificate,
-                matched_case=matched,
+                matched_case=fixture_cases.get(rep_text),
                 signature_duplicate_of=duplicate_of,
                 # A genuine counterexample to the theorem must satisfy the
                 # literal condition III on both sides, not merely the
@@ -434,7 +432,6 @@ def _align_and_decide(reduced: ReducedClasses, decisions) -> PipelineReport:
         if not survivors
         else f"NOT VERIFIED: {len(survivors)} surviving class(es)"
     )
-    cat = catalogue(n)
     return PipelineReport(
         n=n,
         cond_i_sets=reduced.cond_i_sets,
@@ -674,12 +671,13 @@ def compare_fixture(
     if report.n != fixtures.n:
         raise ValueError(f"report is for n={report.n}, fixtures for n={fixtures.n}")
 
-    class_by_key: dict[tuple, str] = {}
+    # Each class under both duality sides' orbit texts, so one lookup of a
+    # chain's own orbit finds it whether the chain or its dual is in it.
+    cat = catalogue(report.n)
+    class_of: dict[str, str] = {}
     for cls in report.classes:
-        rep_chain = Chain.from_text(report.n, cls.representative)
-        dual_rep = Chain.from_text(report.n, cls.dual_representative)
-        class_by_key.setdefault(chain_key(rep_chain), cls.representative)
-        class_by_key.setdefault(chain_key(dual_rep), cls.representative)
+        class_of.setdefault(cls.representative, cls.representative)
+        class_of.setdefault(cls.dual_representative, cls.representative)
 
     rows: list[FixtureAlignmentRow] = []
     conventions: list[CaseConventionRow] = []
@@ -688,9 +686,7 @@ def compare_fixture(
         case_strict = True
         for text in case.chains:
             chain = Chain.from_text(fixtures.n, text)
-            found = class_by_key.get(chain_key(canonical_chain(chain)))
-            if found is None:
-                found = class_by_key.get(chain_key(canonical_chain(dual_chain(chain))))
+            found = class_of.get(_orbit_text(cat, chain_indices(cat, chain)))
             claimed = set(case.claimed_hits)
             nonstrict = claimed <= set(detect_patterns(chain, strict=False))
             strict = claimed <= set(detect_patterns(chain, strict=True))

@@ -240,9 +240,10 @@ def report_to_text(
                 )
         nonstrict = sum(1 for c in table.conventions if c.nonstrict_reproduces)
         strict = sum(1 for c in table.conventions if c.strict_reproduces)
+        cases = len(table.conventions)
         lines.append(
-            f"convention report: non-strict reproduces {nonstrict}/39 cases, "
-            f"strict reproduces {strict}/39"
+            f"convention report: non-strict reproduces {nonstrict}/{cases} cases, "
+            f"strict reproduces {strict}/{cases}"
         )
     if survey is not None:
         lines.append(

@@ -135,6 +135,19 @@ def _random_chain(cat, rng):
     return chain_from_indices(cat, members)
 
 
+@pytest.mark.parametrize("n", (6, 7))
+def test_empty_demand_grower_leaves_are_the_index(n):
+    # chain k of the index is leaf k of the pruned grower with an empty
+    # demand, family code included; the walk checks n <= 5 leaf by leaf
+    index = maximal_chain_index(n)
+    width = n - 2
+    leaves = list(pruned_maximal_chains(catalogue(n), 0))
+    assert [indices for indices, _ in leaves] == [
+        tuple(index.member_indices[k * width : (k + 1) * width]) for k in range(len(index))
+    ]
+    assert [family for _, family in leaves] == list(index.enclosing)
+
+
 def test_pruned_grower_matches_walk_on_sampled_n8_chains():
     cat = catalogue(8)
     rng = random.Random(8)
@@ -213,6 +226,13 @@ def test_rank_filtered_counts():
     for ranks in ((), set(), {0}, {6}):
         with pytest.raises(ValueError, match="outside"):
             list(enumerate_chains(7, rank_filter=ranks))
+
+
+def test_rank_filter_refuses_a_repeated_rank():
+    # a rank named twice is refused, not read as a rank set with no chain
+    for ranks in ((1, 1), (2, 1, 2), [3, 3, 3]):
+        with pytest.raises(ValueError, match="repeat"):
+            list(enumerate_chains(5, rank_filter=ranks))
 
 
 def test_rank_sets():

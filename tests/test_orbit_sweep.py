@@ -18,7 +18,6 @@ from ncpverify.chains import (
     canonical_indices,
     chain_from_indices,
     chain_indices,
-    chain_key,
     dual_indices,
 )
 from ncpverify.enumeration import all_chain_index_tuples, orbit_classes
@@ -54,7 +53,7 @@ def reference_classes(cat, tuples):
 
     def order(rep):
         chain = chain_from_indices(cat, rep)
-        return len(rep), chain.ranks(), chain_key(chain)
+        return len(rep), chain.ranks(), tuple(p.sort_key() for p in chain.members)
 
     return [
         (rep, sizes[rep], canonical_indices(cat, dual_indices(cat, rep)))

@@ -12,18 +12,23 @@ import csv
 import io
 import json
 import random
+from functools import lru_cache
 
 import pytest
 
 from ncpverify import pipeline
 from ncpverify.chains import (
     Chain,
+    canonical_prime_signature,
+    chain_indices,
     cond_iii_bruteforce,
     cond_iii_criterion,
+    dual_indices,
     neighbor_mask,
     smallest_blocks,
 )
 from ncpverify.enumeration import enumerate_chains, maximal_chain_index, sample_chains
+from ncpverify.lattice import catalogue
 from ncpverify.pipeline import (
     LEMMA3_SAMPLE_SIZE,
     LEMMA3_SEED,
@@ -93,6 +98,26 @@ def test_pipeline_class_invariants(pipeline_report):
     for c in r.classes:
         if c.signature_duplicate_of is not None:
             assert order[c.signature_duplicate_of] < order[c.representative]
+
+
+def test_signature_duplicate_is_the_earliest_class_sharing_a_signature(pipeline_report):
+    # the reference scans every earlier class, on both duality sides
+    classes = pipeline_report.classes
+    signatures = [
+        {
+            canonical_prime_signature(Chain.from_text(7, text))
+            for text in (c.representative, c.dual_representative)
+        }
+        for c in classes
+    ]
+    expected = [
+        next(
+            (classes[e].representative for e in range(p) if signatures[p] & signatures[e]),
+            None,
+        )
+        for p in range(len(classes))
+    ]
+    assert [c.signature_duplicate_of for c in classes] == expected
 
 
 def test_pipeline_filter_semantics(pipeline_report):
@@ -187,6 +212,49 @@ def test_fixture_conventions(alignment_table):
 def test_fixture_certificate_styles(alignment_table):
     mismatches = [r for r in alignment_table.rows if not r.style_matches]
     assert len(mismatches) == 4
+
+
+@lru_cache(maxsize=None)
+def _kept_class_of_member(n: int) -> dict[tuple[int, ...], str]:
+    return {
+        member: cls.representative.text()
+        for cls in pipeline.reduced_classes(n).classes
+        for member in cls.members
+    }
+
+
+def _kept_classes_holding(cat, text: str) -> set[str]:
+    """The kept classes whose orbit-sweep members hold the chain or its dual.
+
+    The reference is the sweep's own ``OrbitClass.members``, not the
+    canonical orbit texts that stage 5 and ``compare_fixture`` look up.
+    """
+    holder = _kept_class_of_member(cat.n)
+    indices = chain_indices(cat, Chain.from_text(cat.n, text))
+    return {holder[v] for v in (indices, dual_indices(cat, indices)) if v in holder}
+
+
+def test_fixture_rows_find_the_class_holding_the_chain(alignment_table):
+    cat = catalogue(7)
+    for row in alignment_table.rows:
+        holding = _kept_classes_holding(cat, row.chain)
+        assert len(holding) <= 1, row.chain
+        assert row.found_in_class == (holding.pop() if holding else None), row.chain
+
+
+def test_matched_case_is_the_least_case_with_a_chain_in_the_class(
+    pipeline_report, fixture_set
+):
+    cat = catalogue(7)
+    least: dict[str, int] = {}
+    for case in fixture_set.cases:
+        for text in case.chains:
+            for rep in _kept_classes_holding(cat, text):
+                least[rep] = min(least.get(rep, case.case_id), case.case_id)
+    assert len(least) == 51
+    assert [c.matched_case for c in pipeline_report.classes] == [
+        least.get(c.representative) for c in pipeline_report.classes
+    ]
 
 
 def test_validate_lemma3_report():
@@ -359,6 +427,14 @@ def test_report_to_csv(pipeline_report):
     assert "condIIILiteral" in rows[0]
     assert "dualCondIIILiteral" in rows[0]
     assert all(row["survives"] == "False" for row in rows)
+
+
+def test_convention_report_counts_the_cases_aligned(pipeline_report, fixture_set):
+    table = pipeline.compare_fixture(
+        pipeline_report, fixture_set._replace(cases=fixture_set.cases[:3])
+    )
+    text = report_to_text(pipeline_report, table)
+    assert "convention report: non-strict reproduces 3/3 cases, strict reproduces 2/3\n" in text
 
 
 def test_report_to_text(pipeline_report, alignment_table, survey):
