@@ -103,7 +103,8 @@ class NCSpanningTree(_NCSpanningTreeFields):
         position = 0
         for piece in text.split(","):
             left, sep, right = piece.partition("-")
-            if not sep or not left.isdigit() or not right.isdigit():
+            # ASCII only: str.isdigit() takes any script's digits.
+            if not sep or not all(s.isascii() and s.isdigit() for s in (left, right)):
                 raise NotationError(f"expected digits-digits, got {piece!r}", position)
             a, b = int(left), int(right)
             if a == b:

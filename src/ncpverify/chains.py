@@ -43,6 +43,7 @@ from ncpverify.core import (
     Partition,
     Symmetry,
     UniverseMismatch,
+    _parse_partition,
     dihedral_group,
     leq,
     require_noncrossing,
@@ -97,7 +98,7 @@ class Chain(_ChainFields):
         members = []
         offset = 0
         for segment in text.split("<"):
-            members.append(_parse_at(n, segment, offset))
+            members.append(_parse_partition(n, segment, offset))
             offset += len(segment) + 1
         return cls(n, tuple(members))
 
@@ -109,12 +110,6 @@ class Chain(_ChainFields):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Chain({self.n}, {self.text()!r})"
-
-
-def _parse_at(n: int, segment: str, offset: int) -> Partition:
-    from ncpverify.core import _parse_partition
-
-    return _parse_partition(n, segment, offset)
 
 
 class SmallestBlockFamily(NamedTuple):

@@ -26,7 +26,6 @@ import sys
 
 from ncpverify.chains import (
     Chain,
-    InvalidChainError,
     cond_i,
     cond_ii,
     cond_iii_bruteforce,
@@ -35,15 +34,9 @@ from ncpverify.chains import (
     smallest_blocks,
 )
 from ncpverify.condition4 import cond_iv, detect_patterns, pattern_refute
-from ncpverify.core import (
-    CrossingPartitionError,
-    NotationError,
-    Partition,
-    UniverseMismatch,
-    elements_of,
-)
+from ncpverify.core import Partition, elements_of
 from ncpverify.enumeration import enumerate_chains, maximal_chain_index
-from ncpverify.fixtures import FixtureError, load_fixtures
+from ncpverify.fixtures import load_fixtures
 from ncpverify.lattice import catalogue
 from ncpverify.pipeline import (
     compare_fixture,
@@ -148,13 +141,19 @@ def _cmd_theorem5(args) -> int:
         # Opened before the text report, so a bad path prints nothing, and
         # opened to append, so no file is emptied until both paths open.
         outputs = [
-            stack.enter_context(open(path, "a", encoding="ascii")) if path else None
+            stack.enter_context(open(path, "a", encoding="ascii"))
+            if path is not None
+            else None
             for path in (args.json, args.csv)
         ]
+        json_out, csv_out = outputs
+        if json_out and csv_out and os.path.samestat(
+            os.fstat(json_out.fileno()), os.fstat(csv_out.fileno())
+        ):
+            raise ValueError("--json and --csv name the same file")
         for out in outputs:
             if out:
                 out.truncate(0)
-        json_out, csv_out = outputs
         sys.stdout.write(report_to_text(report, table, survey))
         if json_out:
             json_out.write(report_to_json(report, table, survey))
@@ -316,15 +315,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141  # 128 + SIGPIPE, as a shell reports a reader-closed pipe
-    except (
-        NotationError,
-        CrossingPartitionError,
-        UniverseMismatch,
-        InvalidChainError,
-        FixtureError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -76,7 +76,8 @@ CLAUSES: dict[int, tuple[tuple[str, ...], ...]] = {
 
 MAX_PATTERN_LENGTH = max(CLAUSES)
 
-_HIT_RE = re.compile(r"\((\d+),([+-]),(\d+)\)\((\d+)\)\Z")
+# ASCII digits only: ``\d`` matches any script's digits.
+_HIT_RE = re.compile(r"\(([0-9]+),([+-]),([0-9]+)\)\(([0-9]+)\)\Z")
 
 
 class _PatternHitFields(NamedTuple):
@@ -218,36 +219,6 @@ def exclusion_mask(n: int, hit: PatternHit) -> int:
     return out
 
 
-class ExclusionTable(NamedTuple):
-    """Per-index union of pattern exclusions and the contributing hits."""
-
-    n: int
-    excluded: tuple[int, ...]
-    contributing: tuple[tuple[PatternHit, ...], ...]
-
-    def excluded_at(self, i: int) -> int:
-        return self.excluded[i - 1]
-
-    def allowed_companions(self, i: int) -> int:
-        full = (1 << self.n) - 1
-        return full & ~self.excluded[i - 1] & ~(1 << (i - 1))
-
-    def hits_at(self, i: int) -> tuple[PatternHit, ...]:
-        return self.contributing[i - 1]
-
-
-def pattern_exclusions(chain: Chain, strict: bool = False) -> ExclusionTable:
-    n = chain.n
-    excluded = [0] * n
-    contributing: list[list[PatternHit]] = [[] for _ in range(n)]
-    for hit in detect_patterns(chain, strict):
-        excluded[hit.i - 1] |= exclusion_mask(n, hit)
-        contributing[hit.i - 1].append(hit)
-    return ExclusionTable(
-        n, tuple(excluded), tuple(tuple(c) for c in contributing)
-    )
-
-
 # -- the exhaustive decision ------------------------------------------------
 
 
@@ -355,7 +326,7 @@ class RefutationCertificate(NamedTuple):
         )
 
 
-def pattern_refute(chain: Chain, strict: bool = False) -> RefutationCertificate | None:
+def pattern_refute(chain: Chain) -> RefutationCertificate | None:
     """Search for a contradiction among the exclusion sets, recording steps.
 
     Two phases.  First, if some index already has no allowed companion,
@@ -366,9 +337,14 @@ def pattern_refute(chain: Chain, strict: bool = False) -> RefutationCertificate 
     until a mismatch, a crossing, an emptied set, or a fixpoint.
     Returns None at a fixpoint: inconclusive, defer to the exhaustive
     search.  Never certifies a chain the exhaustive search satisfies.
+    Patterns are read non-strictly, so the certificate's ``strict`` is
+    always false.
     """
     n = chain.n
-    table = pattern_exclusions(chain, strict=strict)
+    hits = detect_patterns(chain)
+    excluded = [0] * n
+    for hit in hits:
+        excluded[hit.i - 1] |= exclusion_mask(n, hit)
     steps: list[dict] = []
     emitted: set[int] = set()
 
@@ -377,7 +353,7 @@ def pattern_refute(chain: Chain, strict: bool = False) -> RefutationCertificate 
             return
         emitted.add(i)
         for sign in ("+", "-"):
-            cand = [h for h in table.hits_at(i) if h.sign == sign]
+            cand = [h for h in hits if h.i == i and h.sign == sign]
             if cand:
                 hit = min(cand, key=lambda h: (-h.k, h.variant))
                 steps.append(
@@ -390,30 +366,31 @@ def pattern_refute(chain: Chain, strict: bool = False) -> RefutationCertificate 
                 )
 
     def certificate() -> RefutationCertificate:
-        return RefutationCertificate(chain.text(), n, strict, tuple(steps))
+        return RefutationCertificate(chain.text(), n, False, tuple(steps))
 
     def emptiness(i: int) -> RefutationCertificate:
         emit_pattern_steps(i)
         steps.append({"kind": "conflict", "conflict": "emptiness", "index": i})
         return certificate()
 
-    allowed = [table.allowed_companions(i) for i in range(1, n + 1)]
+    full = (1 << n) - 1
+    allowed = [full & ~excluded[i - 1] & ~(1 << (i - 1)) for i in range(1, n + 1)]
     for i in range(1, n + 1):
-        if table.excluded_at(i) and allowed[i - 1] == 0:
+        if excluded[i - 1] and allowed[i - 1] == 0:
             return emptiness(i)
 
     forced: dict[int, int] = {}
     while True:
         changed = False
         for i in range(1, n + 1):
-            if i in forced or not table.excluded_at(i):
+            if i in forced or not excluded[i - 1]:
                 continue
             a = allowed[i - 1]
             if a & (a - 1):
                 # More than one companion left: evict those whose forced
                 # block already collides with this index's exclusions.
                 for x in elements_of(a):
-                    if x in forced and forced[x] & table.excluded_at(i):
+                    if x in forced and forced[x] & excluded[i - 1]:
                         emit_pattern_steps(i)
                         steps.append(
                             {

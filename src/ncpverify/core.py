@@ -137,23 +137,6 @@ class Partition(_PartitionFields):
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_blocks(cls, n: int, blocks) -> Partition:
-        """Build from the non-singleton blocks; missing elements become singletons."""
-        full = (1 << n) - 1
-        parts = [mask_of(b) if not isinstance(b, int) else b for b in blocks]
-        seen = 0
-        for p in parts:
-            if p & seen:
-                raise ValueError("blocks must be disjoint")
-            seen |= p
-        rest = full & ~seen
-        while rest:
-            low = rest & -rest
-            parts.append(low)
-            rest ^= low
-        return cls(n, tuple(parts))
-
-    @classmethod
     def from_text(cls, n: int, text: str) -> Partition:
         return _parse_partition(n, text)
 
@@ -326,4 +309,9 @@ def _parse_partition(n: int, text: str, offset: int = 0) -> Partition:
         raise NotationError("block needs at least two elements", start)
     if current:
         blocks.append(current)
-    return Partition.from_blocks(n, blocks)
+    rest = ((1 << n) - 1) & ~seen
+    while rest:
+        low = rest & -rest
+        blocks.append(low)
+        rest ^= low
+    return Partition(n, blocks)

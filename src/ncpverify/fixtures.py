@@ -63,11 +63,11 @@ def _parse_rank_set(n: int, entry: dict) -> RankSetFixture:
     return RankSetFixture(ranks, chains)
 
 
-def _parse_case(n: int, entry: dict) -> CaseFixture:
+def _parse_case(entry: dict) -> CaseFixture:
     case_id = entry["caseId"]
+    # Not parsed here: load_fixtures checks the case chains are exactly
+    # the rank-set chains, which _parse_rank_set parsed and rank-checked.
     chains = tuple(entry["chains"])
-    for text in chains:
-        Chain.from_text(n, text)
     hits = tuple(PatternHit.from_text(h) for h in entry["claimedHits"])
     return CaseFixture(case_id, chains, hits, bool(entry["expectsForcedArgument"]))
 
@@ -81,7 +81,7 @@ def load_fixtures() -> FixtureSet:
     raw = json.loads(pkgutil.get_data("ncpverify", "data/theorem5_cases.json").decode("utf-8"))
     n = raw["n"]
     rank_sets = tuple(_parse_rank_set(n, entry) for entry in raw["rankSets"])
-    cases = tuple(_parse_case(n, entry) for entry in raw["cases"])
+    cases = tuple(_parse_case(entry) for entry in raw["cases"])
 
     listed = [text for rs in rank_sets for text in rs.chains]
     if len(listed) != len(set(listed)):

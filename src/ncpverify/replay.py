@@ -46,7 +46,8 @@ _SHAPES: dict[tuple[int, int], str] = {
     (4, 8): "CCCC",
 }
 
-_DESIGNATOR = re.compile(r"\((\d+),([+-]),(\d+)\)\((\d+)\)\Z")
+# ASCII digits only: ``\d`` matches any script's digits.
+_DESIGNATOR = re.compile(r"\(([0-9]+),([+-]),([0-9]+)\)\(([0-9]+)\)\Z")
 
 _EXPECTED_CONCLUSION = "condition IV fails"
 

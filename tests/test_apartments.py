@@ -18,7 +18,7 @@ from ncpverify.apartments import (
     tree_membership_bits,
 )
 from ncpverify.chains import Chain, smallest_blocks
-from ncpverify.core import Partition
+from ncpverify.core import NotationError, Partition
 from ncpverify.lattice import catalogue
 
 import oracles
@@ -84,6 +84,11 @@ def test_tree_text_roundtrip():
     assert t.text() == "1-2,2-3,3-4,4-5,5-6,6-7"
     with pytest.raises(Exception):
         NCSpanningTree.from_text(7, "1-2,2-3")  # too few edges
+    # only ASCII digits name elements, reported at the edge's offset
+    for text, position in (("1-\uff12,2-3", 0), ("1-2,2-\u00b2", 4)):
+        with pytest.raises(NotationError, match="expected digits-digits") as caught:
+            NCSpanningTree.from_text(7, text)
+        assert caught.value.position == position
 
 
 def test_apartment_contains_path_tree():

@@ -234,6 +234,29 @@ def test_theorem5_replaces_existing_output_files(capsys, tmp_path):
     assert "x" not in csv_path.read_text()
 
 
+def test_theorem5_refuses_one_file_for_both_reports(capsys, tmp_path):
+    target = tmp_path / "report"
+    target.write_bytes(b"earlier output\n")
+    os.link(target, tmp_path / "hard")
+    (tmp_path / "soft").symlink_to(target)
+    for other in (target, tmp_path / "hard", tmp_path / "soft"):
+        code = main(["theorem5", "--n", "5", "--json", str(target), "--csv", str(other)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: --json and --csv name the same file\n"
+        assert target.read_bytes() == b"earlier output\n"
+
+
+def test_theorem5_empty_output_path_is_an_error(capsys):
+    for flag in ("--json", "--csv"):
+        code = main(["theorem5", "--n", "5", flag, ""])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
 def test_validate_lemma3_cli(capsys):
     code = main(["validate-lemma3", "--n", "7"])
     out = capsys.readouterr().out
@@ -253,6 +276,17 @@ def test_render_cli(capsys, tmp_path):
     )
     chain_path = tmp_path / "c.svg"
     assert main(["render", "--input", "12<12346", "--out", str(chain_path)]) == 0
+
+
+def test_render_rejects_non_ascii_digits(capsys, tmp_path):
+    out_path = tmp_path / "t.svg"
+    for digit in ("\uff12", "\u00b2"):  # a fullwidth 2, a superscript 2
+        tree = f"1-{digit},2-3,3-4,4-5,5-6,6-7"
+        code = main(["render", "--input", tree, "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error: expected digits-digits, got '1-")
+        assert not out_path.exists()
 
 
 def test_fixtures_listing(capsys):

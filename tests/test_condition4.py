@@ -14,7 +14,6 @@ from ncpverify.condition4 import (
     detect_patterns,
     exclusion_elements,
     exclusion_mask,
-    pattern_exclusions,
     pattern_refute,
     verify_witness,
 )
@@ -36,6 +35,9 @@ def test_pattern_hit_text_roundtrip():
         assert hit.text() == text
     hit = PatternHit.from_text("(4,-,3)(6)")
     assert (hit.k, hit.sign, hit.i, hit.variant) == (4, "-", 3, 6)
+    # only ASCII digits: a fullwidth 4 is not a pattern length
+    with pytest.raises(ValueError, match="not a pattern designator"):
+        PatternHit.from_text("(\uff14,-,3)(6)")
 
 
 def test_clause_table_shape():
@@ -77,23 +79,34 @@ def test_exclusion_elements():
         assert exclusion_elements(7, hit) == (6, 7, 1, 2)
 
 
+def excluded_by_index(chain: Chain) -> list[int]:
+    """Per index i, the union of the companions its hits forbid from C_i."""
+    excluded = [0] * chain.n
+    for hit in detect_patterns(chain):
+        excluded[hit.i - 1] |= exclusion_mask(chain.n, hit)
+    return excluded
+
+
 def test_exclusion_table_examples():
     full = (1 << 7) - 1
-    table = pattern_exclusions(Chain.from_text(7, "12,46"))
-    allowed3 = full & ~table.excluded[2] & ~mask_of([3])
+    excluded = excluded_by_index(Chain.from_text(7, "12,46"))
+    allowed3 = full & ~excluded[2] & ~mask_of([3])
     assert allowed3 == mask_of([5])
-    table13 = pattern_exclusions(Chain.from_text(7, "13"))
+    chain13 = Chain.from_text(7, "13")
+    excluded13 = excluded_by_index(chain13)
     # quoted example: at i=6 everything is excluded
-    assert table13.excluded[5] == mask_of([1, 2, 3, 4, 5, 7])
-    allowed6 = full & ~table13.excluded[5] & ~mask_of([6])
+    assert excluded13[5] == mask_of([1, 2, 3, 4, 5, 7])
+    allowed6 = full & ~excluded13[5] & ~mask_of([6])
     assert allowed6 == 0
-    # the contributing hits justify every excluded element
+    # the hits at each index justify, element by element, its exclusions
     for i in range(1, 8):
-        justified = 0
-        for hit in table13.contributing[i - 1]:
-            assert hit.i == i
-            justified |= exclusion_mask(7, hit)
-        assert justified == table13.excluded[i - 1]
+        justified = {
+            e
+            for hit in detect_patterns(chain13)
+            if hit.i == i
+            for e in exclusion_elements(7, hit)
+        }
+        assert mask_of(justified) == excluded13[i - 1]
 
 
 def empty_companion_index(chain: Chain) -> int | None:
@@ -105,9 +118,9 @@ def empty_companion_index(chain: Chain) -> int | None:
     nonempty whenever any pattern fires at i), yet every candidate
     companion is excluded.
     """
-    table = pattern_exclusions(chain)
-    for i in range(1, chain.n + 1):
-        if table.excluded_at(i) and table.allowed_companions(i) == 0:
+    full = (1 << chain.n) - 1
+    for i, excluded in enumerate(excluded_by_index(chain), 1):
+        if excluded and full & ~excluded & ~(1 << (i - 1)) == 0:
             return i
     return None
 

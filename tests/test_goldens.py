@@ -11,6 +11,9 @@ index, these pin the pruned search's witnesses and leaf counts.  The
 runs here are in-process through ``cli.main``, with the exit codes
 checked too.  ``demo-01.txt`` is what ``demos/01_lattice_tour.py``
 prints, its join and meet read from the catalogue's order rows.
+``pattern-refute.sha256`` digests ``pattern_refute``'s output, certificate
+JSON or none, on every chain for N = 3..6 and the 2 667 theorem5
+candidates at N = 7: 7 634 chains, 4 240 certificates.
 """
 
 from __future__ import annotations
@@ -22,6 +25,10 @@ from pathlib import Path
 import pytest
 
 from ncpverify.cli import main
+from ncpverify.condition4 import pattern_refute
+from ncpverify.enumeration import chain_from_indices, enumerate_chains
+from ncpverify.lattice import catalogue
+from ncpverify.pipeline import reduced_classes
 
 GOLDENS = Path(__file__).parent / "goldens"
 DEMOS = Path(__file__).parents[1] / "demos"
@@ -69,3 +76,20 @@ def test_check_beyond_the_index_matches_golden(n, capsys):
 def test_lattice_tour_demo_matches_golden(capsys):
     runpy.run_path(str(DEMOS / "01_lattice_tour.py"), run_name="__main__")
     assert capsys.readouterr().out == (GOLDENS / "demo-01.txt").read_text(encoding="ascii")
+
+
+def test_certificate_stream_matches_golden():
+    cat = catalogue(7)
+    chains = [chain for n in range(3, 7) for chain in enumerate_chains(n)]
+    chains += [chain_from_indices(cat, indices) for indices in reduced_classes(7).candidates]
+    digest = hashlib.sha256()
+    certified = 0
+    for chain in chains:
+        certificate = pattern_refute(chain)
+        certified += certificate is not None
+        digest.update(chain.text().encode("ascii") + b"\n")
+        text = "none" if certificate is None else certificate.to_json()
+        digest.update(text.encode("ascii") + b"\n")
+    assert (len(chains), certified) == (7634, 4240)
+    expected = (GOLDENS / "pattern-refute.sha256").read_text(encoding="ascii").strip()
+    assert digest.hexdigest() == expected

@@ -140,6 +140,29 @@ def test_replay_rejects_tampered_steps(text, tamper, failure):
     assert failure in result.failure
 
 
+def test_replay_rejects_non_ascii_digits_in_a_designator():
+    payload = json.loads(_cert().to_json())
+    step = next(s for s in payload["steps"] if s.get("pattern") == "(4,-,3)(6)")
+    step["pattern"] = "(\uff14,-,3)(6)"  # a fullwidth 4
+    result = replay_certificate(json.dumps(payload))
+    assert result.ok is False
+    assert "malformed pattern designator" in result.failure
+
+
+def test_replay_reads_the_strict_field(pipeline_report):
+    # pattern_refute always writes strict: false, but a certificate is
+    # outside input: one that claims the strict reading is checked under
+    # it, and 457's first pattern needs a non-strict containment
+    (cls,) = [c for c in pipeline_report.classes if c.representative == "457"]
+    payload = json.loads(cls.certificate.to_json())
+    assert payload["strict"] is False
+    assert replay_certificate(json.dumps(payload)).ok
+    payload["strict"] = True
+    result = replay_certificate(json.dumps(payload))
+    assert result.ok is False
+    assert result.failure == "pattern (4,+,2)(2) does not hold for this chain"
+
+
 def test_replay_rejects_empty_payload():
     result = replay_certificate("{}")
     assert result.ok is False
