@@ -5,7 +5,10 @@ whose ranks stay strictly between bottom and top (1..n-2).  From a chain
 we derive, for every circle element i, the smallest block containing i
 anywhere along the chain (``F_i``; the full ground set when i stays a
 singleton throughout) and its restriction to the cyclic neighbors of i
-(``F_i'``).  These neighbor sets are the entire interface between a
+(``F_i'``).  Members increase, so F_i is the first non-singleton part
+holding i: ``smallest_blocks`` reads the whole family in one pass over
+the members' parts, and cuts F' out of it with neighbor masks built
+once per n.  These neighbor sets are the entire interface between a
 chain and the maximal-chain search of the condition-four module, which
 is why they also come packed into one int here, in the n-fields-of-n-bits
 layout of the maximal-chain family codes (``enumeration``).
@@ -37,6 +40,7 @@ is built from the same table and tested against these functions.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import NamedTuple
 
 from ncpverify.core import (
@@ -145,19 +149,28 @@ def neighbor_mask(n: int, i: int) -> int:
     return 1 << (i - 2) % n | 1 << i % n
 
 
+@lru_cache(maxsize=None)
+def _neighbor_masks(n: int) -> tuple[int, ...]:
+    return tuple(neighbor_mask(n, i) for i in range(1, n + 1))
+
+
 def smallest_blocks(chain: Chain) -> SmallestBlockFamily:
+    # Each non-singleton part is assigned to the elements it is the first
+    # to cover; elements that no part covers keep the full set.
     n = chain.n
     full = (1 << n) - 1
-    blocks = []
-    for i in range(1, n + 1):
-        best = full
-        for p in chain.members:
-            part = p.part_containing(i)
-            if part & (part - 1):
-                best = part  # members increase, so the first block is smallest
-                break
-        blocks.append(best)
-    primes = tuple(b & neighbor_mask(n, i) for i, b in enumerate(blocks, 1))
+    blocks = [full] * n
+    unset = full
+    for p in chain.members:
+        for part in p.parts:
+            fresh = part & unset
+            if fresh and part & (part - 1):
+                unset ^= fresh
+                while fresh:
+                    low = fresh & -fresh
+                    blocks[low.bit_length() - 1] = part
+                    fresh ^= low
+    primes = tuple(map(int.__and__, blocks, _neighbor_masks(n)))
     return SmallestBlockFamily(n, tuple(blocks), primes)
 
 

@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
 
 from ncpverify.chains import (
@@ -147,12 +148,15 @@ def _cmd_theorem5(args) -> int:
             for path in (args.json, args.csv)
         ]
         json_out, csv_out = outputs
-        if json_out and csv_out and os.path.samestat(
-            os.fstat(json_out.fileno()), os.fstat(csv_out.fileno())
-        ):
+        stats = [os.fstat(out.fileno()) if out else None for out in outputs]
+        if json_out and csv_out and os.path.samestat(*stats):
             raise ValueError("--json and --csv name the same file")
-        for out in outputs:
-            if out:
+        for flag, st in zip(("--json", "--csv"), stats):
+            if st and os.path.samestat(st, os.fstat(1)):
+                raise ValueError(f"{flag} names the file that stdout writes to")
+        for out, st in zip(outputs, stats):
+            # A pipe or a device cannot be truncated, and holds nothing to replace.
+            if out and stat.S_ISREG(st.st_mode):
                 out.truncate(0)
         sys.stdout.write(report_to_text(report, table, survey))
         if json_out:

@@ -17,7 +17,8 @@ negative answer into a short, independently replayable argument:
   the hits there.
 * exclusions -- a pattern (k,+,i) forbids i+1..i+k from C_i, and
   (k,-,i) forbids i-k..i-1, for every C that condition IV could accept.
-  Unioning over hits gives each index an allowed-companion set.
+  Unioning over hits gives each index an allowed-companion set.  The
+  excluded sets are tabled per (n, hit): one entry per hit of the table.
 * certificates -- when the allowed sets alone (emptiness), or combined
   with forcing (a singleton allowed set pins C_i to a two-element
   block, which propagates to its partner), reach a contradiction, the
@@ -203,8 +204,13 @@ def _patterns_of_blocks(n: int, blocks, strict: bool = False) -> tuple[PatternHi
     return tuple(hits)
 
 
+@lru_cache(maxsize=None)
 def exclusion_elements(n: int, hit: PatternHit) -> tuple[int, ...]:
-    """The companions a hit forbids from C_i, in cyclic order from the base."""
+    """The companions a hit forbids from C_i, in cyclic order from the base.
+
+    Tabled per (n, hit): the hits come from the per-n hit table, so the
+    cache holds at most one entry per hit there (210 at n = 7).
+    """
     if hit.sign == "+":
         offsets = range(1, hit.k + 1)
     else:
@@ -212,6 +218,7 @@ def exclusion_elements(n: int, hit: PatternHit) -> tuple[int, ...]:
     return tuple((hit.i - 1 + t) % n + 1 for t in offsets)
 
 
+@lru_cache(maxsize=None)
 def exclusion_mask(n: int, hit: PatternHit) -> int:
     out = 0
     for e in exclusion_elements(n, hit):

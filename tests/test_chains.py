@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+from pathlib import Path
+
 import pytest
 
 from ncpverify.chains import (
@@ -25,8 +28,11 @@ from ncpverify.core import (
     dihedral_group,
     mask_of,
 )
+from ncpverify.enumeration import enumerate_chains
 
 import oracles
+
+GOLDENS = Path(__file__).parent / "goldens"
 
 
 def apply_symmetry_chain(chain: Chain, g: Symmetry) -> Chain:
@@ -95,21 +101,42 @@ def test_smallest_blocks_multi_member():
     assert fam.prime(1) == mask_of([2, 7])
 
 
-def test_packed_primes_layout():
+def assert_family_matches_oracle(chain: Chain) -> None:
     # bit (i-1)*n + e-1 is set iff e lies in F'_i: in F_i and next to i
     # on the circle, F_i read off the text by the package-free oracle
+    n, text = chain.n, chain.text()
+    fam = smallest_blocks(chain)
+    blocks = oracles.smallest_blocks(n, text)
+    assert fam.blocks == tuple(mask_of(blocks[i]) for i in range(1, n + 1)), text
+    neighbors = [{e for e in blocks[i] if (e - i) % n in (1, n - 1)} for i in range(1, n + 1)]
+    assert fam.primes == tuple(map(mask_of, neighbors)), text
+    expected = {(i - 1) * n + e - 1 for i in range(1, n + 1) for e in neighbors[i - 1]}
+    packed = fam.packed_primes()
+    assert {b for b in range(packed.bit_length()) if packed >> b & 1} == expected, text
+
+
+def test_packed_primes_layout():
     for n, text in ((3, "13"), (7, "12<12,34<123456"), (7, "24<246"), (9, "1357<13579")):
-        fam = smallest_blocks(Chain.from_text(n, text))
-        blocks = oracles.smallest_blocks(n, text)
-        assert tuple(mask_of(blocks[i]) for i in range(1, n + 1)) == fam.blocks
-        expected = {
-            (i - 1) * n + e - 1
-            for i in range(1, n + 1)
-            for e in blocks[i]
-            if (e - i) % n in (1, n - 1)
-        }
-        packed = fam.packed_primes()
-        assert {b for b in range(packed.bit_length()) if packed >> b & 1} == expected, text
+        assert_family_matches_oracle(Chain.from_text(n, text))
+
+
+def test_smallest_blocks_match_the_oracle():
+    # every chain for n = 3..6, a fixed stride through the n = 7 chains,
+    # and the chains (and duals) of the n = 8, 9 check goldens
+    for n in range(3, 7):
+        for chain in enumerate_chains(n):
+            assert_family_matches_oracle(chain)
+    for chain in itertools.islice(enumerate_chains(7), 0, None, 13):
+        assert_family_matches_oracle(chain)
+    beyond = [
+        Chain.from_text(n, line.split()[1])
+        for n in (8, 9)
+        for line in (GOLDENS / f"check-n{n}.txt").read_text(encoding="ascii").splitlines()
+        if line.startswith("chain: ")
+    ]
+    assert len(beyond) == 20
+    for chain in beyond:
+        assert_family_matches_oracle(chain)
 
 
 def test_cond_i_explicit_table():

@@ -7,10 +7,13 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import ncpverify
 from ncpverify.cli import main
+
+GOLDENS = Path(__file__).parent / "goldens"
 
 
 def test_check_refuted_chain(capsys):
@@ -255,6 +258,51 @@ def test_theorem5_empty_output_path_is_an_error(capsys):
         assert code == 3
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+
+def run_cli(*args: str, stdout) -> subprocess.CompletedProcess:
+    """``python -m ncpverify.cli ARGS`` in a fresh process writing to ``stdout``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ncpverify.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "ncpverify.cli", *args],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+        timeout=120,
+    )
+
+
+def test_theorem5_refuses_stdout_as_a_report_file(tmp_path):
+    # ``theorem5 --json P >> P`` would mix the text report into the JSON
+    target = tmp_path / "report"
+    for flag in ("--json", "--csv"):
+        target.write_bytes(b"earlier output\n")
+        with open(target, "ab") as stdout:
+            proc = run_cli("theorem5", "--n", "4", flag, str(target), stdout=stdout)
+        assert proc.returncode == 3
+        assert proc.stderr == f"error: {flag} names the file that stdout writes to\n".encode()
+        assert target.read_bytes() == b"earlier output\n"
+    # the same through /dev/stdout when stdout is a pipe (``| head``)
+    proc = run_cli("theorem5", "--n", "4", "--json", "/dev/stdout", stdout=subprocess.PIPE)
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert proc.stderr == b"error: --json names the file that stdout writes to\n"
+
+
+def test_theorem5_writes_reports_to_a_device_and_a_pipe(tmp_path):
+    # neither can be truncated, so neither is: the reports are written as is
+    proc = run_cli("theorem5", "--n", "4", "--json", os.devnull, stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (GOLDENS / "theorem5-n4.txt").read_bytes()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    proc = run_cli("theorem5", "--n", "4", "--csv", str(fifo), stdout=subprocess.DEVNULL)
+    reader.join(timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert received == [(GOLDENS / "theorem5-n4.csv").read_bytes()]
 
 
 def test_validate_lemma3_cli(capsys):

@@ -10,6 +10,7 @@ from ncpverify.condition4 import (
     CONCLUSION,
     MAX_PATTERN_LENGTH,
     PatternHit,
+    _hit_table,
     cond_iv,
     detect_patterns,
     exclusion_elements,
@@ -77,6 +78,28 @@ def test_exclusion_elements():
     for variant in range(1, 9):
         hit = PatternHit(4, "-", 3, variant)
         assert exclusion_elements(7, hit) == (6, 7, 1, 2)
+
+
+@pytest.mark.parametrize("strict", (False, True))
+def test_tabled_exclusions_follow_the_definition(strict):
+    # (k,+,i) forbids the k cyclic successors of i, (k,-,i) the k cyclic
+    # predecessors, listed in cyclic order from the first excluded one
+    for n in range(3, 10):
+        hits = {
+            hit
+            for row in _hit_table(n, strict)
+            for direction in row
+            for found in direction
+            for hit in found
+        }
+        assert len(hits) == 2 * n * sum(map(len, CLAUSES.values()))
+        for hit in hits:
+            if hit.sign == "+":
+                expected = [(hit.i - 1 + t) % n + 1 for t in range(1, hit.k + 1)]
+            else:
+                expected = [(hit.i - 1 - t) % n + 1 for t in range(hit.k, 0, -1)]
+            assert exclusion_elements(n, hit) == tuple(expected), (n, hit)
+            assert exclusion_mask(n, hit) == sum(1 << e - 1 for e in set(expected)), (n, hit)
 
 
 def excluded_by_index(chain: Chain) -> list[int]:
