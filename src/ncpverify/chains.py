@@ -11,7 +11,12 @@ the members' parts, and cuts F' out of it with neighbor masks built
 once per n.  These neighbor sets are the entire interface between a
 chain and the maximal-chain search of the condition-four module, which
 is why they also come packed into one int here, in the n-fields-of-n-bits
-layout of the maximal-chain family codes (``enumeration``).
+layout of the maximal-chain family codes (``enumeration``), and why the
+theorem5 report groups classes by their F' up to symmetry.  F_i' holds at
+most i - 1 and i + 1, so F' is a necklace word of n two-bit letters (bit 0
+for i - 1, bit 1 for i + 1): a rotation of the circle rotates the word, a
+reflection reverses it and swaps each letter's bits, and
+``canonical_prime_signature`` is the least of these 2n words.
 
 The four chain conditions:
 
@@ -45,10 +50,8 @@ from typing import NamedTuple
 
 from ncpverify.core import (
     Partition,
-    Symmetry,
     UniverseMismatch,
     _parse_partition,
-    dihedral_group,
     leq,
     require_noncrossing,
 )
@@ -281,17 +284,16 @@ def canonical_chain(chain: Chain) -> Chain:
     return chain_from_indices(cat, canonical_indices(cat, chain_indices(cat, chain)))
 
 
-def transformed_primes(n: int, primes: tuple[int, ...], g: Symmetry) -> tuple[int, ...]:
-    """The prime family of the transformed chain: index i moves to g(i)."""
-    out = [0] * n
-    for i in range(1, n + 1):
-        out[g(i) - 1] = g.apply_mask(primes[i - 1])
-    return tuple(out)
+# A letter with its two bits swapped, as a reflection swaps i - 1 and i + 1.
+_MIRRORED_LETTER = (0, 2, 1, 3)
 
 
 def canonical_prime_signature(chain: Chain) -> tuple[int, ...]:
-    """Least dihedral image of the indexed F' family (dedup invariant)."""
-    primes = smallest_blocks(chain).primes
-    return min(
-        transformed_primes(chain.n, primes, g) for g in dihedral_group(chain.n)
+    """Least dihedral image of the F' necklace word (dedup invariant)."""
+    n = chain.n
+    word = tuple(
+        (prime >> (e - 1) % n & 1) | (prime >> (e + 1) % n & 1) << 1
+        for e, prime in enumerate(smallest_blocks(chain).primes)
     )
+    mirror = tuple(_MIRRORED_LETTER[letter] for letter in reversed(word))
+    return min(w[k:] + w[:k] for w in (word, mirror) for k in range(n))

@@ -302,6 +302,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if sys.stdout is None:
+        # Started with fd 1 closed (``>&-``): checked before any command
+        # runs, so no report file can open as fd 1 and be taken for stdout.
+        if sys.stderr is not None:
+            print("error: stdout is closed", file=sys.stderr)
+        return 3
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -321,17 +321,6 @@ class RefutationCertificate(NamedTuple):
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> RefutationCertificate:
-        data = json.loads(text)
-        return cls(
-            chain_text=data["chain"],
-            n=data["n"],
-            strict=data["strict"],
-            steps=tuple(data["steps"]),
-            conclusion=data["conclusion"],
-        )
-
 
 def pattern_refute(chain: Chain) -> RefutationCertificate | None:
     """Search for a contradiction among the exclusion sets, recording steps.

@@ -342,11 +342,11 @@ def _align_and_decide(reduced: ReducedClasses, decisions) -> PipelineReport:
                 for variant in (indices, dual_indices(cat, indices)):
                     fixture_cases.setdefault(_orbit_text(cat, variant), case.case_id)
 
-    # The F' family of each kept class, computed on both duality sides: two
-    # classes whose families coincide on either side are interchangeable as
-    # far as condition IV is concerned, because the pattern clauses and the
-    # exclusion sets read nothing but F' (and refuting one side of a dual
-    # pair refutes the other).
+    # The F' family of each kept class up to symmetry (the least image of
+    # its necklace word), on both duality sides: two classes whose families
+    # coincide on either side are interchangeable as far as condition IV is
+    # concerned, because the pattern clauses and the exclusion sets read
+    # nothing but F' (and refuting one side of a dual pair refutes the other).
     signatures = [
         {
             canonical_prime_signature(cls.representative),
@@ -403,27 +403,19 @@ def _align_and_decide(reduced: ReducedClasses, decisions) -> PipelineReport:
             )
         )
 
-    # A class is resolved if a reference chain lands in it, or if its F'
-    # family coincides (on either duality side) with that of a resolved
-    # class: the reference tables list one chain per family and rely on
-    # condition IV reading nothing else.  Propagate to a fixpoint so the
-    # outcome does not depend on class order.
-    resolved = [report.matched_case is not None for report in reports]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(reports)):
-            if resolved[i]:
-                continue
-            for j in range(len(reports)):
-                if j != i and resolved[j] and signatures[i] & signatures[j]:
-                    resolved[i] = True
-                    changed = True
-                    break
+    # A class is resolved if its F' signatures meet those of the classes a
+    # reference chain lands in (its own, if it is one): the reference tables
+    # list one chain per family and rely on condition IV reading nothing
+    # else.  One step suffices: at n = 7, the only n that computes it, any
+    # two classes joined through shared signatures share one themselves.
+    matched = set()
+    for found, report in zip(signatures, reports):
+        if report.matched_case is not None:
+            matched |= found
     unresolved = tuple(
         report.representative
-        for report, done in zip(reports, resolved)
-        if n == 7 and not done
+        for found, report in zip(signatures, reports)
+        if n == 7 and not found & matched
     )
 
     survivors = tuple(r.representative for r in reports if r.survives)

@@ -14,6 +14,9 @@ docs/formats.md rather than from the package's bitmask code.
   the chain (below the first member, between consecutive members, above
   the last) holds two partitions of proper rank, some size->=2 parts of
   which cross.
+* ``prime_signature`` -- the F' family (``F_i`` cut to the cyclic
+  neighbors of ``i``) up to symmetry: the least of its 2n dihedral
+  images, element i and its set moving to g(i) and g(F_i').
 * ``kreweras_dual_via_regions`` -- the Kreweras complement read off the
   interleaved circle, independent of the package's successor walk.
 * ``walk_maximal_chains`` -- every maximal chain by merging two parts at
@@ -64,6 +67,20 @@ def smallest_blocks(n: int, text: str) -> dict[int, Part]:
         )
         for i in range(1, n + 1)
     }
+
+
+def prime_signature(n: int, text: str) -> tuple[tuple[int, ...], ...]:
+    blocks = smallest_blocks(n, text)
+    primes = {i: blocks[i] & {(i - 2) % n + 1, i % n + 1} for i in blocks}
+    images = []
+    for k in range(n):
+        for sign in (1, -1):  # rotation by k, reflection then rotation by k
+            g = {e: (sign * (e - 1) + k) % n + 1 for e in range(1, n + 1)}
+            image = [()] * n
+            for i, prime in primes.items():
+                image[g[i] - 1] = tuple(sorted(g[e] for e in prime))
+            images.append(tuple(image))
+    return min(images)
 
 
 def parts_cross(s: Part, t: Part) -> bool:

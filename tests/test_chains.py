@@ -128,15 +128,20 @@ def test_smallest_blocks_match_the_oracle():
             assert_family_matches_oracle(chain)
     for chain in itertools.islice(enumerate_chains(7), 0, None, 13):
         assert_family_matches_oracle(chain)
-    beyond = [
+    for chain in check_golden_chains():
+        assert_family_matches_oracle(chain)
+
+
+def check_golden_chains() -> list[Chain]:
+    """The chains (and duals) that the n = 8, 9 ``check`` goldens query."""
+    chains = [
         Chain.from_text(n, line.split()[1])
         for n in (8, 9)
         for line in (GOLDENS / f"check-n{n}.txt").read_text(encoding="ascii").splitlines()
         if line.startswith("chain: ")
     ]
-    assert len(beyond) == 20
-    for chain in beyond:
-        assert_family_matches_oracle(chain)
+    assert len(chains) == 20
+    return chains
 
 
 def test_cond_i_explicit_table():
@@ -222,6 +227,27 @@ def test_canonical_chain_and_orbit():
     canon = canonical_chain(c)
     for g in group:
         assert canonical_chain(apply_symmetry_chain(c, g)) == canon
+
+
+def signature_groups(chains) -> int:
+    """The number of groups, once both signatures are shown to agree on them."""
+    new = [canonical_prime_signature(c) for c in chains]
+    old = [oracles.prime_signature(c.n, c.text()) for c in chains]
+    groups = len(set(new))
+    assert len(set(old)) == len(set(zip(new, old))) == groups
+    return groups
+
+
+def test_canonical_prime_signature_groups_chains_as_the_oracle_does():
+    # the necklace word groups chains exactly as the least dihedral image
+    # of the F' sets does
+    for n, chains, groups in ((3, 3, 1), (4, 28, 5), (5, 315, 15), (6, 4621, 57)):
+        every = list(enumerate_chains(n))
+        assert (len(every), signature_groups(every)) == (chains, groups)
+    stride = list(itertools.islice(enumerate_chains(7), 0, None, 7))
+    assert len(stride) == 12157
+    assert signature_groups(stride) == 194
+    signature_groups(check_golden_chains())
 
 
 def test_canonical_prime_signature_invariance():

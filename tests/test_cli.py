@@ -305,6 +305,27 @@ def test_theorem5_writes_reports_to_a_device_and_a_pipe(tmp_path):
     assert received == [(GOLDENS / "theorem5-n4.csv").read_bytes()]
 
 
+def test_closed_stdout_is_an_error_before_any_command_runs(tmp_path):
+    # ``>&-`` leaves fd 1 closed and ``sys.stdout`` None; a report file
+    # must not open as fd 1 in its place.
+    env = dict(os.environ, PYTHONPATH=str(Path(ncpverify.__file__).resolve().parents[1]))
+    for args in (
+        "theorem5 --n 4",
+        "theorem5 --n 4 --json x.json",
+        "check --chain 12 --n 4",
+    ):
+        proc = subprocess.run(
+            ["sh", "-c", f'"$0" -m ncpverify.cli {args} >&-', sys.executable],
+            stderr=subprocess.PIPE,
+            cwd=tmp_path,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == b"error: stdout is closed\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_validate_lemma3_cli(capsys):
     code = main(["validate-lemma3", "--n", "7"])
     out = capsys.readouterr().out

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import random
 from functools import lru_cache
@@ -100,16 +101,21 @@ def test_pipeline_class_invariants(pipeline_report):
             assert order[c.signature_duplicate_of] < order[c.representative]
 
 
-def test_signature_duplicate_is_the_earliest_class_sharing_a_signature(pipeline_report):
-    # the reference scans every earlier class, on both duality sides
-    classes = pipeline_report.classes
-    signatures = [
+def class_signatures(classes) -> list[set]:
+    """Each class's F' signatures, on both duality sides."""
+    return [
         {
             canonical_prime_signature(Chain.from_text(7, text))
             for text in (c.representative, c.dual_representative)
         }
         for c in classes
     ]
+
+
+def test_signature_duplicate_is_the_earliest_class_sharing_a_signature(pipeline_report):
+    # the reference scans every earlier class, on both duality sides
+    classes = pipeline_report.classes
+    signatures = class_signatures(classes)
     expected = [
         next(
             (classes[e].representative for e in range(p) if signatures[p] & signatures[e]),
@@ -153,6 +159,35 @@ def test_pipeline_unresolved_classes(pipeline_report):
     for text in unresolved:
         c = by_rep[text]
         assert not (c.cond_iii_literal and c.dual_cond_iii_literal)
+
+
+def test_unresolved_classes_need_one_step_from_a_matched_class(pipeline_report):
+    # Group the classes by shared signatures, transitively: within every
+    # group any two classes share one, so nothing is two steps away.
+    classes = pipeline_report.classes
+    signatures = class_signatures(classes)
+    groups: list[set[int]] = []
+    for i in range(len(classes)):
+        joined = [g for g in groups if any(signatures[i] & signatures[j] for j in g)]
+        for g in joined:
+            groups.remove(g)
+        groups.append({i}.union(*joined))
+    assert len(groups) == 27
+    for g in groups:
+        for i, j in itertools.combinations(g, 2):
+            assert signatures[i] & signatures[j]
+    # so stage 5's one-step rule gives the fixpoint: resolve through any
+    # resolved class until nothing changes
+    resolved = [c.matched_case is not None for c in classes]
+    changed = True
+    while changed:
+        changed = False
+        for i, j in itertools.permutations(range(len(classes)), 2):
+            if resolved[j] and not resolved[i] and signatures[i] & signatures[j]:
+                resolved[i] = changed = True
+    fixpoint = tuple(c.representative for c, done in zip(classes, resolved) if not done)
+    assert len(fixpoint) == 8
+    assert pipeline_report.unresolved == fixpoint
 
 
 def test_pipeline_disagreements_match_direct_measurement(pipeline_report):
