@@ -8,6 +8,12 @@ when every part induces a connected subgraph.  A member u of a chain is
 whole chain; the weakened fourth condition accepts a chain when it has
 no dominant vertex at all, or when its dominant vertex on its own still
 admits a compatible maximal chain.
+
+The trees whose apartments hold a partition form a bitset, built per
+block: one bitset per chord of the trees that use it, and per (n, block)
+the trees in which the block is connected (it holds |block| - 1 of their
+chords, counted in bit slices).  A partition's row is the AND over its
+blocks; ``apartment_contains`` is the per-tree reference for it.
 """
 
 from __future__ import annotations
@@ -203,12 +209,53 @@ def apartment_contains(tree: NCSpanningTree, partition: Partition) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _chord_trees(n: int) -> dict[int, int]:
+    """Per chord (as a two-element mask), the bitset of trees that use it."""
+    trees: dict[int, int] = {}
+    for t, tree in enumerate(spanning_trees(n)):
+        for a, b in tree.edges:
+            chord = 1 << (a - 1) | 1 << (b - 1)
+            trees[chord] = trees.get(chord, 0) | 1 << t
+    return trees
+
+
+@lru_cache(maxsize=None)
+def _block_trees(n: int, block: int) -> int:
+    """Bitset of the trees in which the block induces a connected subgraph.
+
+    A tree induces a forest on the block, so it has at most |block| - 1
+    chords inside it, with equality exactly when it is connected.  The
+    chords inside are counted per tree in bit slices (slice j holds bit
+    j of every tree's count), and the trees whose count is |block| - 1
+    are read off the slices.
+    """
+    slices = [0, 0, 0, 0]  # counts reach at most MAX_N - 1 = 8
+    for chord, trees in _chord_trees(n).items():
+        if chord & block == chord:
+            carry = trees
+            for j, bits in enumerate(slices):
+                slices[j] = bits ^ carry
+                carry &= bits
+    target = block.bit_count() - 1
+    every = (1 << len(spanning_trees(n))) - 1
+    connected = every
+    for j, bits in enumerate(slices):
+        connected &= bits if target >> j & 1 else every & ~bits
+    return connected
+
+
+@lru_cache(maxsize=None)
 def tree_membership_bits(partition: Partition) -> int:
-    """Bitset over spanning trees: bit t set iff tree t's apartment has the partition."""
-    bits = 0
-    for t, tree in enumerate(spanning_trees(partition.n)):
-        if apartment_contains(tree, partition):
-            bits |= 1 << t
+    """Bitset over spanning trees: bit t set iff tree t's apartment has the partition.
+
+    That is the trees in which every block is connected: the AND of the
+    blocks' rows (``apartment_contains`` is the per-tree reference).
+    """
+    n = partition.n
+    bits = (1 << len(spanning_trees(n))) - 1
+    for part in partition.parts:
+        if part & (part - 1):
+            bits &= _block_trees(n, part)
     return bits
 
 

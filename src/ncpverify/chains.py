@@ -49,6 +49,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from ncpverify.core import (
+    _ELEMENTS,
     Partition,
     UniverseMismatch,
     _parse_partition,
@@ -169,10 +170,8 @@ def smallest_blocks(chain: Chain) -> SmallestBlockFamily:
             fresh = part & unset
             if fresh and part & (part - 1):
                 unset ^= fresh
-                while fresh:
-                    low = fresh & -fresh
-                    blocks[low.bit_length() - 1] = part
-                    fresh ^= low
+                for e in _ELEMENTS[fresh]:
+                    blocks[e - 1] = part
     primes = tuple(map(int.__and__, blocks, _neighbor_masks(n)))
     return SmallestBlockFamily(n, tuple(blocks), primes)
 

@@ -314,6 +314,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 0
         return 3 if code == 2 else code
+    # argparse (3.11) reads "--opt=--" as an empty list, not as a value.
+    for name, value in vars(args).items():
+        if value == []:
+            option = "--" + name.replace("_", "-")
+            print(f"error: argument {option}: expected one value", file=sys.stderr)
+            return 3
     try:
         code = args.func(args)
         sys.stdout.flush()

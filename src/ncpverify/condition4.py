@@ -14,11 +14,14 @@ negative answer into a short, independently replayable argument:
   proper superset, proper subset, incomparable), so the relations from
   a base index and a direction form an 8-bit key.  A table per reading,
   built once from ``CLAUSES``, maps base index, direction and key to
-  the hits there.
+  an entry: the hits there, the union of their exclusions, and the hit
+  a certificate cites for them.
 * exclusions -- a pattern (k,+,i) forbids i+1..i+k from C_i, and
   (k,-,i) forbids i-k..i-1, for every C that condition IV could accept.
   Unioning over hits gives each index an allowed-companion set.  The
-  excluded sets are tabled per (n, hit): one entry per hit of the table.
+  excluded sets are tabled per (n, hit), and their unions per table
+  entry, so ``pattern_refute`` reads each index's exclusions and cited
+  hits from the 2n entries of the chain's relation key.
 * certificates -- when the allowed sets alone (emptiness), or combined
   with forcing (a singleton allowed set pins C_i to a two-element
   block, which propagates to its partner), reach a contradiction, the
@@ -142,12 +145,17 @@ def _relation(a: int, b: int) -> int:
 
 @lru_cache(maxsize=None)
 def _hit_table(n: int, strict: bool):
-    """``table[i-1][d][key]``: the hits at base i, direction d (0 is +),
-    whose clauses hold when the relations read are the 2-bit codes of
-    ``key``, the first relation lowest.  Hits appear in (k, clause) order.
+    """``table[i-1][d][key]``: the entry at base i, direction d (0 is +),
+    for the relations read as the 2-bit codes of ``key``, the first
+    relation lowest.  An entry is ``(hits, excluded, cited)``:
+
+    * ``hits`` -- the hits whose clauses hold, in (k, clause) order;
+    * ``excluded`` -- the OR of their ``exclusion_mask``s;
+    * ``cited`` -- the hit a certificate cites for them (longest k, then
+      first clause), or None when there are none.
 
     The 256 keys give only 29 distinct clause sets (16 strict), so a row
-    holds one tuple per set, built from one hit per clause.
+    holds one entry per set, built from one hit per clause.
     """
     accepts = _ACCEPTS[strict]
     matches = [
@@ -168,7 +176,14 @@ def _hit_table(n: int, strict: bool):
                 for k, variants in CLAUSES.items()
                 for m in range(1, len(variants) + 1)
             }
-            shared = {found: tuple(map(hit.__getitem__, found)) for found in set(matches)}
+            shared = {}
+            for found in set(matches):
+                hits = tuple(map(hit.__getitem__, found))
+                excluded = 0
+                for h in hits:
+                    excluded |= exclusion_mask(n, h)
+                cited = min(hits, key=lambda h: (-h.k, h.variant), default=None)
+                shared[found] = (hits, excluded, cited)
             rows.append(tuple(map(shared.__getitem__, matches)))
         table.append(rows)
     return table
@@ -185,6 +200,15 @@ def detect_patterns(chain: Chain, strict: bool = False) -> tuple[PatternHit, ...
 
 def _patterns_of_blocks(n: int, blocks, strict: bool = False) -> tuple[PatternHit, ...]:
     """``detect_patterns`` of a chain whose F-family masks are ``blocks``."""
+    hits: list[PatternHit] = []
+    for ahead, behind in _entries_of_blocks(n, blocks, strict):
+        hits += ahead[0]
+        hits += behind[0]
+    return tuple(hits)
+
+
+def _entries_of_blocks(n: int, blocks, strict: bool):
+    """Per base index, the hit-table entries read forward and backward."""
     # forward[j] relates F_(j+1) to the next block, backward[j] the next
     # block to F_(j+1).  Two laps let every window of four relations be
     # read without wrapping: forward by positive indices, backward by
@@ -193,15 +217,15 @@ def _patterns_of_blocks(n: int, blocks, strict: bool = False) -> tuple[PatternHi
     backward = [_REVERSED[code] for code in forward]
     forward *= 2
     backward *= 2
-    hits: list[PatternHit] = []
-    for b, (ahead, behind) in enumerate(_hit_table(n, strict)):
-        hits += ahead[
-            forward[b] | forward[b + 1] << 2 | forward[b + 2] << 4 | forward[b + 3] << 6
-        ]
-        hits += behind[
-            backward[b - 1] | backward[b - 2] << 2 | backward[b - 3] << 4 | backward[b - 4] << 6
-        ]
-    return tuple(hits)
+    return [
+        (
+            ahead[forward[b] | forward[b + 1] << 2 | forward[b + 2] << 4 | forward[b + 3] << 6],
+            behind[
+                backward[b - 1] | backward[b - 2] << 2 | backward[b - 3] << 4 | backward[b - 4] << 6
+            ],
+        )
+        for b, (ahead, behind) in enumerate(_hit_table(n, strict))
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -337,10 +361,8 @@ def pattern_refute(chain: Chain) -> RefutationCertificate | None:
     always false.
     """
     n = chain.n
-    hits = detect_patterns(chain)
-    excluded = [0] * n
-    for hit in hits:
-        excluded[hit.i - 1] |= exclusion_mask(n, hit)
+    entries = _entries_of_blocks(n, smallest_blocks(chain).blocks, False)
+    excluded = [ahead[1] | behind[1] for ahead, behind in entries]
     steps: list[dict] = []
     emitted: set[int] = set()
 
@@ -348,10 +370,8 @@ def pattern_refute(chain: Chain) -> RefutationCertificate | None:
         if i in emitted:
             return
         emitted.add(i)
-        for sign in ("+", "-"):
-            cand = [h for h in hits if h.i == i and h.sign == sign]
-            if cand:
-                hit = min(cand, key=lambda h: (-h.k, h.variant))
+        for _, _, hit in entries[i - 1]:
+            if hit is not None:
                 steps.append(
                     {
                         "kind": "exclusion",

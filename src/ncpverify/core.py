@@ -18,6 +18,16 @@ The text notation lists blocks as digit strings and omits singletons:
 "12,46" is the partition with blocks {1,2} and {4,6}.  Digits cap the
 universe at n = 9.
 
+The per-mask questions are table lookups, built once: every mask below
+2**MAX_N has its element tuple (``elements_of``) and digit string
+(``Partition.text``) tabled at import, and each n has, per mask s, the
+cyclic gaps of s (maximal runs of the circle outside s), built on first
+use.  Two disjoint masks cross exactly when t does not lie inside one
+gap of s, so the crossing test reads one gap.  A negative or too-wide
+mask raises ``ValueError``; no lookup wraps to the end of a table.  The
+parser builds its ``Partition`` without re-validating the parts it has
+just checked.
+
 The value types here, as everywhere in the package, are immutable
 ``typing.NamedTuple`` records.  The validating type here, ``Partition``,
 checks its fields in ``__new__``, and ``_make`` calls the constructor, so
@@ -56,13 +66,26 @@ def mask_of(elements) -> int:
     return m
 
 
-def elements_of(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
+def _element_tables():
+    # Row m of each table comes from row m without its least element.
+    elements: list[tuple[int, ...]] = [()]
+    digits = [""]
+    for mask in range(1, 1 << MAX_N):
         low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return tuple(out)
+        e = low.bit_length()
+        elements.append((e,) + elements[mask ^ low])
+        digits.append(str(e) + digits[mask ^ low])
+    return tuple(elements), tuple(digits)
+
+
+# Per mask below 2**MAX_N: its elements in increasing order, and their digits.
+_ELEMENTS, _DIGITS = _element_tables()
+
+
+def elements_of(mask: int) -> tuple[int, ...]:
+    if mask >> MAX_N:  # negative masks too: they shift to -1
+        raise ValueError(f"mask {mask} is not a subset of 1..{MAX_N}")
+    return _ELEMENTS[mask]
 
 
 def _is_cyclic_arc(mask: int, n: int) -> bool:
@@ -72,24 +95,45 @@ def _is_cyclic_arc(mask: int, n: int) -> bool:
     return (mask ^ rotated).bit_count() <= 2
 
 
-def _masks_alternate(s: int, t: int, n: int) -> bool:
-    """True iff the disjoint nonempty masks s, t alternate around the circle."""
-    # Reading elements of s|t in increasing order as a string over {S, T},
-    # crossing means at least four runs.
-    runs = 0
-    last = 0  # 0 = none, 1 = s, 2 = t
-    for e in range(n):
-        bit = 1 << e
-        if s & bit:
-            cur = 1
-        elif t & bit:
-            cur = 2
+@lru_cache(maxsize=None)
+def _gap_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """``table[s][e]``: the gap of s holding element e, for masks s < 2**n.
+
+    A gap is a maximal cyclic run of 1..n outside s.  Entry 0 and the
+    entries of s's own elements are 0; with s empty the one gap is the
+    whole circle.
+    """
+    full = (1 << n) - 1
+    table = []
+    for s in range(1 << n):
+        gap_of = [0] * (n + 1)
+        if not s:
+            gap_of[1:] = [full] * n
         else:
-            continue
-        if cur != last:
-            runs += 1
-            last = cur
-    return runs >= 4
+            # Walk once around the circle from just after s's last element.
+            start = s.bit_length() % n
+            gap = 0
+            for step in range(n):
+                e = (start + step) % n
+                if s >> e & 1:
+                    for m in _ELEMENTS[gap]:
+                        gap_of[m] = gap
+                    gap = 0
+                else:
+                    gap |= 1 << e
+        table.append(tuple(gap_of))
+    return tuple(table)
+
+
+def _masks_alternate(s: int, t: int, n: int) -> bool:
+    """True iff the disjoint nonempty masks s, t alternate around the circle.
+
+    They do exactly when t does not lie inside one gap of s: the gap
+    that holds t's least element.
+    """
+    if (s | t) >> n:  # negative masks too: they shift to -1
+        raise ValueError(f"masks {s}, {t} are not subsets of 1..{n}")
+    return t & ~_gap_table(n)[s][(t & -t).bit_length()] != 0
 
 
 def _sorted_parts(parts) -> tuple[int, ...]:
@@ -161,15 +205,11 @@ class Partition(_PartitionFields):
         return len(blocks) == 1 and _is_cyclic_arc(blocks[0], self.n)
 
     def sort_key(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(elements_of(p) for p in self.parts)
+        return tuple(map(_ELEMENTS.__getitem__, self.parts))
 
     def text(self) -> str:
         """Blocks as digit strings, singletons omitted; "" for all singletons."""
-        return ",".join(
-            "".join(str(e) for e in elements_of(p))
-            for p in self.parts
-            if p & (p - 1)
-        )
+        return ",".join([_DIGITS[p] for p in self.parts if p & (p - 1)])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Partition({self.n}, {self.text()!r})"
@@ -314,4 +354,6 @@ def _parse_partition(n: int, text: str, offset: int = 0) -> Partition:
         low = rest & -rest
         blocks.append(low)
         rest ^= low
-    return Partition(n, blocks)
+    # The parse already checked that the parts are nonempty, disjoint and
+    # cover 1..n, so only the sort of the constructor is left to do.
+    return tuple.__new__(Partition, (n, _sorted_parts(blocks)))

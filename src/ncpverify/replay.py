@@ -63,25 +63,23 @@ class _Reject(Exception):
 
 
 def _family_sets(chain: Chain) -> dict[int, frozenset[int]]:
-    """Smallest enclosing block per element, from raw part masks."""
+    """Smallest enclosing block per element, from raw part masks.
+
+    Members increase, so an element's smallest enclosing block is the
+    first block, reading the members' parts in order, that holds it.
+    """
     n = chain.n
-    everything = frozenset(range(1, n + 1))
     fam: dict[int, frozenset[int]] = {}
-    for i in range(1, n + 1):
-        fam[i] = everything
-        for p in chain.members:
-            for mask in p.parts:
-                if mask >> (i - 1) & 1:
-                    if mask & (mask - 1):
-                        fam[i] = frozenset(
-                            e for e in range(1, n + 1) if mask >> (e - 1) & 1
-                        )
-                    break
-            else:
-                continue
-            if fam[i] is not everything:
-                break
-    return fam
+    covered = 0
+    for p in chain.members:
+        for mask in p.parts:
+            if mask & (mask - 1) and mask & ~covered:
+                covered |= mask
+                block = frozenset(e for e in range(1, n + 1) if mask >> (e - 1) & 1)
+                for e in block:
+                    fam.setdefault(e, block)
+    everything = frozenset(range(1, n + 1))
+    return {i: fam.get(i, everything) for i in range(1, n + 1)}
 
 
 def _alternates(a: frozenset[int], b: frozenset[int]) -> bool:

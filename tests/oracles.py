@@ -24,6 +24,10 @@ docs/formats.md rather than from the package's bitmask code.
   its family C_1..C_n, optionally pruned by an F' family: the reference
   for the package's maximal-chain index and pruned grower, which grow
   over the catalogue's order rows instead.
+* ``_elements`` and ``_masks_alternate`` -- a mask's elements by a bit
+  loop, and the crossing of two disjoint masks by counting side
+  switches: the references for the per-mask element, digit and gap
+  tables of ``ncpverify.core``.
 * ``code_fields`` -- a family code read back as masks: n fields of n
   bits, field i-1 (bits (i-1)*n ..) for element i.
 * ``from_masks`` -- a bitmask part tuple as a frozenset partition, so

@@ -134,12 +134,13 @@ def test_apartment_contains_matches_connectivity_oracle():
 
 
 def test_tree_membership_bits_agrees_with_contains():
-    trees = spanning_trees(7)
-    for text in ["123", "13", "12,4567", "24"]:
-        p = Partition.from_text(7, text)
-        bits = tree_membership_bits(p)
-        for k, tree in enumerate(trees):
-            assert bool(bits >> k & 1) == apartment_contains(tree, p)
+    # every partition for n = 3..7, every 97th one at n = 8
+    for n, stride in ((3, 1), (4, 1), (5, 1), (6, 1), (7, 1), (8, 97)):
+        trees = spanning_trees(n)
+        for p in catalogue(n).partitions[::stride]:
+            bits = tree_membership_bits(p)
+            expected = sum(1 << k for k, tree in enumerate(trees) if apartment_contains(tree, p))
+            assert bits == expected, (n, p.text())
 
 
 @pytest.mark.parametrize("n", range(3, 8))

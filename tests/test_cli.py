@@ -358,6 +358,22 @@ def test_render_rejects_non_ascii_digits(capsys, tmp_path):
         assert not out_path.exists()
 
 
+def test_a_double_dash_value_is_an_input_error(capsys, tmp_path):
+    # "--chain=--" once reached the parser as an empty list and traced back
+    out_path = tmp_path / "t.svg"
+    for argv in (
+        ["check", "--chain=--"],
+        ["check", "--chain", "12", "--n=--"],
+        ["render", "--input=--", "--out", str(out_path)],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3, argv
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+    assert not out_path.exists()
+
+
 def test_fixtures_listing(capsys):
     code = main(["fixtures"])
     out = capsys.readouterr().out

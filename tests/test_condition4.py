@@ -92,7 +92,7 @@ def test_tabled_exclusions_follow_the_definition(strict):
             hit
             for row in _hit_table(n, strict)
             for direction in row
-            for found in direction
+            for found, _, _ in direction
             for hit in found
         }
         assert len(hits) == 2 * n * sum(map(len, CLAUSES.values()))
@@ -103,6 +103,24 @@ def test_tabled_exclusions_follow_the_definition(strict):
                 expected = [(hit.i - 1 - t) % n + 1 for t in range(hit.k, 0, -1)]
             assert exclusion_elements(n, hit) == tuple(expected), (n, hit)
             assert exclusion_mask(n, hit) == sum(1 << e - 1 for e in set(expected)), (n, hit)
+
+
+@pytest.mark.parametrize("strict", (False, True))
+def test_table_entries_carry_their_exclusions_and_cited_hit(strict):
+    # Each entry's union is the OR of its hits' exclusion masks; its cited
+    # hit is the longest, then the first clause, as a certificate reads it.
+    for n in range(3, 10):
+        for row in _hit_table(n, strict):
+            for direction in row:
+                for hits, excluded, cited in direction:
+                    union = 0
+                    for hit in hits:
+                        union |= exclusion_mask(n, hit)
+                    assert excluded == union, (n, hits)
+                    if hits:
+                        assert cited == min(hits, key=lambda h: (-h.k, h.variant))
+                    else:
+                        assert cited is None
 
 
 def excluded_by_index(chain: Chain) -> list[int]:

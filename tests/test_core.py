@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from ncpverify.chains import Chain
+from ncpverify import core
 from ncpverify.core import (
     CrossingPartitionError,
     NotationError,
@@ -27,6 +28,38 @@ def test_mask_roundtrip():
     assert mask_of([2, 3, 5]) == 0b10110
     assert elements_of(0b10110) == (2, 3, 5)
     assert elements_of(0) == ()
+
+
+def test_element_and_text_tables_match_the_bit_loop():
+    for mask in range(1 << core.MAX_N):
+        elements = oracles._elements(mask)
+        assert elements_of(mask) == core._ELEMENTS[mask] == elements, mask
+        assert core._DIGITS[mask] == "".join(map(str, elements)), mask
+    # the parser's unvalidated construction gives the validated partition
+    for n in range(1, core.MAX_N + 1):
+        for p in catalogue(n).partitions:
+            parsed = Partition.from_text(n, p.text())
+            assert parsed == p and type(parsed) is Partition, p
+
+
+@pytest.mark.parametrize("n", range(1, core.MAX_N + 1))
+def test_masks_alternate_matches_the_oracle(n):
+    full = (1 << n) - 1
+    for s in range(1, full + 1):
+        rest = t = full & ~s
+        while t:  # every nonempty subset of the complement
+            assert core._masks_alternate(s, t, n) == oracles._masks_alternate(s, t), (s, t)
+            t = (t - 1) & rest
+
+
+def test_masks_outside_the_universe_raise():
+    # a table index may not wrap to the end of a row or run past it
+    for mask in (-1, -(1 << core.MAX_N), 1 << core.MAX_N, 1 << 40):
+        with pytest.raises(ValueError, match="not a subset"):
+            elements_of(mask)
+    for s, t in ((-1, 2), (1, -2), (1 << 7, 2), (1, 1 << 7), (1, 3 << 6)):
+        with pytest.raises(ValueError, match="not subsets"):
+            core._masks_alternate(s, t, 7)
 
 
 def test_partition_text_roundtrip():

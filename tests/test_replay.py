@@ -8,14 +8,23 @@ import pytest
 
 from ncpverify.chains import Chain, chain_from_indices, chain_indices
 from ncpverify.condition4 import pattern_refute
+from ncpverify.enumeration import enumerate_chains
 from ncpverify.lattice import catalogue
-from ncpverify.replay import replay_certificate
+from ncpverify.replay import _family_sets, replay_certificate
+
+import oracles
 
 
 def _cert(text: str = "12,46"):
     cert = pattern_refute(Chain.from_text(7, text))
     assert cert is not None
     return cert
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_family_sets_match_the_oracle(n):
+    for chain in enumerate_chains(n):
+        assert _family_sets(chain) == oracles.smallest_blocks(n, chain.text()), chain.text()
 
 
 def test_replay_accepts_genuine_certificate():
