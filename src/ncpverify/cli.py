@@ -314,7 +314,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 0
         return 3 if code == 2 else code
-    # argparse (3.11) reads "--opt=--" as an empty list, not as a value.
+    # Older argparse (3.10, 3.11) reads "--opt=--" as an empty list, not as
+    # the value "--" that newer versions pass on to the parsers.
     for name, value in vars(args).items():
         if value == []:
             option = "--" + name.replace("_", "-")

@@ -18,13 +18,10 @@ The text notation lists blocks as digit strings and omits singletons:
 "12,46" is the partition with blocks {1,2} and {4,6}.  Digits cap the
 universe at n = 9.
 
-The per-mask questions are table lookups, built once: every mask below
+A mask's elements and digits are table lookups: every mask below
 2**MAX_N has its element tuple (``elements_of``) and digit string
-(``Partition.text``) tabled at import, and each n has, per mask s, the
-cyclic gaps of s (maximal runs of the circle outside s), built on first
-use.  Two disjoint masks cross exactly when t does not lie inside one
-gap of s, so the crossing test reads one gap.  A negative or too-wide
-mask raises ``ValueError``; no lookup wraps to the end of a table.  The
+(``Partition.text``) tabled at import.  A negative or too-wide mask
+raises ``ValueError``; no lookup wraps to the end of the table.  The
 parser builds its ``Partition`` without re-validating the parts it has
 just checked.
 
@@ -95,45 +92,24 @@ def _is_cyclic_arc(mask: int, n: int) -> bool:
     return (mask ^ rotated).bit_count() <= 2
 
 
-@lru_cache(maxsize=None)
-def _gap_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """``table[s][e]``: the gap of s holding element e, for masks s < 2**n.
-
-    A gap is a maximal cyclic run of 1..n outside s.  Entry 0 and the
-    entries of s's own elements are 0; with s empty the one gap is the
-    whole circle.
-    """
-    full = (1 << n) - 1
-    table = []
-    for s in range(1 << n):
-        gap_of = [0] * (n + 1)
-        if not s:
-            gap_of[1:] = [full] * n
-        else:
-            # Walk once around the circle from just after s's last element.
-            start = s.bit_length() % n
-            gap = 0
-            for step in range(n):
-                e = (start + step) % n
-                if s >> e & 1:
-                    for m in _ELEMENTS[gap]:
-                        gap_of[m] = gap
-                    gap = 0
-                else:
-                    gap |= 1 << e
-        table.append(tuple(gap_of))
-    return tuple(table)
-
-
 def _masks_alternate(s: int, t: int, n: int) -> bool:
-    """True iff the disjoint nonempty masks s, t alternate around the circle.
-
-    They do exactly when t does not lie inside one gap of s: the gap
-    that holds t's least element.
-    """
-    if (s | t) >> n:  # negative masks too: they shift to -1
-        raise ValueError(f"masks {s}, {t} are not subsets of 1..{n}")
-    return t & ~_gap_table(n)[s][(t & -t).bit_length()] != 0
+    """True iff the disjoint nonempty masks s, t alternate around the circle."""
+    # Reading elements of s|t in increasing order as a string over {S, T},
+    # crossing means at least four runs.
+    runs = 0
+    last = 0  # 0 = none, 1 = s, 2 = t
+    for e in range(n):
+        bit = 1 << e
+        if s & bit:
+            cur = 1
+        elif t & bit:
+            cur = 2
+        else:
+            continue
+        if cur != last:
+            runs += 1
+            last = cur
+    return runs >= 4
 
 
 def _sorted_parts(parts) -> tuple[int, ...]:

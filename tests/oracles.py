@@ -26,8 +26,8 @@ docs/formats.md rather than from the package's bitmask code.
   over the catalogue's order rows instead.
 * ``_elements`` and ``_masks_alternate`` -- a mask's elements by a bit
   loop, and the crossing of two disjoint masks by counting side
-  switches: the references for the per-mask element, digit and gap
-  tables of ``ncpverify.core``.
+  switches: the references for the per-mask element and digit tables
+  and the run-counting crossing test of ``ncpverify.core``.
 * ``code_fields`` -- a family code read back as masks: n fields of n
   bits, field i-1 (bits (i-1)*n ..) for element i.
 * ``from_masks`` -- a bitmask part tuple as a frozenset partition, so

@@ -359,7 +359,10 @@ def test_render_rejects_non_ascii_digits(capsys, tmp_path):
 
 
 def test_a_double_dash_value_is_an_input_error(capsys, tmp_path):
-    # "--chain=--" once reached the parser as an empty list and traced back
+    # "--chain=--" once reached the parser as an empty list and traced back.
+    # Newer argparse passes "--" on as the value instead, and argparse's own
+    # "invalid int value" error adds a usage line, so only the last line of
+    # stderr is pinned.
     out_path = tmp_path / "t.svg"
     for argv in (
         ["check", "--chain=--"],
@@ -370,7 +373,8 @@ def test_a_double_dash_value_is_an_input_error(capsys, tmp_path):
         captured = capsys.readouterr()
         assert code == 3, argv
         assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+        assert "error:" in captured.err.splitlines()[-1]
     assert not out_path.exists()
 
 
