@@ -101,6 +101,8 @@ class PatternHit(_PatternHitFields):
             raise ValueError(f"pattern length {k} outside 1..{MAX_PATTERN_LENGTH}")
         if sign not in ("+", "-"):
             raise ValueError(f"pattern sign must be + or -, got {sign!r}")
+        if i < 1:
+            raise ValueError(f"base index {i} is below 1")
         if not 1 <= variant <= len(CLAUSES[k]):
             raise ValueError(f"clause {variant} outside 1..{len(CLAUSES[k])} for length {k}")
         return tuple.__new__(cls, (k, sign, i, variant))
@@ -235,6 +237,8 @@ def exclusion_elements(n: int, hit: PatternHit) -> tuple[int, ...]:
     Tabled per (n, hit): the hits come from the per-n hit table, so the
     cache holds at most one entry per hit there (210 at n = 7).
     """
+    if hit.i > n:
+        raise ValueError(f"base index {hit.i} outside 1..{n}")
     if hit.sign == "+":
         offsets = range(1, hit.k + 1)
     else:
@@ -310,6 +314,9 @@ CONCLUSION = "condition IV fails"
 class RefutationCertificate(NamedTuple):
     """Ordered deduction record ending in a contradiction.
 
+    The fields are the certificate's JSON keys in document order, so
+    ``_asdict()`` is the JSON document and ``to_json()`` writes it.
+
     Step records (JSON-ready dicts):
 
     * ``{"kind": "exclusion", "index": i, "excluded": [...],
@@ -326,24 +333,14 @@ class RefutationCertificate(NamedTuple):
       | "forced-crossing", ...}`` -- the contradiction reached.
     """
 
-    chain_text: str
+    chain: str
     n: int
     strict: bool
     steps: tuple[dict, ...]
     conclusion: str = CONCLUSION
 
-    def to_dict(self) -> dict:
-        """The JSON payload as a dict (the steps are shared, not copied)."""
-        return {
-            "chain": self.chain_text,
-            "n": self.n,
-            "strict": self.strict,
-            "steps": list(self.steps),
-            "conclusion": self.conclusion,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self._asdict(), indent=2)
 
 
 def pattern_refute(chain: Chain) -> RefutationCertificate | None:

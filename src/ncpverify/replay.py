@@ -266,27 +266,24 @@ class _Replayer:
 
 
 def replay_certificate(certificate) -> ReplayResult:
-    """Re-check a certificate from scratch.  Accepts the object or its JSON."""
+    """Re-check a certificate from scratch: the record or its JSON text.
+
+    Both are read as one document, ``_asdict()`` or ``json.loads``, by the
+    same keys and type checks; ``steps`` is a tuple or a list.
+    """
     checked = 0
     try:
-        if isinstance(certificate, str):
-            data = json.loads(certificate)
-            if not isinstance(data, dict):
-                raise TypeError(f"expected a JSON object, got {type(data).__name__}")
-            chain_text = data.get("chain")
-            n = data.get("n")
-            strict = data.get("strict")
-            steps = data.get("steps")
-            conclusion = data.get("conclusion")
-        else:
-            chain_text = certificate.chain_text
-            n = certificate.n
-            strict = certificate.strict
-            steps = list(certificate.steps)
-            conclusion = certificate.conclusion
+        data = json.loads(certificate) if isinstance(certificate, str) else certificate._asdict()
+        if not isinstance(data, dict):
+            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+        chain_text = data.get("chain")
+        n = data.get("n")
+        strict = data.get("strict")
+        steps = data.get("steps")
+        conclusion = data.get("conclusion")
         if isinstance(n, bool):
             raise TypeError(f"universe size {n!r} is not an integer")
-        if not isinstance(n, int) or not isinstance(steps, list) or not steps:
+        if not isinstance(n, int) or not isinstance(steps, (list, tuple)) or not steps:
             raise _Reject("certificate lacks a universe size or any steps")
         if not isinstance(chain_text, str):
             raise TypeError(f"chain {chain_text!r} is not a chain text")

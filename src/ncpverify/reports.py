@@ -43,7 +43,7 @@ def _class_to_dict(cls: ClassReport) -> dict:
         "condIVWitness": cls.iv_witness,
         "condIVChecked": cls.iv_checked,
         "refutedByPatterns": cls.certificate is not None,
-        "certificate": cls.certificate.to_dict() if cls.certificate else None,
+        "certificate": cls.certificate._asdict() if cls.certificate else None,
         "matchedCase": cls.matched_case if cls.matched_case is not None else "unmatched",
         "signatureDuplicateOf": cls.signature_duplicate_of,
         "survives": cls.survives,

@@ -12,6 +12,7 @@ from ncpverify.condition4 import (
     CONCLUSION,
     MAX_PATTERN_LENGTH,
     PatternHit,
+    RefutationCertificate,
     _hit_table,
     cond_iv,
     detect_patterns,
@@ -268,7 +269,7 @@ def test_cond_iv_no_witness_for_quoted_refuted_chain():
 def test_pattern_refute_exact_steps():
     cert = pattern_refute(Chain.from_text(7, "12,46"))
     assert cert is not None
-    assert cert.chain_text == "12,46"
+    assert cert.chain == "12,46"
     assert cert.n == 7
     assert cert.strict is False
     assert cert.conclusion == CONCLUSION
@@ -332,7 +333,11 @@ def test_detect_patterns_equivariance():
 
 
 def test_certificate_json_roundtrip():
+    # the record's fields are the certificate's JSON keys, in document order
+    assert RefutationCertificate._fields == ("chain", "n", "strict", "steps", "conclusion")
     cert = pattern_refute(Chain.from_text(7, "12,46"))
     text = cert.to_json()
-    assert json.loads(text) == cert.to_dict()
+    payload = json.loads(text)
+    assert list(payload) == list(cert._fields)
+    assert payload == {**cert._asdict(), "steps": list(cert.steps)}
     assert replay_certificate(text).ok

@@ -114,6 +114,57 @@ def test_survey_examples_stop_at_the_last_one(n, monkeypatch):
         assert pulled == 56
 
 
+def test_survey_finds_literal_only_examples(monkeypatch):
+    """The literal-only example search, on a stream that has such chains.
+
+    Literal III implies the criterion for every n <= 7 (README Finding 1),
+    so no real chain is literal-only; the search stays as the report's
+    evidence should that law ever fail.  Here the n = 5 stream is
+    relabelled to hold 4 criterion-only and 13 literal-only chains.
+    """
+    n = 5
+    cat = catalogue(n)
+    stream = [indices for indices, _ in all_chain_index_tuples(cat)]
+    criterion_at = (4, 9, 21, 22)
+    literal_at = tuple(range(2, 40, 3))
+
+    def code(position):
+        if position in criterion_at:
+            return CRITERION
+        if position in literal_at:
+            return LITERAL
+        return READINGS if position % 2 else 0
+
+    codes = [code(position) for position in range(len(stream))]
+    readings = [codes.count(reading) for reading in range(READINGS + 1)]
+    pulled = 0
+
+    def relabelled(cat):
+        nonlocal pulled
+        for item in zip(stream, codes):
+            pulled += 1
+            yield item
+
+    monkeypatch.setattr(pipeline, "_chain_readings", lambda cat: readings)
+    monkeypatch.setattr(pipeline, "all_chain_index_tuples", relabelled)
+    condition_iii_survey.cache_clear()
+    try:
+        survey = condition_iii_survey(n)
+    finally:
+        condition_iii_survey.cache_clear()
+    assert (survey.criterion_only, survey.literal_only) == (4, 13)
+    assert survey.chains_checked == len(stream)
+    assert survey.criterion_only_examples == tuple(
+        index_text(cat, stream[position]) for position in criterion_at
+    )
+    wanted = literal_at[:SURVEY_EXAMPLE_LIMIT]
+    assert survey.literal_only_examples == tuple(
+        index_text(cat, stream[position]) for position in wanted
+    )
+    # the last example needed is the tenth literal-only chain
+    assert pulled == wanted[-1] + 1 == 30
+
+
 @pytest.mark.parametrize("n", range(3, 7))
 def test_unranking_gives_the_stream_in_order(n):
     stream = _stream(n)

@@ -29,6 +29,7 @@ from ncpverify.condition4 import (
     PatternHit,
     RefutationCertificate,
     cond_iv,
+    exclusion_elements,
     pattern_refute,
 )
 from ncpverify.core import Partition, dihedral_group
@@ -192,6 +193,12 @@ def test_pattern_hit_validates():
     _both_ways(
         lambda: PatternHit(4, "-", 3, 9), lambda: good._replace(variant=9), ValueError, "clause"
     )
+    _both_ways(
+        lambda: PatternHit.from_text("(4,-,0)(6)"), lambda: good._replace(i=0), ValueError, "index"
+    )
+    # a hit's base index lies on the circle of the n it is read against
+    with pytest.raises(ValueError, match="index"):
+        exclusion_elements(3, good._replace(i=4))
 
 
 def test_spanning_tree_validates():
