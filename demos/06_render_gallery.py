@@ -1,7 +1,7 @@
 """Render chord diagrams for partitions, chains, and trees to SVG files.
 
 Run:  python3 demos/06_render_gallery.py
-Writes into demos/out/.
+Writes into demos/out/ and prints each file's path relative to demos/.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ def main() -> None:
         ("tree_star.svg", NCSpanningTree.from_text(7, "1-2,1-3,1-4,1-5,1-6,1-7")),
     ]
     for name, obj in jobs:
-        path = os.path.join(out_dir, name)
-        render_to_file(obj, path)
-        print(f"wrote {path}")
+        render_to_file(obj, os.path.join(out_dir, name))
+        print(f"wrote out/{name}")
 
 
 if __name__ == "__main__":

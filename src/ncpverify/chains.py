@@ -235,12 +235,6 @@ def index_text(cat: Catalogue, indices) -> str:
     return "<".join(texts[j] for j in indices)
 
 
-def index_key(cat: Catalogue, indices) -> tuple[int, ...]:
-    """The members' ``sort_key`` places: orders like the tuple of their keys."""
-    position = cat.key_position
-    return tuple(position[j] for j in indices)
-
-
 def window_code_of_indices(cat: Catalogue, indices) -> int:
     """OR of the window codes (``CRITERION``, ``LITERAL``) the chain leaves.
 

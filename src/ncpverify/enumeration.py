@@ -3,11 +3,13 @@
 Everything here is deterministic and restartable.  NC(n) itself comes
 from ``lattice.noncrossing_partitions``.  Chains are produced rank-set
 by rank-set, in depth-first order, as catalogue-index tuples grown over
-the order bitsets (``enumerate_chains`` wraps them as objects).  Each
-chain comes with its condition II/III code: the growth ORs in one step
-code per edge, so the windows of a prefix are read once for all the
-chains that extend it, and the scan reads conditions II and III on
-both duality sides from that one small int.
+the order bitsets (``enumerate_chains`` wraps them as objects).  That
+stream order is the one chain order, and ``stream_order`` its sort key,
+by which orbit classes and survey lists are sorted.  Each chain comes
+with its condition II/III code: the growth ORs in one step code per
+edge, so the windows of a prefix are read once for all the chains that
+extend it, and the scan reads conditions II and III on both duality
+sides from that one small int.
 
 Questions about how many chains there are, or which one sits at a
 given place of that order, need no stream.  Per rank-set suffix, a
@@ -62,7 +64,6 @@ from ncpverify.chains import (
     Chain,
     chain_from_indices,
     dual_indices,
-    index_key,
     neighbor_mask,
 )
 from ncpverify.lattice import Catalogue, catalogue, iter_bits
@@ -140,7 +141,8 @@ def _grow_chains(cat: Catalogue, ranks, member_code, edge_code, avoid: int = 0):
 
 
 def enumerate_chains(n: int, rank_filter=None):
-    """Every chain of the proper part of NC(n), optionally one rank set only."""
+    """Every chain of the proper part of NC(n) in stream order, optionally
+    one rank set only."""
     if not 3 <= n <= 7:
         raise ValueError("full chain enumeration needs 3 <= n <= 7")
     cat = catalogue(n)
@@ -155,9 +157,16 @@ def enumerate_chains(n: int, rank_filter=None):
 
 
 def all_chain_index_tuples(cat: Catalogue):
-    """(indices, code) for every chain, in ``enumerate_chains`` order."""
+    """(indices, code) for every chain, in stream order (``stream_order``)."""
     for ranks in rank_sets(cat.n):
         yield from chain_index_tuples(cat, ranks)
+
+
+def stream_order(cat: Catalogue):
+    """The sort key of the order ``all_chain_index_tuples`` streams in:
+    rank sets as ``rank_sets`` gives them, each in index-tuple order."""
+    rank = [p.rank for p in cat.partitions]
+    return lambda indices: (len(indices), tuple(rank[j] for j in indices), indices)
 
 
 @lru_cache(maxsize=None)
@@ -196,7 +205,7 @@ def count_chains(n: int) -> int:
 
 
 def chains_at(n: int, positions) -> list[tuple[int, ...]]:
-    """The index tuples at the given places of the ``enumerate_chains`` order.
+    """The index tuples at the given places of the stream order.
 
     Each position is unranked, not walked to: its rank set comes from the
     cumulative chain counts, then each member is the successor of the
@@ -423,9 +432,9 @@ def orbit_classes(candidates, n: int) -> list[OrbitClass]:
     the number of distinct images the orbit size.  The input must be
     closed under duality, as the theorem5 candidates are: a class's dual
     representative is the representative of the class recorded for the
-    dual of its representative.  Classes come in (length, ranks, key)
-    order of their representatives, and objects are built only for the
-    representatives and their duals.
+    dual of its representative.  Classes come in the stream order of
+    their representatives (``stream_order``), and objects are built only
+    for the representatives and their duals.
     """
     cat = catalogue(n)
     symmetries = cat.symmetries
@@ -441,12 +450,9 @@ def orbit_classes(candidates, n: int) -> list[OrbitClass]:
             found.append((min(images), len(images), []))
         found[place][2].append(indices)
 
-    def order(entry):
-        rep = entry[0]
-        return len(rep), tuple(cat.partitions[j].rank for j in rep), index_key(cat, rep)
-
+    order = stream_order(cat)
     classes: list[OrbitClass] = []
-    for rep, size, members in sorted(found, key=order):
+    for rep, size, members in sorted(found, key=lambda entry: order(entry[0])):
         dual_rep = found[class_of[dual_indices(cat, rep)]][0]
         classes.append(
             OrbitClass(

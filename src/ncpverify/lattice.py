@@ -25,8 +25,6 @@ tuples of indices instead of ``Partition`` objects:
 * ``symmetries`` -- the 2n dihedral symmetries (in ``dihedral_group``
   order) as index permutations;
 * ``dual_index`` -- the clockwise Kreweras complement as an index map;
-* ``key_position`` -- each partition's place in ``sort_key`` order, so
-  a chain key is a tuple of ints;
 * ``texts`` -- each partition's text, so a chain prints as the
   ``<``-join of its members' entries;
 * ``windows`` -- condition III per open interval (lower, upper), filled
@@ -55,10 +53,13 @@ its dual; ``edge_code`` reads both for one edge of a chain, and
 Within one rank, index order is ``sort_key`` order, so two chains with
 the same rank tuple compare by their index tuples exactly as they compare
 by their keys; dihedral images share the rank tuple, so the least image of
-a chain is the least index tuple.  The rule for callers is "objects only
-at the edges": the hot loops pass index tuples, and ``Partition`` or
-``Chain`` objects are built only for what gets parsed, printed or
-reported.
+a chain is the least index tuple.  Across rank tuples the two orders
+differ and no table here bridges them: the order chains stream in is
+``enumeration.stream_order``, and the one comparison across rank tuples
+(the duality stage of ``pipeline``) reads the members' keys.  The rule
+for callers is "objects only at the edges": the hot loops pass index
+tuples, and ``Partition`` or ``Chain`` objects are built only for what
+gets parsed, printed or reported.
 """
 
 from __future__ import annotations
@@ -140,9 +141,8 @@ class Catalogue:
     (``core.MAX_N``) is accepted.
 
     ``symmetries[g][i]`` is the index of ``dihedral_group(n)[g]`` applied
-    to partition i; ``key_position[i]`` is the place of partition i when
-    all are sorted by ``sort_key``; ``texts[i]`` is its text;
-    ``leaders[i]`` the mask of the least elements of its parts.
+    to partition i; ``texts[i]`` is its text; ``leaders[i]`` the mask
+    of the least elements of its parts.
     ``windows[i, j]`` is the 2-bit condition-III code (``CRITERION``,
     ``LITERAL``) of the open interval between partitions i < j, filled
     on first lookup, so building the catalogue computes none of them.
@@ -163,7 +163,6 @@ class Catalogue:
         "part_by_element",
         "dual_index",
         "symmetries",
-        "key_position",
         "texts",
         "leaders",
         "windows",
@@ -257,11 +256,6 @@ class Catalogue:
                 table.append(hit.bit_length() - 1)
             symmetries.append(tuple(table))
         self.symmetries = tuple(symmetries)
-        by_key = sorted(range(size), key=lambda i: self.partitions[i].sort_key())
-        position = [0] * size
-        for place, i in enumerate(by_key):
-            position[i] = place
-        self.key_position = tuple(position)
         self.texts = tuple(p.text() for p in partitions)
         # The least element of each part as one mask (distinct bits, so
         # the sum is their OR).

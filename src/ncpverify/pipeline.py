@@ -49,7 +49,6 @@ from ncpverify.chains import (
     chain_indices,
     cond_i_of_ranks,
     dual_indices,
-    index_key,
     index_text,
     smallest_blocks,
     window_code_of_indices,
@@ -74,6 +73,7 @@ from ncpverify.enumeration import (
     orbit_classes,
     rank_sets,
     sample_chains,
+    stream_order,
 )
 from ncpverify.fixtures import FixtureSet, load_fixtures
 from ncpverify.lattice import (
@@ -233,12 +233,8 @@ def cond_i_rank_sets(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def duality_reduced_rank_sets(n: int) -> tuple[tuple[int, ...], ...]:
-    """Condition-I rank sets, one per duality pair, in (size, lex) order."""
-    keep = []
-    for rs in cond_i_rank_sets(n):
-        if rs <= _dual_rank_set(n, rs):
-            keep.append(rs)
-    return tuple(sorted(keep, key=lambda rs: (len(rs), rs)))
+    """Condition-I rank sets, one per duality pair, in ``rank_sets`` order."""
+    return tuple(rs for rs in cond_i_rank_sets(n) if rs <= _dual_rank_set(n, rs))
 
 
 def _orbit_text(cat, indices) -> str:
@@ -280,13 +276,15 @@ def _scan(n: int, cond_i_sets) -> tuple[int, dict[tuple[int, ...], int], tuple[s
     return chains_scanned, candidates, tuple(disagreements)
 
 
-def _one_per_dual_pair(n: int, classes: list[OrbitClass]) -> tuple[OrbitClass, ...]:
-    """Stage 3: the classes whose representative's key is at most its dual's."""
-    cat = catalogue(n)
+def _one_per_dual_pair(classes: list[OrbitClass]) -> tuple[OrbitClass, ...]:
+    """Stage 3: the classes whose representative's member keys are at most
+    its dual's.  Across rank tuples index order is not key order, and at
+    n = 7 comparing index tuples would keep other classes."""
     return tuple(
         cls
         for cls in classes
-        if index_key(cat, cls.rep_indices) <= index_key(cat, cls.dual_rep_indices)
+        if [p.sort_key() for p in cls.representative.members]
+        <= [p.sort_key() for p in cls.dual_representative.members]
     )
 
 
@@ -304,7 +302,7 @@ def reduced_classes(n: int = 7) -> ReducedClasses:
         chains_scanned=chains_scanned,
         candidates=candidates,
         iii_disagreements=disagreements,
-        classes=_one_per_dual_pair(n, classes),
+        classes=_one_per_dual_pair(classes),
     )
 
 
@@ -591,11 +589,6 @@ def condition_iii_survey(n: int = 7) -> ConditionIIISurvey:
                 if window_code_of_indices(cat, variant) in (CRITERION, LITERAL):
                     fixture_disagreements.add(variant)
 
-    def stream_order(indices: tuple[int, ...]):
-        # all_chain_index_tuples visits rank sets by (size, lex), each in
-        # depth-first order, i.e. by index tuple.
-        return len(indices), tuple(cat.partitions[j].rank for j in indices), indices
-
     return ConditionIIISurvey(
         n=n,
         chains_checked=sum(readings),
@@ -606,7 +599,7 @@ def condition_iii_survey(n: int = 7) -> ConditionIIISurvey:
         literal_only_examples=tuple(examples[LITERAL]),
         disagreeing_fixture_chains=tuple(
             index_text(cat, indices)
-            for indices in sorted(fixture_disagreements, key=stream_order)
+            for indices in sorted(fixture_disagreements, key=stream_order(cat))
         ),
     )
 

@@ -266,14 +266,19 @@ class _Replayer:
 
 
 def replay_certificate(certificate) -> ReplayResult:
-    """Re-check a certificate from scratch: the record or its JSON text.
+    """Re-check a certificate from scratch: the record, its JSON text or
+    the parsed object.
 
-    Both are read as one document, ``_asdict()`` or ``json.loads``, by the
-    same keys and type checks; ``steps`` is a tuple or a list.
+    All three are read as one document, ``_asdict()``, ``json.loads`` or
+    the object itself, by the same keys and type checks; ``steps`` is a
+    tuple or a list.  Any other input is malformed.
     """
     checked = 0
     try:
-        data = json.loads(certificate) if isinstance(certificate, str) else certificate._asdict()
+        if isinstance(certificate, str):
+            data = json.loads(certificate)
+        else:
+            data = certificate._asdict() if hasattr(certificate, "_asdict") else certificate
         if not isinstance(data, dict):
             raise TypeError(f"expected a JSON object, got {type(data).__name__}")
         chain_text = data.get("chain")

@@ -20,6 +20,7 @@ from ncpverify.enumeration import (
     orbit_classes,
     pruned_maximal_chains,
     rank_sets,
+    stream_order,
 )
 from ncpverify.lattice import catalogue, noncrossing_partitions
 
@@ -239,6 +240,14 @@ def test_rank_sets():
     sets7 = list(rank_sets(7))
     assert len(sets7) == 31  # nonempty subsets of {1..5}
     assert all(s and all(1 <= r <= 5 for r in s) for s in (set(x) for x in sets7))
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_stream_order_sorts_chains_into_the_stream(n):
+    cat = catalogue(n)
+    stream = [indices for indices, _ in all_chain_index_tuples(cat)]
+    shuffled = random.Random(n).sample(stream, len(stream))
+    assert sorted(shuffled, key=stream_order(cat)) == stream
 
 
 def test_chain_index_tuples_roundtrip():

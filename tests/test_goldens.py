@@ -10,7 +10,8 @@ five chains of ``CHECK_CHAINS``, one after another: past the maximal-chain
 index, these pin the pruned search's witnesses and leaf counts.  The
 runs here are in-process through ``cli.main``, with the exit codes
 checked too.  ``demo-01.txt`` is what ``demos/01_lattice_tour.py``
-prints, its join and meet read from the catalogue's order rows.
+prints, its join and meet read from the catalogue's order rows, and
+``demo-06.txt`` what ``demos/06_render_gallery.py`` prints.
 ``pattern-refute.sha256`` digests ``pattern_refute``'s output, certificate
 JSON or none, on every chain for N = 3..6 and the 2 667 theorem5
 candidates at N = 7: 7 634 chains, 4 240 certificates.
@@ -76,6 +77,13 @@ def test_check_beyond_the_index_matches_golden(n, capsys):
 def test_lattice_tour_demo_matches_golden(capsys):
     runpy.run_path(str(DEMOS / "01_lattice_tour.py"), run_name="__main__")
     assert capsys.readouterr().out == (GOLDENS / "demo-01.txt").read_text(encoding="ascii")
+
+
+def test_render_gallery_demo_matches_golden(capsys):
+    # each SVG's path is printed relative to demos/, so the output is the
+    # same in every checkout
+    runpy.run_path(str(DEMOS / "06_render_gallery.py"), run_name="__main__")
+    assert capsys.readouterr().out == (GOLDENS / "demo-06.txt").read_text(encoding="ascii")
 
 
 def test_certificate_stream_matches_golden():

@@ -217,7 +217,6 @@ def reference_tables(n: int) -> dict:
         if oracles.partitions_cross(sets[i], sets[j]):
             crossing[i] |= 1 << j
             crossing[j] |= 1 << i
-    by_key = sorted(range(size), key=lambda i: partitions[i].sort_key())
     return {
         "partitions": partitions,
         "above": tuple(above),
@@ -228,7 +227,6 @@ def reference_tables(n: int) -> dict:
             for g in dihedral_group(n)
         ),
         "dual_index": tuple(index_of[kreweras_dual(p).parts] for p in partitions),
-        "key_position": tuple(by_key.index(i) for i in range(size)),
         "universal": tuple(p.is_universal() for p in partitions),
         "part_by_element": tuple(
             tuple(p.part_containing(e) for e in range(1, n + 1)) for p in partitions
@@ -349,15 +347,6 @@ def test_symmetry_tables_match_apply_symmetry(n):
         assert [cat.partitions[j].parts for j in table] == [
             oracles.apply_symmetry(g.perm, p.parts) for p in cat.partitions
         ]
-
-
-@pytest.mark.parametrize("n", range(3, 8))
-def test_key_position_orders_like_sort_key(n):
-    cat = catalogue(n)
-    indices = range(len(cat.partitions))
-    assert sorted(indices, key=lambda j: cat.key_position[j]) == sorted(
-        indices, key=lambda j: cat.partitions[j].sort_key()
-    )
 
 
 # -- every chain -------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Tests for the independent certificate checker, including tamper detection.
 
-``_replay`` gives each case to the checker twice, as a record and as its
-JSON text, and requires the same result from both.
+``_replay`` gives each case to the checker three times, as a record, as
+its JSON text and as the parsed JSON object, and requires the same
+result from all three.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from ncpverify.chains import Chain, chain_from_indices, chain_indices
 from ncpverify.condition4 import RefutationCertificate, pattern_refute
 from ncpverify.enumeration import enumerate_chains
 from ncpverify.lattice import catalogue
-from ncpverify.pipeline import run_theorem5
+from ncpverify.pipeline import report_to_json, run_theorem5
 from ncpverify.replay import _family_sets, replay_certificate
 
 import oracles
@@ -27,9 +28,12 @@ def _cert(text: str = "12,46"):
 
 
 def _replay(cert):
-    """Replay a record and its JSON text, which one read path takes alike."""
+    """Replay a record, its JSON text and the parsed object, which one
+    read path takes alike."""
     result = replay_certificate(cert)
-    assert replay_certificate(cert.to_json()) == result
+    text = cert.to_json()
+    assert replay_certificate(text) == result
+    assert replay_certificate(json.loads(text)) == result
     return result
 
 
@@ -64,6 +68,18 @@ def test_record_and_text_replay_alike(n):
     certificates = [c.certificate for c in run_theorem5(n).classes if c.certificate]
     for cert in certificates:
         assert _replay(cert).ok, cert.chain
+    if n == 7:
+        assert len(certificates) == 112
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_report_certificates_replay_as_written(n):
+    # what a reader of the JSON report holds: the parsed certificate objects
+    report = json.loads(report_to_json(run_theorem5(n)))
+    certificates = [c["certificate"] for c in report["classes"] if c["certificate"]]
+    for cert in certificates:
+        result = replay_certificate(cert)
+        assert result.ok, (cert["chain"], result.failure)
     if n == 7:
         assert len(certificates) == 112
 
@@ -201,12 +217,18 @@ def test_replay_rejects_empty_payload():
     assert result.ok is False
     assert "lacks a universe size" in result.failure
     assert _replay(RefutationCertificate(None, None, None, None, None)) == result
+    # a parsed object is the document itself, so it fails as its text does
+    assert replay_certificate({}) == result
+    assert replay_certificate({"chain": "12"}) == result
 
 
 @pytest.mark.parametrize(
     "payload",
-    ["[]", "nope", {"chain": 5}, {"chain": None}, {"n": True}, {"strict": "yes"}],
-    ids=["list", "not-json", "chain-int", "chain-null", "n-true", "strict-text"],
+    # the last five are neither a record, nor text, nor a parsed object
+    ["[]", "nope", {"chain": 5}, {"chain": None}, {"n": True}, {"strict": "yes"}]
+    + [b"{}", None, 42, 1.5, []],
+    ids=["list", "not-json", "chain-int", "chain-null", "n-true", "strict-text"]
+    + ["bytes", "none", "int", "float", "list-object"],
 )
 def test_replay_reports_malformed_payload(payload):
     if isinstance(payload, dict):
