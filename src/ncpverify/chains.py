@@ -40,6 +40,15 @@ catalogue's one window table (``window_code_of_indices``).  The theorem5
 scan and the survey do not call these per chain: they read conditions
 II and III from the code each chain carries out of enumeration, which
 is built from the same table and tested against these functions.
+
+Two values derived from a chain are memoised by value: the F family
+(``smallest_blocks``) and the catalogue-index tuple (``chain_indices``).
+Chains hash and compare by their fields, so an equal chain built
+elsewhere finds the same entry, and both values are immutable.  A check
+query reads each of them through several public calls in a row, for the
+chain, its IV witness and its dominant-vertex chain, then for the dual;
+the memos keep the last ``_RECENT_CHAINS`` chains, a bound fixed by that
+traffic and not by the length of the query stream.
 """
 
 from __future__ import annotations
@@ -74,6 +83,8 @@ class Chain(_ChainFields):
     __slots__ = ()
 
     def __new__(cls, n: int, members: tuple[Partition, ...]):
+        # Stored as a tuple, so every chain hashes (the memos below key on it).
+        members = tuple(members)
         if not members:
             raise InvalidChainError("chain needs at least one member")
         for p in members:
@@ -120,6 +131,13 @@ class Chain(_ChainFields):
         return f"Chain({self.n}, {self.text()!r})"
 
 
+# One side of a check query touches three chains (the chain, its IV
+# witness and its dominant-vertex chain), each through several public calls
+# in a row; four entries hold them all, and a fixed bound keeps a long
+# query stream from growing the memos.
+_RECENT_CHAINS = 4
+
+
 class SmallestBlockFamily(NamedTuple):
     """The indexed family i -> F_i, with the neighbor restrictions F_i'.
 
@@ -132,10 +150,16 @@ class SmallestBlockFamily(NamedTuple):
     primes: tuple[int, ...]
 
     def block(self, i: int) -> int:
-        return self.blocks[i - 1]
+        return self.blocks[self._position(i)]
 
     def prime(self, i: int) -> int:
-        return self.primes[i - 1]
+        return self.primes[self._position(i)]
+
+    def _position(self, i: int) -> int:
+        # A negative position would read the family from its end.
+        if not 1 <= i <= self.n:
+            raise ValueError(f"element {i} outside universe 1..{self.n}")
+        return i - 1
 
     def packed_primes(self) -> int:
         """n fields of n bits: field i-1 (bits (i-1)*n ..) holds F_i'.
@@ -158,6 +182,7 @@ def _neighbor_masks(n: int) -> tuple[int, ...]:
     return tuple(neighbor_mask(n, i) for i in range(1, n + 1))
 
 
+@lru_cache(maxsize=_RECENT_CHAINS)
 def smallest_blocks(chain: Chain) -> SmallestBlockFamily:
     # Each non-singleton part is assigned to the elements it is the first
     # to cover; elements that no part covers keep the full set.
@@ -221,6 +246,7 @@ def cond_iii_bruteforce(chain: Chain) -> bool:
 # -- chains as tuples of catalogue indices ---------------------------------
 
 
+@lru_cache(maxsize=_RECENT_CHAINS)
 def chain_indices(cat: Catalogue, chain: Chain) -> tuple[int, ...]:
     return tuple(cat.index_of[p.parts] for p in chain.members)
 

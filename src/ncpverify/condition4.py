@@ -21,7 +21,12 @@ negative answer into a short, independently replayable argument:
   Unioning over hits gives each index an allowed-companion set.  The
   excluded sets are tabled per (n, hit), and their unions per table
   entry, so ``pattern_refute`` reads each index's exclusions and cited
-  hits from the 2n entries of the chain's relation key.
+  hits from the 2n entries of the chain's relation key.  Those entries
+  are memoised per (n, F family, reading) for the last few families
+  (``chains._RECENT_CHAINS``), so ``pattern_refute`` and a non-strict
+  ``detect_patterns`` of one chain look its key up once between them;
+  the F family itself comes from the memo of ``chains.smallest_blocks``.
+  The bound is set by one check query's traffic, not by the query stream.
 * certificates -- when the allowed sets alone (emptiness), or combined
   with forcing (a singleton allowed set pins C_i to a two-element
   block, which propagates to its partner), reach a contradiction, the
@@ -46,7 +51,7 @@ import re
 from functools import lru_cache
 from typing import NamedTuple
 
-from ncpverify.chains import Chain, chain_from_indices, smallest_blocks
+from ncpverify.chains import _RECENT_CHAINS, Chain, chain_from_indices, smallest_blocks
 from ncpverify.core import _masks_alternate, elements_of
 from ncpverify.enumeration import maximal_chain_index, pruned_maximal_chains
 from ncpverify.lattice import catalogue
@@ -209,7 +214,8 @@ def _patterns_of_blocks(n: int, blocks, strict: bool = False) -> tuple[PatternHi
     return tuple(hits)
 
 
-def _entries_of_blocks(n: int, blocks, strict: bool):
+@lru_cache(maxsize=_RECENT_CHAINS)
+def _entries_of_blocks(n: int, blocks: tuple[int, ...], strict: bool):
     """Per base index, the hit-table entries read forward and backward."""
     # forward[j] relates F_(j+1) to the next block, backward[j] the next
     # block to F_(j+1).  Two laps let every window of four relations be
@@ -219,7 +225,7 @@ def _entries_of_blocks(n: int, blocks, strict: bool):
     backward = [_REVERSED[code] for code in forward]
     forward *= 2
     backward *= 2
-    return [
+    return tuple(
         (
             ahead[forward[b] | forward[b + 1] << 2 | forward[b + 2] << 4 | forward[b + 3] << 6],
             behind[
@@ -227,7 +233,7 @@ def _entries_of_blocks(n: int, blocks, strict: bool):
             ],
         )
         for b, (ahead, behind) in enumerate(_hit_table(n, strict))
-    ]
+    )
 
 
 @lru_cache(maxsize=None)

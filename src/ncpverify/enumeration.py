@@ -364,6 +364,9 @@ class MaximalChainIndex:
         return len(self.enclosing)
 
     def chain_at(self, k: int) -> Chain:
+        # A slice out of range is empty, and would make a memberless chain.
+        if not 0 <= k < len(self):
+            raise IndexError(f"maximal chain {k} outside 0..{len(self) - 1}")
         width = self.n - 2
         return chain_from_indices(self.cat, self.member_indices[k * width : (k + 1) * width])
 

@@ -12,6 +12,7 @@ from ncpverify.chains import (
     InvalidChainError,
     canonical_chain,
     canonical_prime_signature,
+    chain_indices,
     cond_i,
     cond_i_of_ranks,
     cond_ii,
@@ -28,7 +29,9 @@ from ncpverify.core import (
     dihedral_group,
     mask_of,
 )
+from ncpverify.condition4 import _entries_of_blocks, detect_patterns, pattern_refute
 from ncpverify.enumeration import enumerate_chains
+from ncpverify.lattice import catalogue
 
 import oracles
 
@@ -49,6 +52,10 @@ def test_chain_parse_and_text():
     assert len(c.members) == 3
     assert c.ranks() == (1, 2, 5)
     assert frozenset(c.ranks()) == frozenset({1, 2, 5})
+    # members given as a list are stored as a tuple, so the chain hashes
+    listed = Chain(7, list(c.members))
+    assert listed == c and hash(listed) == hash(c)
+    assert smallest_blocks(listed) == smallest_blocks(c)
 
 
 def test_chain_parse_errors():
@@ -99,6 +106,13 @@ def test_smallest_blocks_multi_member():
     assert fam.block(1) == mask_of(range(1, 8))
     assert fam.prime(6) == 0
     assert fam.prime(1) == mask_of([2, 7])
+    # positions outside 1..n raise instead of reading from the far end
+    fam = smallest_blocks(Chain.from_text(7, "12<123"))
+    for i in (0, -1, -7, 8):
+        with pytest.raises(ValueError):
+            fam.block(i)
+        with pytest.raises(ValueError):
+            fam.prime(i)
 
 
 def assert_family_matches_oracle(chain: Chain) -> None:
@@ -120,16 +134,42 @@ def test_packed_primes_layout():
         assert_family_matches_oracle(Chain.from_text(n, text))
 
 
+def _clear_chain_memos() -> None:
+    for memo in (smallest_blocks, chain_indices, _entries_of_blocks):
+        memo.cache_clear()
+
+
+def assert_memos_match_the_definitions(chain: Chain) -> None:
+    # The memoised values equal a fresh derivation, and a pattern scan
+    # reads the same hits whichever reading or refutation ran before it.
+    text = chain.text()
+    cat = catalogue(chain.n)
+    assert smallest_blocks(chain) == smallest_blocks.__wrapped__(chain), text
+    assert chain_indices(cat, chain) == tuple(cat.index_of[p.parts] for p in chain.members), text
+    fresh = {}
+    for strict in (True, False):
+        _clear_chain_memos()
+        fresh[strict] = detect_patterns(chain, strict=strict)
+    _clear_chain_memos()
+    refuted = pattern_refute(chain)
+    for first, second in ((True, False), (False, True)):
+        _clear_chain_memos()
+        assert detect_patterns(chain, strict=first) == fresh[first], text
+        assert pattern_refute(chain) == refuted, text
+        assert detect_patterns(chain, strict=second) == fresh[second], text
+
+
 def test_smallest_blocks_match_the_oracle():
     # every chain for n = 3..6, a fixed stride through the n = 7 chains,
     # and the chains (and duals) of the n = 8, 9 check goldens
-    for n in range(3, 7):
-        for chain in enumerate_chains(n):
-            assert_family_matches_oracle(chain)
-    for chain in itertools.islice(enumerate_chains(7), 0, None, 13):
+    chains = itertools.chain(
+        itertools.chain.from_iterable(enumerate_chains(n) for n in range(3, 7)),
+        itertools.islice(enumerate_chains(7), 0, None, 13),
+        check_golden_chains(),
+    )
+    for chain in chains:
         assert_family_matches_oracle(chain)
-    for chain in check_golden_chains():
-        assert_family_matches_oracle(chain)
+        assert_memos_match_the_definitions(chain)
 
 
 def check_golden_chains() -> list[Chain]:

@@ -10,8 +10,13 @@ import sys
 import threading
 from pathlib import Path
 
+import pytest
+
 import ncpverify
+from ncpverify.apartments import dominant_vertex
+from ncpverify.chains import Chain, chain_indices, dual_chain, smallest_blocks
 from ncpverify.cli import main
+from ncpverify.condition4 import _entries_of_blocks, cond_iv
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -117,6 +122,31 @@ def test_check_refuted_beyond_the_maximal_chain_index(capsys):
         "condition IV:  refuted (0 maximal chains reached by the pruned search)\n" in out
     )
     assert "examined" not in out
+
+
+@pytest.mark.parametrize("text", ["12,46", "57<24,57"])
+def test_check_derives_each_chain_value_once(capsys, text):
+    # 12,46 and its dual are refuted and each is its own dominant vertex;
+    # 57<24,57 and its dual satisfy IV, and each has a dominant vertex
+    # that is a chain of its own.  Each section reads a chain's F family,
+    # index tuple and hit-table entries through several public calls, and
+    # the dominant scan runs condition IV on the dominant-vertex chain.
+    chain = Chain.from_text(7, text)
+    sides = (chain, dual_chain(chain))
+    assert [cond_iv(side).satisfied for side in sides] == [text != "12,46"] * 2
+    dominants = [dominant_vertex(side).dominant for side in sides]
+    families = {*sides, *(Chain(7, (d,)) for d in dominants)}
+    memos = (smallest_blocks, chain_indices, _entries_of_blocks)
+    for memo in memos:
+        memo.cache_clear()
+    code = main(["check", "--n", "7", "--chain", text, "--dual", "--dominant"])
+    capsys.readouterr()
+    assert code == 0
+    built = [memo.cache_info() for memo in memos]
+    assert built[0].misses == len(families), built
+    assert built[1].misses == len(sides), built
+    assert built[2].misses == len({smallest_blocks(side).blocks for side in sides}), built
+    assert all(info.hits for info in built), built
 
 
 def test_check_rejects_non_ascii_digits(capsys):

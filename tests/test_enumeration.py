@@ -78,6 +78,17 @@ def test_maximal_chain_structure():
     assert len(seen) == 125
 
 
+@pytest.mark.parametrize("n", range(3, 6))
+def test_chain_at_rejects_positions_outside_the_index(n):
+    # a slice past either end is empty; it must not become a memberless chain
+    index = maximal_chain_index(n)
+    size = len(index)
+    assert index.chain_at(size - 1).ranks() == tuple(range(1, n - 1))
+    for k in (-1, -size, size, size + 3, 128):
+        with pytest.raises(IndexError):
+            index.chain_at(k)
+
+
 @pytest.mark.parametrize("n", range(3, 8))
 def test_maximal_chain_index_matches_walk(n):
     # The reference: the merge walk's leaves, in walk order, tabled the
