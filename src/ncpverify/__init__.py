@@ -4,9 +4,7 @@ from ncpverify.core import (
     CrossingPartitionError,
     NotationError,
     Partition,
-    Symmetry,
     UniverseMismatch,
-    dihedral_group,
     is_noncrossing,
     kreweras_dual,
     leq,
@@ -16,9 +14,7 @@ __all__ = [
     "CrossingPartitionError",
     "NotationError",
     "Partition",
-    "Symmetry",
     "UniverseMismatch",
-    "dihedral_group",
     "is_noncrossing",
     "kreweras_dual",
     "leq",

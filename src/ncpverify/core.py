@@ -34,7 +34,6 @@ checks its fields in ``__new__``, and ``_make`` calls the constructor, so
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import NamedTuple
 
 MAX_N = 9
@@ -246,46 +245,6 @@ def kreweras_dual(p: Partition) -> Partition:
         remaining.difference_update(cycle)
         parts.append(mask_of(cycle))
     return Partition(n, tuple(parts))
-
-
-# -- dihedral symmetry --------------------------------------------------
-
-
-class Symmetry(NamedTuple):
-    """One of the 2n rotations/reflections of the labeled circle.
-
-    `perm[e-1]` is the image of element e.
-    """
-
-    n: int
-    perm: tuple[int, ...]
-    name: str
-
-    @classmethod
-    def rotation(cls, n: int, k: int) -> Symmetry:
-        return cls(n, tuple((e - 1 + k) % n + 1 for e in range(1, n + 1)), f"r{k % n}")
-
-    @classmethod
-    def reflection(cls, n: int, c: int) -> Symmetry:
-        return cls(n, tuple((c - (e - 1)) % n + 1 for e in range(1, n + 1)), f"s{c % n}")
-
-    def __call__(self, e: int) -> int:
-        return self.perm[e - 1]
-
-    def apply_mask(self, mask: int) -> int:
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << (self.perm[low.bit_length() - 1] - 1)
-            mask ^= low
-        return out
-
-
-@lru_cache(maxsize=None)
-def dihedral_group(n: int) -> tuple[Symmetry, ...]:
-    rot = [Symmetry.rotation(n, k) for k in range(n)]
-    ref = [Symmetry.reflection(n, c) for c in range(n)]
-    return tuple(rot + ref)
 
 
 # -- text notation ------------------------------------------------------

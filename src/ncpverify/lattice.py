@@ -22,8 +22,12 @@ and each rank occupies one contiguous slice.
 The catalogue also carries the tables that let the theorem5 scan run on
 tuples of indices instead of ``Partition`` objects:
 
-* ``symmetries`` -- the 2n dihedral symmetries (in ``dihedral_group``
-  order) as index permutations;
+* ``symmetries`` -- the 2n dihedral symmetries of the circle as index
+  permutations, in the order r_0..r_{n-1}, s_0..s_{n-1}: the rotation
+  r_k sends element e to (e - 1 + k) mod n + 1, and the reflection s_c
+  sends e to (c - (e - 1)) mod n + 1, so ``symmetries[n - 1]`` is r_{-1}
+  (which is K², the square of the Kreweras complement) and
+  ``symmetries[n + c]`` is s_c;
 * ``dual_index`` -- the clockwise Kreweras complement as an index map;
 * ``texts`` -- each partition's text, so a chain prints as the
   ``<``-join of its members' entries;
@@ -71,7 +75,6 @@ from ncpverify.core import (
     MAX_N,
     Partition,
     _masks_alternate,
-    dihedral_group,
     kreweras_dual,
 )
 
@@ -140,9 +143,9 @@ class Catalogue:
     proper part of the lattice that chains live in.  Any 1 <= n <= 9
     (``core.MAX_N``) is accepted.
 
-    ``symmetries[g][i]`` is the index of ``dihedral_group(n)[g]`` applied
-    to partition i; ``texts[i]`` is its text; ``leaders[i]`` the mask
-    of the least elements of its parts.
+    ``symmetries[g][i]`` is the index of the g-th symmetry (r_0..r_{n-1},
+    then s_0..s_{n-1}) applied to partition i; ``texts[i]`` is its text;
+    ``leaders[i]`` the mask of the least elements of its parts.
     ``windows[i, j]`` is the 2-bit condition-III code (``CRITERION``,
     ``LITERAL``) of the open interval between partitions i < j, filled
     on first lookup, so building the catalogue computes none of them.
@@ -244,10 +247,21 @@ class Catalogue:
         self.dual_index = tuple(
             self.index_of[kreweras_dual(p).parts] for p in self.partitions
         )
-        # g(p) is the one partition that holds the image of every part of p.
+        # The symmetries as mask maps.  r_k rotates a mask by k bits; s_c
+        # sends bit b to bit c - b mod n, which is "reverse the n bits,
+        # then rotate by c + 1".  g(p) is the one partition that holds the
+        # image of every part of p.
+        reversed_masks = [0] * (full + 1)
+        for s in range(1, full + 1):
+            reversed_masks[s] = reversed_masks[s >> 1] >> 1 | (s & 1) << (n - 1)
+        maps = [(range(full + 1), k) for k in range(n)]
+        maps += [(reversed_masks, (c + 1) % n) for c in range(n)]
         symmetries = []
-        for g in dihedral_group(n):
-            image = {s: holders[g.apply_mask(s)] for s in holders}
+        for source, k in maps:
+            image = {}
+            for s in holders:
+                t = source[s]
+                image[s] = holders[(t << k | t >> (n - k)) & full]
             table = []
             for p in partitions:
                 hit = -1

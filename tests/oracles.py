@@ -32,9 +32,13 @@ docs/formats.md rather than from the package's bitmask code.
   bits, field i-1 (bits (i-1)*n ..) for element i.
 * ``from_masks`` -- a bitmask part tuple as a frozenset partition, so
   the set-level crossing tests read the package's partitions.
+* ``dihedral_perms`` -- the 2n symmetries of the circle as image lists
+  (``perm[e-1]`` is the image of e), in the order of the catalogue's
+  ``symmetries``: rotations r_0..r_{n-1}, e -> (e-1+k) mod n + 1, then
+  reflections s_0..s_{n-1}, e -> (c-(e-1)) mod n + 1.
 * ``apply_symmetry`` -- a dihedral symmetry, given as its image list
-  ``perm`` (``perm[e-1]`` is the image of e), applied to a bitmask part
-  tuple; the result is sorted by least element, as ``Partition.parts``.
+  ``perm``, applied to a bitmask part tuple; the result is sorted by
+  least element, as ``Partition.parts``.
 * ``cycle_type`` -- the cycle type of P^-1 Q for bitmask part tuples P
   and Q, each block read as the permutation that cycles it in
   increasing order.
@@ -108,6 +112,12 @@ def refines(p: Partition, q: Partition) -> bool:
 
 def from_masks(parts) -> Partition:
     return frozenset(frozenset(_elements(mask)) for mask in parts)
+
+
+def dihedral_perms(n: int) -> tuple[tuple[int, ...], ...]:
+    rotations = [tuple((e - 1 + k) % n + 1 for e in range(1, n + 1)) for k in range(n)]
+    reflections = [tuple((c - (e - 1)) % n + 1 for e in range(1, n + 1)) for c in range(n)]
+    return tuple(rotations + reflections)
 
 
 def apply_symmetry(perm: tuple[int, ...], parts) -> tuple[int, ...]:

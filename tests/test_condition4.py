@@ -21,7 +21,7 @@ from ncpverify.condition4 import (
     pattern_refute,
     verify_witness,
 )
-from ncpverify.core import Partition, dihedral_group, mask_of
+from ncpverify.core import Partition, mask_of
 from ncpverify.enumeration import (
     chain_from_indices,
     enumerate_chains,
@@ -322,12 +322,12 @@ def test_pattern_refute_none_when_iv_satisfied():
 
 def test_detect_patterns_equivariance():
     # hit counts are preserved by every dihedral symmetry
-    group = dihedral_group(7)
+    group = oracles.dihedral_perms(7)
     for text in ["12,46", "13", "24<246"]:
         chain = Chain.from_text(7, text)
         base = len(detect_patterns(chain))
         for g in group:
-            members = (Partition(7, oracles.apply_symmetry(g.perm, p.parts)) for p in chain.members)
+            members = (Partition(7, oracles.apply_symmetry(g, p.parts)) for p in chain.members)
             image = Chain(7, tuple(members))
             assert len(detect_patterns(image)) == base
 

@@ -11,7 +11,6 @@ from ncpverify.core import (
     NotationError,
     Partition,
     UniverseMismatch,
-    dihedral_group,
     elements_of,
     is_noncrossing,
     require_noncrossing,
@@ -179,10 +178,11 @@ def test_kreweras_properties_exhaustive():
             if leq(p, q):
                 assert leq(kreweras_dual(q), dp)
     # double dual is rotation by one step (i -> i-1 cyclically)
-    rot = next(g for g in dihedral_group(7) if g.perm == (7, 1, 2, 3, 4, 5, 6))
+    rot = oracles.dihedral_perms(7)[6]
+    assert rot == (7, 1, 2, 3, 4, 5, 6)
     for p in parts:
         twice = kreweras_dual(kreweras_dual(p))
-        assert twice.parts == oracles.apply_symmetry(rot.perm, p.parts)
+        assert twice.parts == oracles.apply_symmetry(rot, p.parts)
 
 
 def _join(cat, i, j):
@@ -224,18 +224,21 @@ def test_join_meet():
 
 
 def test_dihedral_group_structure():
-    group = dihedral_group(7)
-    assert len(group) == 14
-    names = {g.name for g in group}
-    assert "r0" in names and "r1" in names
-    assert sum(1 for g in group if g.name.startswith("s")) == 7
-    identity = next(g for g in group if g.name == "r0")
-    p = Partition.from_text(7, "123,46")
-    assert oracles.apply_symmetry(identity.perm, p.parts) == p.parts
-    for g in group:
-        q = Partition(7, oracles.apply_symmetry(g.perm, p.parts))
-        assert is_noncrossing(q)
-        assert q.rank == p.rank
+    # The catalogue's 2n index permutations: the identity first, 2n distinct
+    # tables once the circle has three points, and every image keeps its rank.
+    for n in range(1, 9):
+        cat = catalogue(n)
+        size = len(cat.partitions)
+        assert len(cat.symmetries) == 2 * n
+        assert cat.symmetries[0] == tuple(range(size))
+        if n >= 3:
+            assert len(set(cat.symmetries)) == 2 * n
+        ranks = [p.rank for p in cat.partitions]
+        for table in cat.symmetries:
+            assert [ranks[j] for j in table] == ranks
+    cat = catalogue(7)
+    i = cat.index_of[Partition.from_text(7, "123,46").parts]
+    assert [cat.texts[table[i]] for table in cat.symmetries[:2]] == ["123,46", "234,57"]
 
 
 def test_catalogue_counts():

@@ -161,6 +161,32 @@ def test_pipeline_unresolved_classes(pipeline_report):
         assert not (c.cond_iii_literal and c.dual_cond_iii_literal)
 
 
+def test_criterion_only_classes_fail_literal_iii_on_both_sides(pipeline_report):
+    # README Finding 2: the nine classes the union filter keeps only through
+    # the criterion fail the literal condition III on both sides, never on one
+    one_side = [
+        c.representative
+        for c in pipeline_report.classes
+        if not (c.cond_iii_literal and c.dual_cond_iii_literal)
+    ]
+    both_sides = [
+        c.representative
+        for c in pipeline_report.classes
+        if not (c.cond_iii_literal or c.dual_cond_iii_literal)
+    ]
+    assert one_side == both_sides == [
+        "347,56",
+        "37,456",
+        "23,457",
+        "23,467",
+        "23,47,56",
+        "247,56",
+        "27,36,45",
+        "57<12,34567",
+        "57<14567,23",
+    ]
+
+
 def test_unresolved_classes_need_one_step_from_a_matched_class(pipeline_report):
     # Group the classes by shared signatures, transitively: within every
     # group any two classes share one, so nothing is two steps away.
