@@ -5,19 +5,12 @@ Run:  python3 demos/04_run_theorem5.py
 
 from __future__ import annotations
 
-from ncpverify.pipeline import (
-    compare_fixture,
-    condition_iii_survey,
-    report_to_text,
-    run_theorem5,
-)
+from ncpverify.pipeline import report_to_text, run_theorem5
 
 
 def main() -> None:
     report = run_theorem5(7)
-    table = compare_fixture(report)
-    survey = condition_iii_survey(7)
-    print(report_to_text(report, table, survey))
+    print(report_to_text(report))
 
     print("classes admitted only by the four-member criterion:")
     for c in report.classes:

@@ -40,8 +40,6 @@ from ncpverify.enumeration import enumerate_chains, maximal_chain_index
 from ncpverify.fixtures import load_fixtures
 from ncpverify.lattice import catalogue
 from ncpverify.pipeline import (
-    compare_fixture,
-    condition_iii_survey,
     report_to_csv,
     report_to_json,
     report_to_text,
@@ -136,8 +134,6 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_theorem5(args) -> int:
     report = run_theorem5(args.n)
-    table = compare_fixture(report) if args.n == 7 else None
-    survey = condition_iii_survey(args.n)
     with contextlib.ExitStack() as stack:
         # Opened before the text report, so a bad path prints nothing, and
         # opened to append, so no file is emptied until both paths open.
@@ -158,14 +154,14 @@ def _cmd_theorem5(args) -> int:
             # A pipe or a device cannot be truncated, and holds nothing to replace.
             if out and stat.S_ISREG(st.st_mode):
                 out.truncate(0)
-        sys.stdout.write(report_to_text(report, table, survey))
+        sys.stdout.write(report_to_text(report))
         if json_out:
-            json_out.write(report_to_json(report, table, survey))
+            json_out.write(report_to_json(report))
         if csv_out:
             csv_out.write(report_to_csv(report))
     if report.survivors:
         return 1
-    if table is not None and not table.all_aligned:
+    if report.alignment is not None and not report.alignment.all_aligned:
         return 2
     return 0
 
@@ -218,8 +214,7 @@ def _cmd_fixtures(args) -> int:
             forced = " forced" if case.expects_forced_argument else ""
             print(f"case {case.case_id:2d}: {', '.join(case.chains)}  [{hits}]{forced}")
         return 0
-    report = run_theorem5(fixtures.n)
-    table = compare_fixture(report, fixtures)
+    table = run_theorem5(fixtures.n).alignment
     for row in table.rows:
         print(
             f"case {row.case_id:2d} chain {row.chain:24s}"

@@ -18,10 +18,11 @@ runs five stages, each reading the output of the one before:
 
 Stages 1-3 are cached per n in ``reduced_classes``.  ``validate_lemma3``
 reads its corpus from there and runs neither stage 4 nor stage 5.
-Alignment with the embedded reference data (58 chains in 39 cases) is
-computed separately by ``compare_fixture``, so transcription drift is
-distinguishable from a mathematical failure.  The text, JSON and CSV
-reports live in ``ncpverify.reports`` and are re-exported here.
+After the verdict, the report gains the alignment with the embedded
+reference data (58 chains in 39 cases, ``compare_fixture``), so
+transcription drift is distinguishable from a mathematical failure, and
+the condition-III survey.  The text, JSON and CSV reports live in
+``ncpverify.reports``, read only the report and are re-exported here.
 
 Condition III exists in two forms: the four-member union criterion used
 to enumerate the reference tables, and the literal two-witness search it
@@ -75,7 +76,7 @@ from ncpverify.enumeration import (
     sample_chains,
     stream_order,
 )
-from ncpverify.fixtures import FixtureSet, load_fixtures
+from ncpverify.fixtures import load_fixtures
 from ncpverify.lattice import (
     BOTH_II,
     CRITERION,
@@ -127,12 +128,8 @@ class ClassReport(NamedTuple):
     ranks: tuple[int, ...]
     orbit_size: int
     dual_representative: str
-    cond_i: bool
-    cond_ii: bool
     cond_iii_criterion: bool
     cond_iii_literal: bool
-    dual_cond_i: bool
-    dual_cond_ii: bool
     dual_cond_iii_criterion: bool
     dual_cond_iii_literal: bool
     iv_satisfied: bool
@@ -145,6 +142,9 @@ class ClassReport(NamedTuple):
 
 
 class PipelineReport(NamedTuple):
+    """One theorem5 run.  ``alignment`` (``None`` unless n is the reference
+    tables' n) and ``survey`` are added by ``run_theorem5`` after the verdict."""
+
     n: int
     cond_i_sets: tuple[tuple[int, ...], ...]
     reduced_sets: tuple[tuple[int, ...], ...]
@@ -155,6 +155,8 @@ class PipelineReport(NamedTuple):
     unresolved: tuple[str, ...]
     survivors: tuple[str, ...]
     verdict: str
+    alignment: AlignmentTable | None = None
+    survey: ConditionIIISurvey | None = None
 
 
 class ReducedClasses(NamedTuple):
@@ -330,11 +332,13 @@ def _align_and_decide(reduced: ReducedClasses, decisions) -> PipelineReport:
     """Stage 5: signatures, reference cases and the verdict, as the report."""
     n = reduced.n
     cat = catalogue(n)
+    fixtures = load_fixtures()
+    reference = n == fixtures.n
     # The orbit text of each reference chain and of its dual -> first case.
     # Both sides are keys, so a class's own text finds any case it holds.
     fixture_cases: dict[str, int] = {}
-    if n == 7:
-        for case in load_fixtures().cases:
+    if reference:
+        for case in fixtures.cases:
             for text in case.chains:
                 indices = chain_indices(cat, Chain.from_text(n, text))
                 for variant in (indices, dual_indices(cat, indices)):
@@ -378,14 +382,8 @@ def _align_and_decide(reduced: ReducedClasses, decisions) -> PipelineReport:
                 ranks=cls.representative.ranks(),
                 orbit_size=cls.orbit_size,
                 dual_representative=cls.dual_representative.text(),
-                # Every scanned rank set passes condition I, and duality
-                # maps consecutive coranks to consecutive coranks.
-                cond_i=True,
-                cond_ii=True,
                 cond_iii_criterion=bool(code & CRITERION),
                 cond_iii_literal=literal_iii,
-                dual_cond_i=True,
-                dual_cond_ii=True,
                 dual_cond_iii_criterion=bool(code & DUAL_CRITERION),
                 dual_cond_iii_literal=dual_literal_iii,
                 iv_satisfied=verdict_iv.satisfied,
@@ -404,8 +402,9 @@ def _align_and_decide(reduced: ReducedClasses, decisions) -> PipelineReport:
     # A class is resolved if its F' signatures meet those of the classes a
     # reference chain lands in (its own, if it is one): the reference tables
     # list one chain per family and rely on condition IV reading nothing
-    # else.  One step suffices: at n = 7, the only n that computes it, any
-    # two classes joined through shared signatures share one themselves.
+    # else.  One step suffices: at the tables' n (7), the only n that
+    # computes it, any two classes joined through shared signatures share
+    # one themselves.
     matched = set()
     for found, report in zip(signatures, reports):
         if report.matched_case is not None:
@@ -413,7 +412,7 @@ def _align_and_decide(reduced: ReducedClasses, decisions) -> PipelineReport:
     unresolved = tuple(
         report.representative
         for found, report in zip(signatures, reports)
-        if n == 7 and not found & matched
+        if reference and not found & matched
     )
 
     survivors = tuple(r.representative for r in reports if r.survives)
@@ -438,9 +437,12 @@ def _align_and_decide(reduced: ReducedClasses, decisions) -> PipelineReport:
 
 @lru_cache(maxsize=None)
 def run_theorem5(n: int = 7) -> PipelineReport:
-    """Run the full enumeration-and-refutation pipeline for one n."""
+    """Run the full enumeration-and-refutation pipeline for one n: the
+    verdict, then the reference alignment and the survey, which never feed it."""
     reduced = reduced_classes(n)
-    return _align_and_decide(reduced, _decide_condition_iv(reduced))
+    report = _align_and_decide(reduced, _decide_condition_iv(reduced))
+    alignment = compare_fixture(report) if n == load_fixtures().n else None
+    return report._replace(alignment=alignment, survey=condition_iii_survey(n))
 
 
 class LemmaThreeReport(NamedTuple):
@@ -492,9 +494,10 @@ def validate_lemma3(n: int = 7) -> LemmaThreeReport:
     for cls in reduced_classes(n).classes:
         add(cls.representative)
         add(cls.dual_representative)
-    if n == 7:
-        for text in load_fixtures().all_chain_texts():
-            add(Chain.from_text(7, text))
+    fixtures = load_fixtures()
+    if n == fixtures.n:
+        for text in fixtures.all_chain_texts():
+            add(Chain.from_text(n, text))
     for chain in sample_chains(n, LEMMA3_SAMPLE_SIZE, LEMMA3_SEED):
         add(chain)
 
@@ -582,8 +585,9 @@ def condition_iii_survey(n: int = 7) -> ConditionIIISurvey:
             missing -= 1
 
     fixture_disagreements: set[tuple[int, ...]] = set()
-    if n == 7:
-        for text in load_fixtures().all_chain_texts():
+    fixtures = load_fixtures()
+    if n == fixtures.n:
+        for text in fixtures.all_chain_texts():
             indices = chain_indices(cat, Chain.from_text(n, text))
             for variant in (indices, dual_indices(cat, indices)):
                 if window_code_of_indices(cat, variant) in (CRITERION, LITERAL):
@@ -639,9 +643,7 @@ def _certificate_style(certificate: RefutationCertificate | None) -> str:
     return "emptiness"
 
 
-def compare_fixture(
-    report: PipelineReport, fixtures: FixtureSet | None = None
-) -> AlignmentTable:
+def compare_fixture(report: PipelineReport) -> AlignmentTable:
     """Align the pipeline's classes with the embedded reference data.
 
     A chain is *aligned* when it lands in some class, its quoted hits are
@@ -650,9 +652,9 @@ def compare_fixture(
     engine prefers outright companion-set emptiness whenever exhaustive
     pattern detection yields it, so some reference cases narrated through
     forced blocks are closed by a shorter emptiness certificate here.
+    A report of another n than the tables' is refused: they are read in its catalogue.
     """
-    if fixtures is None:
-        fixtures = load_fixtures()
+    fixtures = load_fixtures()
     if report.n != fixtures.n:
         raise ValueError(f"report is for n={report.n}, fixtures for n={fixtures.n}")
 

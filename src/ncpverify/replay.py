@@ -105,11 +105,13 @@ class _Replayer:
     def _cyc(self, i: int) -> int:
         return (i - 1) % self.n + 1
 
-    def _index(self, step: dict, key: str) -> int:
-        value = step.get(key)
+    def _element(self, value, what: str) -> int:
         if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= self.n:
-            raise _Reject(f"{key} {value!r} is not an index in 1..{self.n}")
+            raise _Reject(f"{what} {value!r} is not an index in 1..{self.n}")
         return value
+
+    def _index(self, step: dict, key: str) -> int:
+        return self._element(step.get(key), key)
 
     def _neighbors(self, i: int) -> frozenset[int]:
         return frozenset({self._cyc(i - 1), self._cyc(i + 1)})
@@ -192,9 +194,9 @@ class _Replayer:
             or i not in block
         ):
             raise _Reject(f"forced block at {i} must be a sorted pair containing {i}")
-        x = block[0] if block[1] == i else block[1]
-        if not 1 <= x <= self.n:
-            raise _Reject(f"companion {x} outside the circle")
+        x = self._element(block[0] if block[1] == i else block[1], "companion")
+        if x == i:
+            raise _Reject("an index cannot be its own companion")
         if x in self.excluded[i]:
             raise _Reject(f"companion {x} is itself excluded at {i}")
         uncovered = self._companions(i) - {x} - self.excluded[i]

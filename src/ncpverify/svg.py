@@ -42,8 +42,7 @@ def _point(n: int, i: int, radius: float, cx: float, cy: float) -> tuple[float, 
     return cx + radius * math.cos(angle), cy - radius * math.sin(angle)
 
 
-def _panel(n: int, part_masks: list[int], edges: list[tuple[int, int]],
-           offset_x: float, caption: str) -> list[str]:
+def _panel(n: int, part_masks: list[int], offset_x: float, caption: str) -> list[str]:
     cx = offset_x + _PANEL / 2
     cy = _PANEL / 2
     out = [
@@ -65,13 +64,6 @@ def _panel(n: int, part_masks: list[int], edges: list[tuple[int, int]],
                 f'<polygon points="{path}" fill="{_HULL_FILL}" fill-opacity="0.45"'
                 f' stroke="{_EDGE_STROKE}" stroke-width="1.5"/>'
             )
-    for a, b in edges:
-        x1, y1 = _point(n, a, _RADIUS, cx, cy)
-        x2, y2 = _point(n, b, _RADIUS, cx, cy)
-        out.append(
-            f'<line x1="{_coord(x1)}" y1="{_coord(y1)}" x2="{_coord(x2)}"'
-            f' y2="{_coord(y2)}" stroke="{_EDGE_STROKE}" stroke-width="2"/>'
-        )
     for i in range(1, n + 1):
         x, y = _point(n, i, _RADIUS, cx, cy)
         out.append(
@@ -95,22 +87,23 @@ def _panel(n: int, part_masks: list[int], edges: list[tuple[int, int]],
 def render_svg(obj: Partition | Chain | NCSpanningTree) -> str:
     """Render a partition, a chain, or a non-crossing spanning tree."""
     if isinstance(obj, Partition):
-        panels = [(obj.n, list(obj.parts), [], obj.text())]
+        panels = [(obj.n, list(obj.parts), obj.text())]
     elif isinstance(obj, Chain):
         panels = [
-            (member.n, list(member.parts), [], member.text())
+            (member.n, list(member.parts), member.text())
             for member in obj.members
         ]
     elif isinstance(obj, NCSpanningTree):
-        panels = [(obj.n, [], list(obj.edges), obj.text())]
+        # each edge is drawn as the chord of a two-element part
+        panels = [(obj.n, [1 << a - 1 | 1 << b - 1 for a, b in obj.edges], obj.text())]
     else:
         raise TypeError(f"cannot render {type(obj).__name__}")
 
     width = _PANEL * len(panels)
     height = _PANEL + _CAPTION_HEIGHT
     body: list[str] = []
-    for index, (n, masks, edges, caption) in enumerate(panels):
-        body.extend(_panel(n, masks, edges, index * _PANEL, caption))
+    for index, (n, masks, caption) in enumerate(panels):
+        body.extend(_panel(n, masks, index * _PANEL, caption))
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}"'
         f' height="{height}" viewBox="0 0 {width} {height}">\n'

@@ -1,8 +1,8 @@
 """Shared session fixtures.
 
-The heavy artifacts (the full pipeline run, the reference alignment, the
-condition-III census) are memoized inside the package, so these fixtures
-are cheap to request from any test module.
+The heavy artifact, the full pipeline run with its reference alignment
+and condition-III census, is memoized inside the package, so these
+fixtures are cheap to request from any test module.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from ncpverify.fixtures import load_fixtures
-from ncpverify.pipeline import compare_fixture, condition_iii_survey, run_theorem5
+from ncpverify.pipeline import run_theorem5
 
 
 @pytest.fixture(scope="session")
@@ -25,9 +25,9 @@ def pipeline_report():
 
 @pytest.fixture(scope="session")
 def alignment_table(pipeline_report):
-    return compare_fixture(pipeline_report)
+    return pipeline_report.alignment
 
 
 @pytest.fixture(scope="session")
-def survey():
-    return condition_iii_survey(7)
+def survey(pipeline_report):
+    return pipeline_report.survey

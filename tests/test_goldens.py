@@ -9,9 +9,10 @@ N = 3..7 (the 270 KB n = 7 JSON as its SHA-256 only), and what
 five chains of ``CHECK_CHAINS``, one after another: past the maximal-chain
 index, these pin the pruned search's witnesses and leaf counts.  The
 runs here are in-process through ``cli.main``, with the exit codes
-checked too.  ``demo-01.txt`` is what ``demos/01_lattice_tour.py``
-prints, its join and meet read from the catalogue's order rows, and
-``demo-06.txt`` what ``demos/06_render_gallery.py`` prints.
+checked too.  ``demo-0K.txt`` is what ``demos/0K_*.py`` prints for
+K = 1..6 (demo 01 reads its join and meet from the catalogue's order
+rows), and ``demo-06-svg.sha256`` digests the six SVG files demo 06
+writes, in the order it prints them.
 ``pattern-refute.sha256`` digests ``pattern_refute``'s output, certificate
 JSON or none, on every chain for N = 3..6 and the 2 667 theorem5
 candidates at N = 7: 7 634 chains, 4 240 certificates.
@@ -79,11 +80,32 @@ def test_lattice_tour_demo_matches_golden(capsys):
     assert capsys.readouterr().out == (GOLDENS / "demo-01.txt").read_text(encoding="ascii")
 
 
+@pytest.mark.parametrize(
+    "demo",
+    [
+        "02_chain_conditions",
+        "03_condition_iv_certificates",
+        "04_run_theorem5",
+        "05_apartments",
+    ],
+)
+def test_demo_matches_golden(demo, capsys):
+    runpy.run_path(str(DEMOS / f"{demo}.py"), run_name="__main__")
+    golden = GOLDENS / f"demo-{demo[:2]}.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="ascii")
+
+
 def test_render_gallery_demo_matches_golden(capsys):
     # each SVG's path is printed relative to demos/, so the output is the
     # same in every checkout
     runpy.run_path(str(DEMOS / "06_render_gallery.py"), run_name="__main__")
-    assert capsys.readouterr().out == (GOLDENS / "demo-06.txt").read_text(encoding="ascii")
+    out = capsys.readouterr().out
+    assert out == (GOLDENS / "demo-06.txt").read_text(encoding="ascii")
+    digest = hashlib.sha256()
+    for line in out.splitlines():
+        digest.update((DEMOS / line.removeprefix("wrote ")).read_bytes())
+    expected = (GOLDENS / "demo-06-svg.sha256").read_text(encoding="ascii").strip()
+    assert digest.hexdigest() == expected
 
 
 def test_certificate_stream_matches_golden():

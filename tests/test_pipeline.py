@@ -22,6 +22,8 @@ from ncpverify.chains import (
     Chain,
     canonical_prime_signature,
     chain_indices,
+    cond_i,
+    cond_ii,
     cond_iii_bruteforce,
     cond_iii_criterion,
     dual_indices,
@@ -35,6 +37,7 @@ from ncpverify.pipeline import (
     LEMMA3_SEED,
     VERDICT_VERIFIED,
     cond_i_rank_sets,
+    condition_iii_survey,
     duality_reduced_rank_sets,
     report_to_csv,
     report_to_json,
@@ -127,10 +130,18 @@ def test_signature_duplicate_is_the_earliest_class_sharing_a_signature(pipeline_
 
 
 def test_pipeline_filter_semantics(pipeline_report):
+    # The report writes I and II as true on both sides without storing
+    # them: only condition-I rank sets are scanned, and candidates passed
+    # II on both sides.  Each class's two chains bear that out.
+    for written in json.loads(report_to_json(pipeline_report))["classes"]:
+        keys = ("condI", "condII", "dualCondI", "dualCondII")
+        assert [written[key] for key in keys] == [True] * 4
+        for text in (written["representative"], written["dualRepresentative"]):
+            chain = Chain.from_text(7, text)
+            assert cond_i(chain) and cond_ii(chain), text
     # every kept class passes the union filter on both sides, and survival
     # additionally demands the literal condition III on both sides
     for c in pipeline_report.classes:
-        assert c.cond_i and c.cond_ii
         assert c.cond_iii_criterion or c.cond_iii_literal
         assert c.dual_cond_iii_criterion or c.dual_cond_iii_literal
         expected_survives = (
@@ -450,8 +461,27 @@ def test_lemma3_sample_equals_materialised_sample():
     ).sample(population, LEMMA3_SAMPLE_SIZE)
 
 
-def test_report_to_json(pipeline_report, alignment_table, survey):
-    payload = json.loads(report_to_json(pipeline_report, alignment_table, survey))
+@pytest.mark.parametrize("n", range(3, 8))
+def test_run_theorem5_holds_the_alignment_and_the_survey(n):
+    # A fresh run: a test that cleared the survey's cache cannot split the
+    # survey a memoized report holds from the memoized survey.
+    report = run_theorem5.__wrapped__(n)
+    assert report == run_theorem5(n)
+    assert report.survey is condition_iii_survey(n)
+    if n == 7:
+        assert report.alignment == pipeline.compare_fixture(report)
+    else:
+        assert report.alignment is None
+
+
+def test_compare_fixture_refuses_a_report_of_another_n():
+    # the reference tables are read in the catalogue of the report's n
+    with pytest.raises(ValueError, match="report is for n=6, fixtures for n=7"):
+        pipeline.compare_fixture(run_theorem5(6))
+
+
+def test_report_to_json(pipeline_report):
+    payload = json.loads(report_to_json(pipeline_report))
     assert payload["n"] == 7
     assert payload["verdict"] == VERDICT_VERIFIED
     assert payload["chainsScanned"] == 12432
@@ -490,16 +520,14 @@ def test_report_to_csv(pipeline_report):
     assert all(row["survives"] == "False" for row in rows)
 
 
-def test_convention_report_counts_the_cases_aligned(pipeline_report, fixture_set):
-    table = pipeline.compare_fixture(
-        pipeline_report, fixture_set._replace(cases=fixture_set.cases[:3])
-    )
-    text = report_to_text(pipeline_report, table)
+def test_convention_report_counts_the_cases_aligned(pipeline_report, alignment_table):
+    table = alignment_table._replace(conventions=alignment_table.conventions[:3])
+    text = report_to_text(pipeline_report._replace(alignment=table))
     assert "convention report: non-strict reproduces 3/3 cases, strict reproduces 2/3\n" in text
 
 
-def test_report_to_text(pipeline_report, alignment_table, survey):
-    text = report_to_text(pipeline_report, alignment_table, survey)
+def test_report_to_text(pipeline_report):
+    text = report_to_text(pipeline_report)
     assert "THEOREM 5 VERIFIED" in text
     assert "12432" in text and "2667" in text and "119" in text
     assert "53/58" in text

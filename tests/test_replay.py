@@ -16,7 +16,7 @@ from ncpverify.condition4 import RefutationCertificate, pattern_refute
 from ncpverify.enumeration import enumerate_chains
 from ncpverify.lattice import catalogue
 from ncpverify.pipeline import report_to_json, run_theorem5
-from ncpverify.replay import _family_sets, replay_certificate
+from ncpverify.replay import _family_sets, _Reject, _Replayer, replay_certificate
 
 import oracles
 
@@ -180,6 +180,61 @@ def _forge_forced_index(steps):
         ("16<16,34<123456", _forge_forced_index, "no forced block"),
         # true == 1 in Python, but a flag is not an index
         ("23<12346", lambda steps: steps[4].update(index=True), "not an index"),
+        # exclusion steps
+        ("12,46", lambda steps: steps[0].update(index=4), "does not apply to index 4"),
+        ("12,46", lambda steps: steps[0].update(pattern="(1,+,3)(2)"), "no clause (1,2) exists"),
+        ("12,46", lambda steps: steps[0].update(excluded=[]), "carries no excluded elements"),
+        ("12,46", lambda steps: steps[0].pop("pattern"), "neither pattern nor forcedIndex"),
+        ("23<12346", lambda steps: steps[5].update(excluded=[7, 2]), "list exactly its index"),
+        (
+            "23<12346",
+            lambda steps: steps[5].update(forcedIndex=1, excluded=[1]),
+            "an index cannot be its own companion",
+        ),
+        # the collision read before the exclusions it needs at index 1
+        ("23<12346", lambda steps: steps.insert(4, steps.pop(5)), "avoids the exclusions at 1"),
+        # forced blocks
+        ("12,46", lambda steps: steps[2].update(block=[5, 3]), "must be a sorted pair"),
+        ("12,46", lambda steps: steps.insert(3, dict(steps[2])), "index 3 was already forced"),
+        # a companion is an element, as an index is, and not the index itself
+        (
+            "57",
+            lambda steps: steps.insert(2, {"kind": "forced-block", "index": 2, "block": [1.5, 2]}),
+            "companion 1.5 is not an index in 1..7",
+        ),
+        (
+            "57",
+            lambda steps: steps.insert(2, {"kind": "forced-block", "index": 2, "block": [2, 2]}),
+            "an index cannot be its own companion",
+        ),
+        # propagation
+        ("12,46", lambda steps: steps[3].pop("block"), "propagate step carries no block"),
+        ("12,46", lambda steps: steps[3].update(source=7), "source 7 is not forced to [3, 5]"),
+        (
+            "12,46",
+            lambda steps: steps.insert(4, dict(steps[3])),
+            "target 5 already has a forced block",
+        ),
+        # conflicts
+        ("12,46", lambda steps: steps[-1].update(index=3), "3 is not in the incoming block"),
+        (
+            "12,46",
+            lambda steps: steps[-1].update(source=3, incoming=[3, 5]),
+            "the two blocks agree",
+        ),
+        ("23<12346", lambda steps: steps[-1].update(indices=[1]), "two indices and two blocks"),
+        # the mismatch restated as a crossing: overlapping blocks never cross
+        (
+            "12,46",
+            lambda steps: steps[-1].update(
+                conflict="forced-crossing", indices=[3, 7], blocks=[[3, 5], [5, 7]]
+            ),
+            "the two blocks do not cross",
+        ),
+        ("12,46", lambda steps: steps[-1].update(conflict="nonsense"), "unknown conflict kind"),
+        # steps
+        ("12,46", lambda steps: steps.__setitem__(0, "exclusion"), "step 0 is not a record"),
+        ("12,46", lambda steps: steps[0].update(kind="lemma"), "unknown step kind 'lemma'"),
     ],
 )
 def test_replay_rejects_tampered_steps(text, tamper, failure):
@@ -189,6 +244,15 @@ def test_replay_rejects_tampered_steps(text, tamper, failure):
     result = _replay(_record(payload))
     assert result.ok is False
     assert failure in result.failure
+
+
+def test_replay_rejects_an_index_that_could_stay_unmerged():
+    # No certificate reaches this check through replay_certificate: every
+    # exclusion at i needs a pattern at i, whose first relation (E or C)
+    # puts a neighbor of i into F_i.  It is checked on the replayer itself.
+    replayer = _Replayer(7, Chain.from_text(7, "13"), strict=False)
+    with pytest.raises(_Reject, match="index 1 could stay unmerged"):
+        replayer._must_merge(1)
 
 
 def test_replay_rejects_non_ascii_digits_in_a_designator():
