@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 from ncpverify.chains import _RECENT_CHAINS, Chain, chain_from_indices, smallest_blocks
 from ncpverify.core import _masks_alternate, elements_of
-from ncpverify.enumeration import maximal_chain_index, pruned_maximal_chains
+from ncpverify.enumeration import _FULL_SCAN_MAX_N, maximal_chain_index, pruned_maximal_chains
 from ncpverify.lattice import catalogue
 
 # Clause tables: CLAUSES[k][m-1] is the tuple of relations linking
@@ -202,13 +202,8 @@ def detect_patterns(chain: Chain, strict: bool = False) -> tuple[PatternHit, ...
     Hits come ordered by base index, then sign (+ first), length and
     clause.
     """
-    return _patterns_of_blocks(chain.n, smallest_blocks(chain).blocks, strict)
-
-
-def _patterns_of_blocks(n: int, blocks, strict: bool = False) -> tuple[PatternHit, ...]:
-    """``detect_patterns`` of a chain whose F-family masks are ``blocks``."""
     hits: list[PatternHit] = []
-    for ahead, behind in _entries_of_blocks(n, blocks, strict):
+    for ahead, behind in _entries_of_blocks(chain.n, smallest_blocks(chain).blocks, strict):
         hits += ahead[0]
         hits += behind[0]
     return tuple(hits)
@@ -287,7 +282,7 @@ def cond_iv(chain: Chain) -> WitnessOrRefutation:
     """
     n = chain.n
     demand = smallest_blocks(chain).packed_primes()
-    if n <= 7:
+    if n <= _FULL_SCAN_MAX_N:
         idx = maximal_chain_index(n)
         pos = idx.first_compatible(demand)
         if pos is None:

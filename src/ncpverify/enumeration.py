@@ -68,6 +68,9 @@ from ncpverify.chains import (
 )
 from ncpverify.lattice import Catalogue, catalogue, iter_bits
 
+# The largest n with a full chain enumeration and a maximal-chain index.
+_FULL_SCAN_MAX_N = 7
+
 
 def rank_sets(n: int):
     """All nonempty subsets of 1..n-2, by (size, lexicographic) order."""
@@ -143,8 +146,8 @@ def _grow_chains(cat: Catalogue, ranks, member_code, edge_code, avoid: int = 0):
 def enumerate_chains(n: int, rank_filter=None):
     """Every chain of the proper part of NC(n) in stream order, optionally
     one rank set only."""
-    if not 3 <= n <= 7:
-        raise ValueError("full chain enumeration needs 3 <= n <= 7")
+    if not 3 <= n <= _FULL_SCAN_MAX_N:
+        raise ValueError(f"full chain enumeration needs 3 <= n <= {_FULL_SCAN_MAX_N}")
     cat = catalogue(n)
     sets = [tuple(sorted(rank_filter))] if rank_filter is not None else rank_sets(n)
     for ranks in sets:
@@ -402,8 +405,8 @@ class MaximalChainIndex:
 
 @lru_cache(maxsize=None)
 def maximal_chain_index(n: int) -> MaximalChainIndex:
-    if not 3 <= n <= 7:
-        raise ValueError("the maximal-chain index is built for 3 <= n <= 7")
+    if not 3 <= n <= _FULL_SCAN_MAX_N:
+        raise ValueError(f"the maximal-chain index is built for 3 <= n <= {_FULL_SCAN_MAX_N}")
     return MaximalChainIndex(n)
 
 

@@ -57,13 +57,13 @@ from ncpverify.chains import (
 from ncpverify.condition4 import (
     RefutationCertificate,
     WitnessOrRefutation,
-    _patterns_of_blocks,
     cond_iv,
     detect_patterns,
     exclusion_mask,
     pattern_refute,
 )
 from ncpverify.enumeration import (
+    _FULL_SCAN_MAX_N,
     OrbitClass,
     all_chain_index_tuples,
     chain_index_tuples,
@@ -293,8 +293,8 @@ def _one_per_dual_pair(classes: list[OrbitClass]) -> tuple[OrbitClass, ...]:
 @lru_cache(maxsize=None)
 def reduced_classes(n: int = 7) -> ReducedClasses:
     """Stages 1-3 of ``run_theorem5``: scan, orbit sweep and duality."""
-    if not 3 <= n <= 7:
-        raise ValueError("the pipeline supports 3 <= n <= 7")
+    if not 3 <= n <= _FULL_SCAN_MAX_N:
+        raise ValueError(f"the pipeline supports 3 <= n <= {_FULL_SCAN_MAX_N}")
     cond_i_sets = cond_i_rank_sets(n)
     chains_scanned, candidates, disagreements = _scan(n, cond_i_sets)
     classes = orbit_classes(list(candidates), n)  # stage 2
@@ -477,8 +477,8 @@ def validate_lemma3(n: int = 7) -> LemmaThreeReport:
     The representatives come from ``reduced_classes`` (stages 1-3 of
     ``run_theorem5``); no condition-IV, certificate or signature work runs.
     """
-    if not 3 <= n <= 7:
-        raise ValueError("lemma-3 validation supports 3 <= n <= 7")
+    if not 3 <= n <= _FULL_SCAN_MAX_N:
+        raise ValueError(f"lemma-3 validation supports 3 <= n <= {_FULL_SCAN_MAX_N}")
     index = maximal_chain_index(n)
 
     corpus: list[Chain] = []
@@ -508,7 +508,7 @@ def validate_lemma3(n: int = 7) -> LemmaThreeReport:
         family = smallest_blocks(chain)
         demand = family.packed_primes()
         surviving = index.survivors(demand)
-        hits = _patterns_of_blocks(n, family.blocks)
+        hits = detect_patterns(chain)
         hits_checked += len(hits)
         if not surviving:
             continue
@@ -565,8 +565,8 @@ def condition_iii_survey(n: int = 7) -> ConditionIIISurvey:
     direction come from the chain stream, read only as far as the last
     one; every affected reference-table chain is read directly.
     """
-    if not 3 <= n <= 7:
-        raise ValueError("the survey supports 3 <= n <= 7")
+    if not 3 <= n <= _FULL_SCAN_MAX_N:
+        raise ValueError(f"the survey supports 3 <= n <= {_FULL_SCAN_MAX_N}")
     cat = catalogue(n)
     readings = _chain_readings(cat)
     criterion_only = readings[CRITERION]

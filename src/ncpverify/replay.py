@@ -113,6 +113,16 @@ class _Replayer:
     def _index(self, step: dict, key: str) -> int:
         return self._element(step.get(key), key)
 
+    def _elements(self, value, what: str, failure: str, size: int = 0, inner: int = 0) -> list:
+        """A nonempty list of ``size`` elements named ``what`` (any number
+        where ``size`` is 0), or with ``inner``, of ``size`` such lists of
+        ``inner`` elements each; anything else is rejected with ``failure``."""
+        if not isinstance(value, list) or not value or size and len(value) != size:
+            raise _Reject(failure)
+        if inner:
+            return [self._elements(v, what, failure, inner) for v in value]
+        return [self._element(v, what) for v in value]
+
     def _neighbors(self, i: int) -> frozenset[int]:
         return frozenset({self._cyc(i - 1), self._cyc(i + 1)})
 
@@ -159,9 +169,9 @@ class _Replayer:
 
     def exclusion(self, step: dict):
         i = self._index(step, "index")
-        listed = step.get("excluded")
-        if not isinstance(listed, list) or not listed:
-            raise _Reject("exclusion step carries no excluded elements")
+        listed = self._elements(
+            step.get("excluded"), "excluded", "exclusion step carries no excluded elements"
+        )
         if "pattern" in step:
             expected = self._check_pattern(step["pattern"], i)
             if listed != expected:
@@ -186,15 +196,11 @@ class _Replayer:
 
     def forced_block(self, step: dict):
         i = self._index(step, "index")
-        block = step.get("block")
-        if (
-            not isinstance(block, list)
-            or len(block) != 2
-            or sorted(block) != block
-            or i not in block
-        ):
-            raise _Reject(f"forced block at {i} must be a sorted pair containing {i}")
-        x = self._element(block[0] if block[1] == i else block[1], "companion")
+        failure = f"forced block at {i} must be a sorted pair containing {i}"
+        block = self._elements(step.get("block"), "companion", failure, 2)
+        if sorted(block) != block or i not in block:
+            raise _Reject(failure)
+        x = block[0] if block[1] == i else block[1]
         if x == i:
             raise _Reject("an index cannot be its own companion")
         if x in self.excluded[i]:
@@ -212,9 +218,7 @@ class _Replayer:
     def propagate(self, step: dict):
         src = self._index(step, "source")
         tgt = self._index(step, "target")
-        block = step.get("block")
-        if not isinstance(block, list):
-            raise _Reject("propagate step carries no block")
+        block = self._elements(step.get("block"), "block", "propagate step carries no block", 2)
         value = frozenset(block)
         if self.forced.get(src) != value:
             raise _Reject(f"source {src} is not forced to {block}")
@@ -237,8 +241,9 @@ class _Replayer:
         elif kind == "forced-mismatch":
             x = self._index(step, "index")
             src = self._index(step, "source")
-            existing = frozenset(step.get("existing", ()))
-            incoming = frozenset(step.get("incoming", ()))
+            failure = "forced-mismatch needs an existing and an incoming block"
+            stated = [step.get("existing"), step.get("incoming")]
+            existing, incoming = map(frozenset, self._elements(stated, "block", failure, 2, 2))
             if self.forced.get(x) != existing:
                 raise _Reject(f"index {x} is not forced to the stated existing block")
             if self.forced.get(src) != incoming:
@@ -248,16 +253,10 @@ class _Replayer:
             if existing == incoming:
                 raise _Reject("the two blocks agree; no contradiction")
         elif kind == "forced-crossing":
-            indices = step.get("indices")
-            blocks = step.get("blocks")
-            if (
-                not isinstance(indices, list)
-                or not isinstance(blocks, list)
-                or len(indices) != 2
-                or len(blocks) != 2
-            ):
-                raise _Reject("forced-crossing needs two indices and two blocks")
-            first, second = (frozenset(b) for b in blocks)
+            failure = "forced-crossing needs two indices and two blocks"
+            indices = self._elements(step.get("indices"), "index", failure, 2)
+            blocks = self._elements(step.get("blocks"), "block", failure, 2, 2)
+            first, second = map(frozenset, blocks)
             if self.forced.get(indices[0]) != first or self.forced.get(indices[1]) != second:
                 raise _Reject("stated blocks do not match the forced state")
             if not _alternates(first, second):

@@ -7,6 +7,7 @@ result from all three.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -235,6 +236,17 @@ def _forge_forced_index(steps):
         # steps
         ("12,46", lambda steps: steps.__setitem__(0, "exclusion"), "step 0 is not a record"),
         ("12,46", lambda steps: steps[0].update(kind="lemma"), "unknown step kind 'lemma'"),
+        # every entry of a step's lists is an element: a float or a flag
+        # that equals one is not
+        ("23<12346", lambda steps: steps[-1].update(indices=[1.0, 5]), "index 1.0 is not an index"),
+        ("23<12346", lambda steps: steps[-1].update(indices=[True, 5]), "index True is not"),
+        ("23<12346", lambda steps: steps[-1].update(indices=[1, 5.0]), "index 5.0 is not an index"),
+        ("12,46", lambda steps: steps[-1].update(existing=[3.0, 5]), "block 3.0 is not an index"),
+        ("12,46", lambda steps: steps[-1].update(incoming=[5.0, 7]), "block 5.0 is not an index"),
+        ("12,46", lambda steps: steps[3].update(block=[3.0, 5]), "block 3.0 is not an index"),
+        ("12,46", lambda steps: steps[0].update(excluded=[4.0]), "excluded 4.0 is not an index"),
+        ("12,46", lambda steps: steps[2].update(block=[3.0, 5]), "companion 3.0 is not an index"),
+        ("23<12346", lambda steps: steps[5].update(excluded=[7.0]), "excluded 7.0 is not an index"),
     ],
 )
 def test_replay_rejects_tampered_steps(text, tamper, failure):
@@ -244,6 +256,53 @@ def test_replay_rejects_tampered_steps(text, tamper, failure):
     result = _replay(_record(payload))
     assert result.ok is False
     assert failure in result.failure
+
+
+def _twins(payload):
+    """Every copy of a certificate document with one integer inside a step
+    replaced by its float twin, or one 1 by ``true``."""
+
+    def visit(holder):
+        for key, value in list(holder.items() if isinstance(holder, dict) else enumerate(holder)):
+            if isinstance(value, list):
+                yield from visit(value)
+            elif isinstance(value, int):
+                for twin in [float(value)] + [True] * (value == 1):
+                    holder[key] = twin
+                    yield json.loads(json.dumps(payload))
+                holder[key] = value
+
+    for step in payload["steps"]:
+        yield from visit(step)
+
+
+def test_replay_rejects_every_float_or_flag_twin():
+    # Together these certificates hold every step kind and every conflict
+    # kind; a twin equals a valid element, but is not one.
+    documents = [
+        twin
+        for text in ("12,46", "23<12346", "16<12346", "16<16,34<123456", "57")
+        for twin in _twins(json.loads(_cert(text).to_json()))
+    ]
+    assert len(documents) == 126
+    for payload in documents:
+        result = _replay(_record(payload))
+        assert result.ok is False, payload
+        assert "is not an index in 1..7" in result.failure, payload
+
+
+def test_replay_accepts_every_certificate_the_engine_writes():
+    # every chain at n = 3..6 and every 13th at n = 7, not only the class
+    # representatives, their images and the reference chains
+    chains = itertools.chain(
+        *(enumerate_chains(n) for n in range(3, 7)),
+        itertools.islice(enumerate_chains(7), 0, None, 13),
+    )
+    certificates = [cert for cert in map(pattern_refute, chains) if cert is not None]
+    assert len(certificates) == 1664 + 1501
+    for cert in certificates:
+        assert replay_certificate(cert).ok, cert.chain
+        assert replay_certificate(cert.to_json()).ok, cert.chain
 
 
 def test_replay_rejects_an_index_that_could_stay_unmerged():
