@@ -56,6 +56,8 @@ class NCSpanningTree(_NCSpanningTreeFields):
     __slots__ = ()
 
     def __new__(cls, n: int, edges: tuple[tuple[int, int], ...]):
+        # Stored as tuples, so every tree hashes, and an iterator is read once.
+        edges = tuple(map(tuple, edges))
         if not 1 <= n <= MAX_N:
             raise ValueError(f"universe size {n} outside 1..{MAX_N}")
         if len(edges) != n - 1:

@@ -25,6 +25,15 @@ raises ``ValueError``; no lookup wraps to the end of the table.  The
 parser builds its ``Partition`` without re-validating the parts it has
 just checked.
 
+Two answers are memoised for the life of the process, each bounded by
+the Bell(n) set partitions of 1..n (877 at n = 7, 21 147 at n = 9): the
+parser keeps a partition under (n, text) only when the text is that
+partition's own canonical ``text()``, so a warm process parses each
+canonical text once, and ``is_noncrossing`` is cached by partition
+value.  Errors are never cached: a text that fails to parse raises on
+every call with the same message and position, and a crossing partition
+fails ``require_noncrossing`` every time.
+
 The value types here, as everywhere in the package, are immutable
 ``typing.NamedTuple`` records.  The validating type here, ``Partition``,
 checks its fields in ``__new__``, and ``_make`` calls the constructor, so
@@ -34,6 +43,7 @@ checks its fields in ``__new__``, and ``_make`` calls the constructor, so
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import NamedTuple
 
 MAX_N = 9
@@ -136,6 +146,7 @@ class Partition(_PartitionFields):
     def __new__(cls, n: int, parts):
         if not 1 <= n <= MAX_N:
             raise ValueError(f"universe size must be in 1..{MAX_N}")
+        parts = tuple(parts)  # an iterator is read once, here
         full = (1 << n) - 1
         seen = 0
         for p in parts:
@@ -190,6 +201,7 @@ class Partition(_PartitionFields):
         return f"Partition({self.n}, {self.text()!r})"
 
 
+@lru_cache(maxsize=None)  # one entry per set partition of 1..n: Bell(n)
 def is_noncrossing(p: Partition) -> bool:
     blocks = [q for q in p.parts if q & (q - 1)]
     return not any(
@@ -208,10 +220,13 @@ def leq(p: Partition, q: Partition) -> bool:
     if p.n != q.n:
         raise UniverseMismatch(f"partitions over different universes: {p.n} vs {q.n}")
     for part in p.parts:
-        low = part & -part
-        container = q.part_containing(low.bit_length())
-        if part & ~container:
-            return False
+        # q's parts are disjoint and cover 1..n: the one that meets this
+        # part is the only one that can hold it.
+        for big in q.parts:
+            if part & big:
+                if part & ~big:
+                    return False
+                break
     return True
 
 
@@ -249,9 +264,19 @@ def kreweras_dual(p: Partition) -> Partition:
 
 # -- text notation ------------------------------------------------------
 
+# (n, text) -> its partition, for canonical texts only: Bell(n) entries at most.
+_PARSED: dict[tuple[int, str], Partition] = {}
+
 
 def _parse_partition(n: int, text: str, offset: int = 0) -> Partition:
-    """Parse block notation like "12,46"; singletons are implied."""
+    """Parse block notation like "12,46"; singletons are implied.
+
+    A canonical text is parsed once per process; a bad text raises afresh
+    on every call, at its own ``offset``.
+    """
+    known = _PARSED.get((n, text))
+    if known is not None:
+        return known
     if not 1 <= n <= MAX_N:
         raise ValueError(f"universe size must be in 1..{MAX_N}")
     seen = 0
@@ -291,4 +316,7 @@ def _parse_partition(n: int, text: str, offset: int = 0) -> Partition:
         rest ^= low
     # The parse already checked that the parts are nonempty, disjoint and
     # cover 1..n, so only the sort of the constructor is left to do.
-    return tuple.__new__(Partition, (n, _sorted_parts(blocks)))
+    partition = tuple.__new__(Partition, (n, _sorted_parts(blocks)))
+    if partition.text() == text:
+        _PARSED[n, text] = partition
+    return partition

@@ -42,11 +42,15 @@ docs/formats.md rather than from the package's bitmask code.
 * ``cycle_type`` -- the cycle type of P^-1 Q for bitmask part tuples P
   and Q, each block read as the permutation that cycles it in
   increasing order.
+* ``edelman_count`` -- the number of chains of NC(n) with a given rank
+  set, by Edelman's product formula ("Chain enumeration and
+  non-crossing partitions", Discrete Math. 31, 1980).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 Part = frozenset[int]
@@ -150,6 +154,22 @@ def cycle_type(lower, upper) -> tuple[int, ...]:
             e = p_inverse[q[e]]
         lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
+
+
+def edelman_count(n: int, ranks) -> int:
+    """Chains of NC(n) whose members have exactly the ranks ``ranks``.
+
+    With 0 = r_0 < r_1 < ... < r_k < r_{k+1} = n - 1 the count is
+    (1/n) * prod_j binom(n, r_{j+1} - r_j).
+    """
+    steps = (0, *sorted(ranks), n - 1)
+    product = 1
+    for low, high in itertools.pairwise(steps):
+        product *= math.comb(n, high - low)
+    count, remainder = divmod(product, n)
+    if remainder:
+        raise ValueError(f"the product {product} is not a multiple of n = {n}")
+    return count
 
 
 def _set_partitions(n: int):

@@ -107,6 +107,56 @@ def test_partition_text_errors():
     assert require_noncrossing(Partition.from_text(7, "14,23")) is not None
 
 
+def test_parse_memo_returns_the_catalogue_partitions():
+    # on a cleared memo and again warm, every canonical text parses to
+    # the catalogue's partition
+    for n in range(1, 8):
+        cat = catalogue(n)
+        core._PARSED.clear()
+        for _ in range(2):
+            for text, p in zip(cat.texts, cat.partitions, strict=True):
+                parsed = Partition.from_text(n, text)
+                assert parsed == p and type(parsed) is Partition, (n, text)
+
+
+def test_parse_memo_keeps_only_canonical_texts():
+    for text, canonical in (("21", "12"), ("46,12", "12,46"), ("64,21", "12,46")):
+        expected = Partition.from_text(7, canonical)
+        entries = len(core._PARSED)
+        assert Partition.from_text(7, text) == expected
+        assert len(core._PARSED) == entries and (7, text) not in core._PARSED
+
+
+def test_parse_errors_are_never_memoised():
+    # each call raises afresh, at the offset of the member in its chain
+    for text, position in (("12<1x", 4), ("1x", 1), ("12<1x", 4)):
+        with pytest.raises(NotationError) as caught:
+            Chain.from_text(7, text)
+        assert str(caught.value) == f"unexpected character 'x' (at position {position})"
+        assert caught.value.position == position
+    for _ in range(2):
+        with pytest.raises(CrossingPartitionError, match="'13,24' is crossing"):
+            Chain.from_text(7, "13,24")
+
+
+def test_memos_hold_one_entry_per_set_partition():
+    # every set partition of 1..7 by its canonical text, built by the oracle
+    texts = [
+        ",".join("".join(map(str, sorted(block))) for block in sorted(p, key=min) if len(block) > 1)
+        for p in oracles._set_partitions(7)
+    ]
+    assert len(texts) == len(set(texts)) == 877  # Bell(7)
+    is_noncrossing.cache_clear()
+    for _ in range(2):
+        for text in texts:
+            p = Partition.from_text(7, text)
+            assert p.text() == text
+            sets = oracles.from_masks(p.parts)
+            assert is_noncrossing(p) == (not oracles.partitions_cross(sets, sets)), text
+    assert sum(1 for n, _ in core._PARSED if n == 7) == 877
+    assert is_noncrossing.cache_info().currsize == 877
+
+
 def test_blocks_cross_alternation():
     # A partition with two blocks is crossing exactly when they alternate.
     # Two blocks sharing an element are no partition; the spanning-tree
@@ -150,6 +200,14 @@ def test_leq_and_rank():
     assert not leq(Partition.from_text(7, "13"), Partition.from_text(7, "24"))
     with pytest.raises(UniverseMismatch):
         leq(Partition.from_text(6, "12"), small)
+
+
+def test_leq_matches_the_refinement_oracle():
+    partitions = catalogue(5).partitions
+    sets = [oracles.from_masks(p.parts) for p in partitions]
+    for p, p_sets in zip(partitions, sets):
+        for q, q_sets in zip(partitions, sets):
+            assert leq(p, q) == oracles.refines(p_sets, q_sets), (p, q)
 
 
 def test_kreweras_examples():

@@ -11,6 +11,7 @@ import pytest
 from ncpverify.chains import Chain, neighbor_mask, smallest_blocks
 from ncpverify.core import Partition, elements_of, is_noncrossing
 from ncpverify.enumeration import (
+    _completions,
     all_chain_index_tuples,
     chain_from_indices,
     chain_index_tuples,
@@ -23,6 +24,7 @@ from ncpverify.enumeration import (
     stream_order,
 )
 from ncpverify.lattice import catalogue, noncrossing_partitions
+from ncpverify.pipeline import reduced_classes
 
 import oracles
 
@@ -228,6 +230,29 @@ def test_chain_counts():
     for c in pairs:
         lo, hi = c.members
         assert lo.rank == 1 and hi.rank == 2
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_edelman_counts_every_streamed_rank_set(n):
+    cat = catalogue(n)
+    for ranks in rank_sets(n):
+        assert sum(1 for _ in chain_index_tuples(cat, ranks)) == oracles.edelman_count(n, ranks)
+
+
+@pytest.mark.parametrize("n, total", [(8, 1_892_052), (9, 49_340_691)])
+def test_edelman_counts_the_completion_tables(n, total):
+    completions = _completions(n)
+    assert len(completions) == 2 ** (n - 2) - 1
+    for ranks in rank_sets(n):
+        assert sum(completions[ranks]) == oracles.edelman_count(n, ranks), ranks
+    assert sum(oracles.edelman_count(n, ranks) for ranks in rank_sets(n)) == total
+
+
+def test_edelman_counts_the_condition_i_scan():
+    reduced = reduced_classes(7)
+    assert len(reduced.cond_i_sets) == 18
+    expected = sum(oracles.edelman_count(7, ranks) for ranks in reduced.cond_i_sets)
+    assert reduced.chains_scanned == expected == 12432
 
 
 def test_rank_filtered_counts():

@@ -165,6 +165,12 @@ def test_partition_sorts_its_parts():
     assert Partition.from_text(7, "")._replace(parts=unsorted) == p
 
 
+def test_partition_reads_its_parts_once():
+    # validation must not use up an iterator and leave no parts behind
+    p = Partition(3, iter([0b011, 0b100]))
+    assert p == Partition.from_text(3, "12") and p.rank == 1 and p.text() == "12"
+
+
 def test_chain_validates():
     good = Chain.from_text(7, "12<1234")
     backwards = tuple(reversed(good.members))
@@ -216,6 +222,13 @@ def test_spanning_tree_validates():
         "needs 3 edges",
     )
     assert NCSpanningTree._trusted(4, good.edges) == good
+
+
+def test_spanning_tree_takes_any_iterable_of_edges():
+    tree = NCSpanningTree.from_text(3, "1-2,2-3")
+    for edges in ([(1, 2), (2, 3)], iter([(1, 2), (2, 3)]), [[1, 2], [2, 3]]):
+        built = NCSpanningTree(3, edges)
+        assert built == tree and hash(built) == hash(tree)
 
 
 # -- the import path ---------------------------------------------------------
