@@ -26,8 +26,9 @@ The four chain conditions:
         and that block a cyclic arc).
 * III — some open interval of the chain (below the bottom member,
         between consecutive members, or above the top member) contains
-        two crossing partitions; checked both by a structural criterion
-        on members and by exhaustive interval search (the oracle).
+        two crossing partitions; read both by a structural criterion
+        on members and literally, from the crossing upper covers of each
+        window's lower end (the cover law of the ``lattice`` module).
 * IV  — lives in the condition-four module.
 
 The same questions also come as functions of a chain's catalogue-index
@@ -35,8 +36,8 @@ tuple (``*_of_indices``, ``dual_indices``, ``canonical_indices``,
 ``index_text``), for every n the catalogue accepts (n <= 9); the
 object-level functions wrap them, so each question has one path.
 Orbit sizes come from ``enumeration.orbit_classes``, which builds each
-orbit once.  Condition III of one chain is the OR of its window codes in the
-catalogue's one window table (``window_code_of_indices``).  The theorem5
+orbit once.  Condition III of one chain is the OR of its window codes, read
+from the catalogue's window rows (``window_code_of_indices``).  The theorem5
 scan and the survey do not call these per chain: they read conditions
 II and III from the code each chain carries out of enumeration, which
 is built from the same table and tested against these functions.
@@ -233,11 +234,16 @@ def cond_iii_criterion(chain: Chain) -> bool:
 
 
 def cond_iii_bruteforce(chain: Chain) -> bool:
-    """Ground truth for condition III: exhaustive interval search in NC(n).
+    """Literal condition III, the ground truth the criterion is measured by.
 
     True iff two crossing partitions of proper rank lie strictly below
     the bottom member, strictly between some consecutive members, or
-    strictly above the top member.
+    strictly above the top member.  Each window is read by the cover law
+    (``lattice`` module docstring): it holds such a pair exactly when two
+    crossing upper covers of its lower end lie below its upper end.  The
+    exhaustive search of each window stays in the tests, as the
+    reference the law is compared with (``tests/test_index_kernel.py``),
+    beside the package-free ``tests/oracles.py::literal_iii``.
     """
     cat = catalogue(chain.n)
     return bool(window_code_of_indices(cat, chain_indices(cat, chain)) & LITERAL)
@@ -267,13 +273,13 @@ def window_code_of_indices(cat: Catalogue, indices) -> int:
     The windows run from bottom to the first member, between consecutive
     members, and from the last member to top.
     """
-    windows = cat.windows
+    window_code = cat.window_code
     code = 0
     lower = cat.bottom
     for upper in indices:
-        code |= windows[lower, upper]
+        code |= window_code(lower, upper)
         lower = upper
-    return code | windows[lower, cat.top]
+    return code | window_code(lower, cat.top)
 
 
 def dual_indices(cat: Catalogue, indices) -> tuple[int, ...]:

@@ -13,9 +13,10 @@ negative answer into a short, independently replayable argument:
   clause reads at most four relations between consecutive F_i (equal,
   proper superset, proper subset, incomparable), so the relations from
   a base index and a direction form an 8-bit key.  A table per reading,
-  built once from ``CLAUSES``, maps base index, direction and key to
-  an entry: the hits there, the union of their exclusions, and the hit
-  a certificate cites for them.
+  built once from ``CLAUSES`` clause by clause (each clause lists the
+  keys it accepts, rather than each key testing every clause), maps
+  base index, direction and key to an entry: the hits there, the union
+  of their exclusions, and the hit a certificate cites for them.
 * exclusions -- a pattern (k,+,i) forbids i+1..i+k from C_i, and
   (k,-,i) forbids i-k..i-1, for every C that condition IV could accept.
   Unioning over hits gives each index an allowed-companion set.  The
@@ -161,19 +162,24 @@ def _hit_table(n: int, strict: bool):
     * ``cited`` -- the hit a certificate cites for them (longest k, then
       first clause), or None when there are none.
 
-    The 256 keys give only 29 distinct clause sets (16 strict), so a row
-    holds one entry per set, built from one hit per clause.
+    Each clause lists its own keys: the codes its relations accept at
+    its positions, and all four codes at the positions past its length.
+    Visiting the clauses in (k, clause) order leaves each key's clauses
+    in that order.  The 256 keys give only 29 distinct clause sets (16
+    strict), so a row holds one entry per set, built from one hit per
+    clause.
     """
     accepts = _ACCEPTS[strict]
-    matches = [
-        tuple(
-            (k, m)
-            for k, variants in CLAUSES.items()
-            for m, rels in enumerate(variants, 1)
-            if all(key >> 2 * t & 3 in accepts[rel] for t, rel in enumerate(rels))
-        )
-        for key in range(4**MAX_PATTERN_LENGTH)
-    ]
+    found: list[list[tuple[int, int]]] = [[] for _ in range(4**MAX_PATTERN_LENGTH)]
+    for k, variants in CLAUSES.items():
+        for m, rels in enumerate(variants, 1):
+            keys = [0]
+            for t in range(MAX_PATTERN_LENGTH):
+                codes = accepts[rels[t]] if t < len(rels) else range(4)
+                keys = [key | code << 2 * t for key in keys for code in codes]
+            for key in keys:
+                found[key].append((k, m))
+    matches = list(map(tuple, found))
     table = []
     for i in range(1, n + 1):
         rows = []

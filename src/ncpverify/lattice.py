@@ -5,8 +5,9 @@ enumeration, maximal-chain scans) all reduce to questions about the
 finite poset NC(n), so for every n <= 9 (NC(9) has 4 862 elements) we
 build its full catalogue once: the sorted list of partitions together
 with strict order and crossing relations as bitsets over partition
-indices.  A bitset row makes "is there a crossing pair strictly between
-P and Q" a handful of word operations instead of a fresh search.
+indices.  Bitset rows make "is there a crossing pair strictly between
+P and Q" one bit read: P's row, built once from its upper covers, holds
+every Q for which the answer is yes.
 
 The rows are built block by block, not pair by pair.  p <= q holds
 exactly when every part of p lies inside some part of q, and p crosses
@@ -31,18 +32,32 @@ tuples of indices instead of ``Partition`` objects:
 * ``dual_index`` -- the clockwise Kreweras complement as an index map;
 * ``texts`` -- each partition's text, so a chain prints as the
   ``<``-join of its members' entries;
-* ``windows`` -- condition III per open interval (lower, upper), filled
-  on first lookup: a 2-bit code holding the four-member criterion
-  (``CRITERION``) and the literal reading (``LITERAL``, two crossing
-  partitions inside).  The intervals below and above a chain are the
-  ones from bottom and to top, so each reading of a chain is an OR over
-  its windows.  The criterion asks whether four parts of ``lower``
-  inside one part of ``upper`` cross in union, and any four disjoint
-  nonempty blocks do: with least elements w < x < y < z, the union of
-  the first and third alternates with that of the second and fourth.
-  So it is a count, read from ``leaders`` (the least element of each
-  part, one mask per partition): some part of ``upper`` holds four of
-  ``lower``'s leaders.
+* ``window_rows`` -- condition III per open interval (lower, upper), one
+  entry per lower partition, filled on first lookup: two bitsets over
+  the upper partitions, one per reading, which ``window_code`` reads as
+  a 2-bit code holding the four-member criterion (``CRITERION``) and the
+  literal reading (``LITERAL``, two crossing partitions inside).  The
+  intervals below and above a chain are the ones from bottom and to
+  top, so each reading of a chain is an OR over its windows.
+
+  The criterion asks whether four parts of ``lower`` inside one part of
+  ``upper`` cross in union, and any four disjoint nonempty blocks do:
+  with least elements w < x < y < z, the union of the first and third
+  alternates with that of the second and fourth.  So it is a count,
+  read from ``leaders`` (the least element of each part, one mask per
+  partition): some part of ``upper`` holds four of ``lower``'s leaders,
+  that is, ``upper`` is in ``quad_containers[t]`` for a 4-subset t of
+  them.
+
+  The literal reading comes from the interval law (Kreweras 1972; Biane
+  1997): [lower, upper] is a product of full lattices NC(k), and NC(k)
+  holds a crossing pair exactly when k >= 4, which is when two of its
+  atoms cross.  The atoms of the factors are the upper covers of
+  ``lower`` below ``upper``, so the window holds a crossing pair exactly
+  when ``upper`` lies above the join of two crossing upper covers (the
+  cover law; the tests compare it with an exhaustive search of the
+  window on every window up to n = 8).  Indices are sorted by rank, so
+  that join is the least index above both covers.
 
 The code a chain carries through enumeration (``enumeration._grow_chains``)
 extends the window code to 6 bits, laid out here and nowhere else:
@@ -146,9 +161,12 @@ class Catalogue:
     ``symmetries[g][i]`` is the index of the g-th symmetry (r_0..r_{n-1},
     then s_0..s_{n-1}) applied to partition i; ``texts[i]`` is its text;
     ``leaders[i]`` the mask of the least elements of its parts.
-    ``windows[i, j]`` is the 2-bit condition-III code (``CRITERION``,
-    ``LITERAL``) of the open interval between partitions i < j, filled
-    on first lookup, so building the catalogue computes none of them.
+    ``quad_containers[s]`` holds the partitions with a part containing
+    the 4-element mask s.  ``window_rows[i]`` holds the condition-III readings
+    (``CRITERION``, ``LITERAL``) of every open interval from partition i
+    as two bitsets over the upper end, and ``window_code(i, j)`` reads
+    the 2-bit code of one interval from them.  A row is filled on first
+    lookup, so building the catalogue computes none of them.
     """
 
     __slots__ = (
@@ -168,7 +186,8 @@ class Catalogue:
         "symmetries",
         "texts",
         "leaders",
-        "windows",
+        "quad_containers",
+        "window_rows",
     )
 
     def __init__(self, n: int):
@@ -229,6 +248,9 @@ class Catalogue:
         for i, row in enumerate(above):
             for j in iter_bits(row):
                 below[j] |= 1 << i
+        # The criterion rows read only the 4-element masks; the whole
+        # table, kept, would add 64 KB to a process at n = 8.
+        self.quad_containers = {s: row for s, row in containers.items() if s.bit_count() == 4}
         self.above = tuple(above)
         self.below = tuple(below)
         self.crossing = tuple(crossing)
@@ -274,38 +296,42 @@ class Catalogue:
         # The least element of each part as one mask (distinct bits, so
         # the sum is their OR).
         self.leaders = tuple(sum(s & -s for s in p.parts) for p in partitions)
-        self.windows = _Memo(self._window_code)
+        self.window_rows = _Memo(self._window_rows)
 
     # -- condition III per open interval ---------------------------------
 
-    def has_crossing_pair(self, region: int) -> bool:
-        """True iff the index set ``region`` holds two mutually crossing partitions."""
-        for j in iter_bits(region):
-            if self.crossing[j] & region:
-                return True
-        return False
+    def window_code(self, lower: int, upper: int) -> int:
+        """The 2-bit condition-III code of the open interval (lower, upper)."""
+        criterion, literal = self.window_rows[lower]
+        return (criterion >> upper & 1) * CRITERION | (literal >> upper & 1) * LITERAL
 
-    def _window_code(self, window: tuple[int, int]) -> int:
-        lower, upper = window
-        code = CRITERION if self._criterion_in_window(lower, upper) else 0
-        region = self.above[lower] & self.below[upper] & self.proper_mask
-        if self.has_crossing_pair(region):
-            code |= LITERAL
-        return code
+    def _window_rows(self, lower: int) -> tuple[int, int]:
+        """The criterion and literal rows of ``lower`` (module docstring).
 
-    def _criterion_in_window(self, lower: int, upper: int) -> bool:
-        """Four parts of ``lower`` inside one part of ``upper`` cross in union.
-
-        Any four disjoint nonempty blocks cross in union: with least
-        elements w < x < y < z, the union of the first and third holds w
-        and y, that of the second and fourth x and z, so they alternate.
-        So the criterion holds exactly when some part of ``upper`` holds
-        the least elements of four parts of ``lower``.  From bottom this
-        says ``upper`` has a part of size >= 4; to top, that ``lower``
-        has four parts.
+        The criterion row is the OR of ``quad_containers`` over the 4-subsets
+        of ``lower``'s leaders.  The literal row is the OR of the up-sets
+        of the joins of crossing upper covers of ``lower``.  Two covers lie
+        strictly inside every window that reaches their join, so both are
+        of proper rank and the row needs no ``proper_mask``.
         """
-        leaders = self.leaders[lower]
-        return any((leaders & part).bit_count() >= 4 for part in self.partitions[upper].parts)
+        above = self.above
+        leaders = [1 << e for e in iter_bits(self.leaders[lower])]
+        criterion = 0
+        for four in itertools.combinations(leaders, 4):
+            criterion |= self.quad_containers[sum(four)]
+        literal = 0
+        rank = self.partitions[lower].rank + 1
+        if rank < self.n:
+            members = self.rank_indices[rank]
+            covers = above[lower] & ((1 << len(members)) - 1) << members[0]
+            later = covers
+            for a in iter_bits(covers):
+                later ^= 1 << a
+                for b in iter_bits(self.crossing[a] & later):
+                    common = above[a] & above[b]
+                    join = (common & -common).bit_length() - 1
+                    literal |= 1 << join | above[join]
+        return criterion & above[lower], literal
 
     # -- the condition II/III code of a chain -----------------------------
 
@@ -313,8 +339,8 @@ class Catalogue:
         """The readings of the window (lower, upper) and, ``DUAL_SHIFT`` up,
         of its dual window (K upper, K lower)."""
         dual = self.dual_index
-        windows = self.windows
-        return windows[lower, upper] | windows[dual[upper], dual[lower]] << DUAL_SHIFT
+        window_code = self.window_code
+        return window_code(lower, upper) | window_code(dual[upper], dual[lower]) << DUAL_SHIFT
 
     def member_code(self, j: int) -> int:
         """Condition II as partition j and its dual K j contribute it."""

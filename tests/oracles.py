@@ -45,6 +45,10 @@ docs/formats.md rather than from the package's bitmask code.
 * ``edelman_count`` -- the number of chains of NC(n) with a given rank
   set, by Edelman's product formula ("Chain enumeration and
   non-crossing partitions", Discrete Math. 31, 1980).
+* ``clause_keys`` -- per 8-bit relation key, the pattern clauses it
+  satisfies, each key testing every clause relation by relation: the
+  reference for the hit tables that ``ncpverify.condition4`` builds
+  clause by clause.
 """
 
 from __future__ import annotations
@@ -170,6 +174,31 @@ def edelman_count(n: int, ranks) -> int:
     if remainder:
         raise ValueError(f"the product {product} is not a multiple of n = {n}")
     return count
+
+
+def clause_keys(clauses, strict: bool) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per key, the (k, m) of every clause of ``clauses`` that it satisfies.
+
+    ``clauses[k][m-1]`` is clause m's tuple of relation symbols.  A key
+    holds four 2-bit relation codes, the first relation lowest: 0 equal,
+    1 proper superset, 2 proper subset, 3 incomparable.  "=" accepts
+    equal; ">=" accepts proper superset, and equal too unless ``strict``;
+    "<=" likewise with proper subset.
+    """
+    accepts = {
+        "=": {0},
+        ">=": {1} if strict else {0, 1},
+        "<=": {2} if strict else {0, 2},
+    }
+    return tuple(
+        tuple(
+            (k, m)
+            for k, variants in clauses.items()
+            for m, rels in enumerate(variants, 1)
+            if all(key >> 2 * t & 3 in accepts[rel] for t, rel in enumerate(rels))
+        )
+        for key in range(256)
+    )
 
 
 def _set_partitions(n: int):

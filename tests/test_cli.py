@@ -290,9 +290,14 @@ def test_theorem5_empty_output_path_is_an_error(capsys):
         assert captured.err.startswith("error:")
 
 
-def run_cli(*args: str, stdout) -> subprocess.CompletedProcess:
-    """``python -m ncpverify.cli ARGS`` in a fresh process writing to ``stdout``."""
-    env = dict(os.environ, PYTHONPATH=str(Path(ncpverify.__file__).resolve().parents[1]))
+def run_cli(*args: str, stdout, **variables: str) -> subprocess.CompletedProcess:
+    """``python -m ncpverify.cli ARGS`` in a fresh process writing to ``stdout``,
+    with ``variables`` added to its environment."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(ncpverify.__file__).resolve().parents[1]),
+        **variables,
+    )
     return subprocess.run(
         [sys.executable, "-m", "ncpverify.cli", *args],
         stdout=stdout,
@@ -333,6 +338,25 @@ def test_theorem5_writes_reports_to_a_device_and_a_pipe(tmp_path):
     reader.join(timeout=120)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert received == [(GOLDENS / "theorem5-n4.csv").read_bytes()]
+
+
+def test_theorem5_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    # Sets and dicts of strings iterate in an order that the hash seed
+    # picks; no report may follow it.
+    reports = []
+    for seed in ("0", "12345"):
+        json_path, csv_path = tmp_path / f"{seed}.json", tmp_path / f"{seed}.csv"
+        proc = run_cli(
+            "theorem5", "--n", "6", "--json", str(json_path), "--csv", str(csv_path),
+            stdout=subprocess.PIPE,
+            PYTHONHASHSEED=seed,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        reports.append((proc.stdout, json_path.read_bytes(), csv_path.read_bytes()))
+    assert reports[0] == reports[1]
+    assert reports[0] == tuple(
+        (GOLDENS / f"theorem5-n6.{suffix}").read_bytes() for suffix in ("txt", "json", "csv")
+    )
 
 
 def test_closed_stdout_is_an_error_before_any_command_runs(tmp_path):

@@ -107,6 +107,21 @@ def test_tabled_exclusions_follow_the_definition(strict):
 
 
 @pytest.mark.parametrize("strict", (False, True))
+def test_hit_tables_match_the_per_key_construction(strict):
+    # The tables list each clause's keys; every key must carry exactly the
+    # clauses that testing it against each clause finds, in (k, m) order.
+    expected = oracles.clause_keys(CLAUSES, strict)
+    for n in range(3, 10):
+        for i, row in enumerate(_hit_table(n, strict), 1):
+            for sign, direction in zip("+-", row):
+                assert len(direction) == len(expected)
+                for key, (hits, _, _) in enumerate(direction):
+                    assert {(hit.sign, hit.i) for hit in hits} <= {(sign, i)}
+                    found = tuple((hit.k, hit.variant) for hit in hits)
+                    assert found == expected[key], (n, i, sign, key)
+
+
+@pytest.mark.parametrize("strict", (False, True))
 def test_table_entries_carry_their_exclusions_and_cited_hit(strict):
     # Each entry's union is the OR of its hits' exclusion masks; its cited
     # hit is the longest, then the first clause, as a certificate reads it.

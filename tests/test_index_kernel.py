@@ -108,7 +108,8 @@ def reference_literal(cat, indices) -> bool:
 
 @lru_cache(maxsize=None)
 def _has_crossing_pair(cat, region: int) -> bool:
-    members = [j for j in range(len(cat.partitions)) if region >> j & 1]
+    """Pairwise search of the index set ``region`` for two crossing partitions."""
+    members = [j for j, digit in enumerate(reversed(bin(region))) if digit == "1"]
     return any(cat.crossing[i] >> j & 1 for i, j in itertools.combinations(members, 2))
 
 
@@ -426,17 +427,43 @@ def test_dual_and_both_iii_readings_on_every_chain_n7():
     _assert_duals_readings_and_codes(7)
 
 
-def _windows(n: int):
-    """Every open interval (lower, upper) up to n = 7, and those of every
-    7th lower partition at n = 8."""
+_WINDOW_STRIDES = {8: 7, 9: 41}
+
+
+def _windows(n: int, strides=_WINDOW_STRIDES):
+    """Every open interval (lower, upper), or at an n that ``strides``
+    names, those of every k-th lower partition: by default every window
+    up to n = 7, every 7th lower at n = 8 and every 41st at n = 9."""
     cat = catalogue(n)
-    stride = 1 if n <= 7 else 7
+    stride = strides.get(n, 1)
     for lower in range(0, len(cat.partitions), stride):
         for upper in iter_bits(cat.above[lower]):
             yield cat, lower, upper
 
 
-@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("n", range(3, 10))
+def test_window_codes_match_the_region_search_and_the_cycle_law(n):
+    # The rows read the literal bit off the upper covers of lower.  Check
+    # it against a pairwise search of the open interval's proper members
+    # and against the interval law, on every window up to n = 8.
+    for cat, lower, upper in _windows(n, {9: _WINDOW_STRIDES[9]}):
+        region = cat.above[lower] & cat.below[upper] & cat.proper_mask
+        literal = bool(cat.window_code(lower, upper) & LITERAL)
+        assert literal == _has_crossing_pair(cat, region), (cat.texts[lower], cat.texts[upper])
+        lengths = oracles.cycle_type(cat.partitions[lower].parts, cat.partitions[upper].parts)
+        assert literal == (lengths[0] >= 4), (cat.texts[lower], cat.texts[upper], lengths)
+
+
+def test_window_rows_hold_at_most_one_entry_per_partition():
+    # Every window read, so one row per partition below top and no more.
+    for n in range(3, 8):
+        cat = catalogue(n)
+        for _, lower, upper in _windows(n):
+            cat.window_code(lower, upper)
+        assert sorted(cat.window_rows) == list(range(cat.top))
+
+
+@pytest.mark.parametrize("n", range(3, 10))
 def test_leader_count_criterion_matches_reference_on_windows(n):
     # The window's criterion bit against grouping the parts of lower by
     # the part of upper that holds them.
@@ -449,10 +476,10 @@ def test_leader_count_criterion_matches_reference_on_windows(n):
             len(members) >= 4 and _four_members_cross(n, members)
             for members in groups.values()
         )
-        assert bool(cat.windows[lower, upper] & CRITERION) == expected, (lower, upper)
+        assert bool(cat.window_code(lower, upper) & CRITERION) == expected, (lower, upper)
 
 
-@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("n", range(3, 10))
 def test_literal_window_is_a_cycle_of_length_four(n):
     # With P, Q read as the permutations that cycle each part in
     # increasing order, [P, Q] is the product of the lattices NC(k) over
@@ -460,11 +487,11 @@ def test_literal_window_is_a_cycle_of_length_four(n):
     # exactly when k >= 4.
     for cat, lower, upper in _windows(n):
         lengths = oracles.cycle_type(cat.partitions[lower].parts, cat.partitions[upper].parts)
-        literal = bool(cat.windows[lower, upper] & LITERAL)
+        literal = bool(cat.window_code(lower, upper) & LITERAL)
         assert literal == (lengths[0] >= 4), (cat.texts[lower], cat.texts[upper], lengths)
 
 
-@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("n", range(3, 10))
 def test_literal_window_implies_criterion(n):
     # Each cycle of P^-1 Q lies in one part B of Q, and the parts of P
     # inside B number one more than the sum of (k - 1) over B's cycles.
@@ -476,7 +503,7 @@ def test_literal_window_implies_criterion(n):
             inside = [part for part in parts if part & block]
             lengths = oracles.cycle_type(inside, (block,))
             assert len(inside) - 1 == sum(k - 1 for k in lengths)
-        code = cat.windows[lower, upper]
+        code = cat.window_code(lower, upper)
         assert not code & LITERAL or code & CRITERION, (cat.texts[lower], cat.texts[upper])
 
 

@@ -36,6 +36,7 @@ from ncpverify.pipeline import (
     LEMMA3_SAMPLE_SIZE,
     LEMMA3_SEED,
     VERDICT_VERIFIED,
+    ci_always_proper,
     cond_i_rank_sets,
     condition_iii_survey,
     duality_reduced_rank_sets,
@@ -340,6 +341,34 @@ def test_validate_lemma3_report():
     assert report.pairs_checked == 460435
     assert report.violations == ()
     assert report.ci_always_proper is True
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_ci_audit_matches_a_test_of_every_code(n):
+    # The audit tests each field's distinct values; test every field of
+    # every family code instead.
+    codes = tuple(maximal_chain_index(n).families())
+    expected = all(
+        field >> e - 1 & 1 and field != 1 << e - 1
+        for code in codes
+        for e, field in enumerate(oracles.code_fields(n, code), 1)
+    )
+    assert ci_always_proper(n, codes) is expected is True
+
+
+def test_ci_audit_refuses_a_bare_or_a_missing_element():
+    n = 4
+
+    def pack(*fields: int) -> int:
+        return sum(field << e * n for e, field in enumerate(fields))
+
+    proper = pack(0b0011, 0b0011, 0b1100, 0b1100)  # C_1 = C_2 = 12, C_3 = C_4 = 34
+    bare = pack(0b0011, 0b0010, 0b1100, 0b1100)  # C_2 = {2} alone
+    lacking = pack(0b0011, 0b0011, 0b1100, 0b0011)  # C_4 = 12 lacks 4
+    assert ci_always_proper(n, [proper]) is True
+    assert ci_always_proper(n, [proper, bare]) is False
+    assert ci_always_proper(n, [lacking, proper]) is False
+    assert ci_always_proper(n, iter([proper, proper])) is True
 
 
 def _assert_every_violated_pair_reported(monkeypatch, fault):
