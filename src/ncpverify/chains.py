@@ -1,7 +1,11 @@
 """Chains of the proper part of NC(n) and the conditions they may satisfy.
 
 A chain is a strictly increasing sequence of non-crossing partitions
-whose ranks stay strictly between bottom and top (1..n-2).  From a chain
+whose ranks stay strictly between bottom and top (1..n-2).  The type
+itself, ``Chain``, and its error ``InvalidChainError`` are defined in
+``core`` beside the text notation they parse, so that the certificate
+checker can read chains without this module; they are re-exported here,
+and ``ncpverify.chains.Chain`` is ``ncpverify.core.Chain``.  From a chain
 we derive, for every circle element i, the smallest block containing i
 anywhere along the chain (``F_i``; the full ground set when i stays a
 singleton throughout) and its restriction to the cyclic neighbors of i
@@ -54,82 +58,11 @@ traffic and not by the length of the query stream.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
-from ncpverify.core import (
-    _ELEMENTS,
-    Partition,
-    UniverseMismatch,
-    _parse_partition,
-    leq,
-    require_noncrossing,
-)
+from ncpverify.core import _ELEMENTS, Chain, InvalidChainError
 from ncpverify.lattice import CRITERION, LITERAL, Catalogue, catalogue
-
-
-class InvalidChainError(ValueError):
-    """Members do not form a strictly increasing chain of proper rank."""
-
-
-class _ChainFields(NamedTuple):
-    n: int
-    members: tuple[Partition, ...]
-
-
-class Chain(_ChainFields):
-    """Strictly increasing non-crossing partitions with ranks in 1..n-2."""
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, members: tuple[Partition, ...]):
-        # Stored as a tuple, so every chain hashes (the memos below key on it).
-        members = tuple(members)
-        if not members:
-            raise InvalidChainError("chain needs at least one member")
-        for p in members:
-            if p.n != n:
-                raise UniverseMismatch(f"member over universe {p.n} in a chain over {n}")
-            require_noncrossing(p)
-            if not 1 <= p.rank <= n - 2:
-                raise InvalidChainError(
-                    f"member {p.text()!r} has rank {p.rank}, outside 1..{n - 2}"
-                )
-        for a, b in itertools.pairwise(members):
-            if a.parts == b.parts or not leq(a, b):
-                raise InvalidChainError(
-                    f"members {a.text()!r} and {b.text()!r} are not strictly increasing"
-                )
-        return tuple.__new__(cls, (n, members))
-
-    @classmethod
-    def _make(cls, iterable) -> Chain:
-        # Validates, so ``_replace`` cannot build an invalid chain.
-        return cls(*iterable)
-
-    @classmethod
-    def _trusted(cls, n: int, members: tuple[Partition, ...]) -> Chain:
-        # Constructor for already-validated members (hot enumeration paths).
-        return tuple.__new__(cls, (n, members))
-
-    @classmethod
-    def from_text(cls, n: int, text: str) -> Chain:
-        members = []
-        offset = 0
-        for segment in text.split("<"):
-            members.append(_parse_partition(n, segment, offset))
-            offset += len(segment) + 1
-        return cls(n, tuple(members))
-
-    def text(self) -> str:
-        return "<".join(p.text() for p in self.members)
-
-    def ranks(self) -> tuple[int, ...]:
-        return tuple(p.rank for p in self.members)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Chain({self.n}, {self.text()!r})"
 
 
 # One side of a check query touches three chains (the chain, its IV

@@ -16,7 +16,16 @@ of non-crossing partitions of {1..n}, ordered by refinement.
 
 The text notation lists blocks as digit strings and omits singletons:
 "12,46" is the partition with blocks {1,2} and {4,6}.  Digits cap the
-universe at n = 9.
+universe at n = 9.  A chain joins its members with "<": "12<12346" is
+the chain whose members are {1,2} and {1,2,3,4,6}.
+
+This module owns the whole notation, chains included: ``Chain`` lives
+here, beside the parser it reads, and not in the ``chains`` module that
+derives the chain conditions (which re-exports it).  ``Chain`` needs
+nothing but this module, so the independent certificate checker
+(``replay``) imports this module alone, and its trusted base is
+``core`` plus ``replay``: nothing from the catalogue, the enumeration or
+the condition-four engine that writes the certificates it checks.
 
 A mask's elements and digits are table lookups: every mask below
 2**MAX_N has its element tuple (``elements_of``) and digit string
@@ -35,9 +44,9 @@ every call with the same message and position, and a crossing partition
 fails ``require_noncrossing`` every time.
 
 The value types here, as everywhere in the package, are immutable
-``typing.NamedTuple`` records.  The validating type here, ``Partition``,
-checks its fields in ``__new__``, and ``_make`` calls the constructor, so
-``_replace`` validates too.
+``typing.NamedTuple`` records.  The validating types here, ``Partition``
+and ``Chain``, check their fields in ``__new__``, and ``_make`` calls the
+constructor, so ``_replace`` validates too.
 """
 
 from __future__ import annotations
@@ -320,3 +329,69 @@ def _parse_partition(n: int, text: str, offset: int = 0) -> Partition:
     if partition.text() == text:
         _PARSED[n, text] = partition
     return partition
+
+
+# -- chains -------------------------------------------------------------
+
+
+class InvalidChainError(ValueError):
+    """Members do not form a strictly increasing chain of proper rank."""
+
+
+class _ChainFields(NamedTuple):
+    n: int
+    members: tuple[Partition, ...]
+
+
+class Chain(_ChainFields):
+    """Strictly increasing non-crossing partitions with ranks in 1..n-2."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, members: tuple[Partition, ...]):
+        # Stored as a tuple, so every chain hashes (the ``chains`` memos key on it).
+        members = tuple(members)
+        if not members:
+            raise InvalidChainError("chain needs at least one member")
+        for p in members:
+            if p.n != n:
+                raise UniverseMismatch(f"member over universe {p.n} in a chain over {n}")
+            require_noncrossing(p)
+            if not 1 <= p.rank <= n - 2:
+                raise InvalidChainError(
+                    f"member {p.text()!r} has rank {p.rank}, outside 1..{n - 2}"
+                )
+        for a, b in itertools.pairwise(members):
+            if a.parts == b.parts or not leq(a, b):
+                raise InvalidChainError(
+                    f"members {a.text()!r} and {b.text()!r} are not strictly increasing"
+                )
+        return tuple.__new__(cls, (n, members))
+
+    @classmethod
+    def _make(cls, iterable) -> Chain:
+        # Validates, so ``_replace`` cannot build an invalid chain.
+        return cls(*iterable)
+
+    @classmethod
+    def _trusted(cls, n: int, members: tuple[Partition, ...]) -> Chain:
+        # Constructor for already-validated members (hot enumeration paths).
+        return tuple.__new__(cls, (n, members))
+
+    @classmethod
+    def from_text(cls, n: int, text: str) -> Chain:
+        members = []
+        offset = 0
+        for segment in text.split("<"):
+            members.append(_parse_partition(n, segment, offset))
+            offset += len(segment) + 1
+        return cls(n, tuple(members))
+
+    def text(self) -> str:
+        return "<".join(p.text() for p in self.members)
+
+    def ranks(self) -> tuple[int, ...]:
+        return tuple(p.rank for p in self.members)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Chain({self.n}, {self.text()!r})"

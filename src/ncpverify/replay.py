@@ -15,6 +15,12 @@ chord-crossing test.  A certificate is accepted only if
 Any tampering (an element added to an exclusion list, a reordered
 deduction, a forced block that the exclusions do not pin down) makes
 some step unjustified and the replay reports exactly which one.
+
+The only package module imported here is ``core``, for ``Chain`` and the
+chain notation, so the checker's trusted base is ``core`` plus this
+module: no catalogue, enumeration or condition-four code.  A test in
+``tests/test_replay.py`` imports this module in a fresh interpreter and
+pins that set of loaded package modules.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import json
 import re
 from typing import NamedTuple
 
-from ncpverify.chains import Chain
+from ncpverify.core import Chain
 
 # Clause shapes, one letter per containment linking consecutive family
 # members read outward from the base index: E = equal, C = contains the
@@ -272,7 +278,8 @@ def replay_certificate(certificate) -> ReplayResult:
 
     All three are read as one document, ``_asdict()``, ``json.loads`` or
     the object itself, by the same keys and type checks; ``steps`` is a
-    tuple or a list.  Any other input is malformed.
+    tuple or a list.  Any other input is malformed, JSON text nested too
+    deep to parse included.
     """
     checked = 0
     try:
@@ -321,6 +328,6 @@ def replay_certificate(certificate) -> ReplayResult:
             raise _Reject(f"conclusion {conclusion!r} is not supported by the steps")
     except _Reject as stop:
         return ReplayResult(False, str(stop), checked)
-    except (ValueError, KeyError, TypeError) as err:
+    except (ValueError, KeyError, TypeError, RecursionError) as err:
         return ReplayResult(False, f"malformed certificate: {err}", checked)
     return ReplayResult(True, None, checked)

@@ -97,7 +97,7 @@ UNRUN = {
         "validation",
         "makes _replace validate, as the constructor does",
     ),
-    "chains.Chain._make": (
+    "core.Chain._make": (
         "validation",
         "makes _replace validate, as the constructor does",
     ),
@@ -110,7 +110,7 @@ UNRUN = {
         "makes _replace validate, as the constructor does",
     ),
     "core.Partition.__repr__": ("debugging aid", "a readable repr"),
-    "chains.Chain.__repr__": ("debugging aid", "a readable repr"),
+    "core.Chain.__repr__": ("debugging aid", "a readable repr"),
 }
 
 CO_OPTIMIZED = 0x1  # set on function code, not on module or class bodies

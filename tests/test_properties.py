@@ -4,13 +4,17 @@ Any text read at any n either parses or raises one of the package's
 input errors, and ``check`` and ``render`` answer any text and any n
 with a result or exit code 3, never an exception.  Any four disjoint
 nonempty blocks cross in union, the fact that makes the condition-III
-criterion a count.  Skipped when ``hypothesis`` is not installed.
+criterion a count.  The certificate checker answers any one-field edit
+of a real certificate with a result, never an exception.  Skipped when
+``hypothesis`` is not installed.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -23,8 +27,11 @@ from hypothesis import strategies as st
 
 from ncpverify.chains import Chain
 from ncpverify.cli import main
+from ncpverify.condition4 import RefutationCertificate, pattern_refute
 from ncpverify.core import NotationError
+from ncpverify.enumeration import enumerate_chains
 from ncpverify.lattice import catalogue, iter_bits
+from ncpverify.replay import ReplayResult, replay_certificate
 from test_index_kernel import _four_members_cross
 
 # Digits of other scripts and superscripts are not element names.
@@ -139,3 +146,57 @@ def disjoint_blocks(draw) -> tuple[int, list[int]]:
 def test_any_four_disjoint_blocks_cross_in_union(case):
     n, blocks = case
     assert _four_members_cross(n, blocks)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+# Every key that some step kind reads.
+STEP_KEYS = (
+    "kind",
+    "index",
+    "excluded",
+    "pattern",
+    "forcedIndex",
+    "block",
+    "source",
+    "target",
+    "conflict",
+    "existing",
+    "incoming",
+    "indices",
+    "blocks",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _documents_n5() -> tuple[str, ...]:
+    """The JSON text of every certificate the engine writes at n = 5."""
+    return tuple(c.to_json() for c in map(pattern_refute, enumerate_chains(5)) if c is not None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_replay_answers_any_one_field_edit_of_a_certificate(data):
+    document = json.loads(data.draw(st.sampled_from(_documents_n5())))
+    steps = document["steps"]
+    edit = data.draw(st.sampled_from(["field", "step field", "step", "drop step"]))
+    if edit == "field":
+        field = data.draw(st.sampled_from(RefutationCertificate._fields))
+        document[field] = data.draw(JSON_VALUES)
+    else:
+        at = data.draw(st.integers(0, len(steps) - 1))
+        if edit == "step field":
+            steps[at][data.draw(st.sampled_from(STEP_KEYS))] = data.draw(JSON_VALUES)
+        elif edit == "step":
+            steps[at] = data.draw(JSON_VALUES)
+        else:
+            del steps[at]
+    for read in (document, json.dumps(document)):
+        result = replay_certificate(read)
+        assert isinstance(result, ReplayResult)
+        assert isinstance(result.ok, bool) and isinstance(result.steps_checked, int)
+        assert (result.failure is None) == result.ok

@@ -9,11 +9,16 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ncpverify
 from ncpverify.chains import Chain, chain_from_indices, chain_indices
-from ncpverify.condition4 import RefutationCertificate, pattern_refute
+from ncpverify.condition4 import RefutationCertificate, cond_iv, pattern_refute
 from ncpverify.enumeration import enumerate_chains
 from ncpverify.lattice import catalogue
 from ncpverify.pipeline import report_to_json, run_theorem5
@@ -361,3 +366,73 @@ def test_replay_reports_malformed_payload(payload):
     assert result.ok is False
     assert result.failure.startswith("malformed certificate: ")
     assert result.steps_checked == 0
+
+
+@pytest.mark.parametrize("where", ["document", "steps"])
+def test_replay_reports_json_nested_too_deep_to_parse(where):
+    # json.loads raises RecursionError, not ValueError, past its depth limit
+    deep = "[" * 100_000
+    if where == "steps":
+        payload = {**json.loads(_cert().to_json()), "steps": None}
+        deep = json.dumps(payload).replace('"steps": null', f'"steps": {deep}{"]" * 100_000}')
+    result = replay_certificate(deep)
+    assert result.ok is False
+    assert result.failure.startswith("malformed certificate: ")
+    assert result.steps_checked == 0
+
+
+def test_replay_imports_no_package_module_but_core():
+    # The checker's trusted base is core plus replay: a fresh import loads
+    # nothing of the catalogue, the enumeration or the engine it checks.
+    code = (
+        "import sys, ncpverify.replay; "
+        "print(*sorted(m for m in sys.modules if m.startswith('ncpverify')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(ncpverify.__file__).resolve().parents[1])),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == ["ncpverify", "ncpverify.core", "ncpverify.replay"]
+
+
+@pytest.mark.parametrize(
+    "n, stride, classes_only, counts",
+    [
+        # counts: chains swept, of them IV-satisfied, distinct certificates,
+        # foreign acceptances (a certificate accepted on another chain)
+        (4, 1, False, (28, 12, 14, 20)),
+        (5, 1, False, (315, 155, 52, 382)),
+        (6, 31, False, (150, 94, 262, 242)),
+        (7, 211, True, (404, 322, 41, 79)),
+    ],
+)
+def test_replay_accepts_a_retargeted_certificate_only_where_iv_fails(
+    n, stride, classes_only, counts
+):
+    # Every engine certificate (at n = 7, every class certificate) aimed at
+    # every chain of the stride: replay may accept only where the full
+    # scan refutes condition IV.  The foreign acceptances, pinned above,
+    # show that the sweep does not pass by rejecting everything.
+    chains = list(itertools.islice(enumerate_chains(n), 0, None, stride))
+    satisfied = {chain.text() for chain in chains if cond_iv(chain).satisfied}
+    if classes_only:
+        certificates = [c.certificate for c in run_theorem5(n).classes if c.certificate]
+    else:
+        certificates = [c for c in map(pattern_refute, enumerate_chains(n)) if c is not None]
+    # Beyond the chain, a replay reads only n, strict, the steps and the
+    # conclusion, so one certificate per (strict, steps) stands for all.
+    distinct = {}
+    for cert in certificates:
+        distinct.setdefault((cert.strict, json.dumps(cert.steps)), cert)
+    certificates = list(distinct.values())
+    accepted = 0
+    for text in (chain.text() for chain in chains):
+        for cert in certificates:
+            if cert.chain != text and replay_certificate(cert._replace(chain=text)).ok:
+                assert text not in satisfied, (cert.chain, text)
+                accepted += 1
+    assert (len(chains), len(satisfied), len(certificates), accepted) == counts
