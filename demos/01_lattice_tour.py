@@ -22,11 +22,12 @@ def join(p: Partition, q: Partition) -> Partition:
 
 
 def meet(p: Partition, q: Partition) -> Partition:
-    """The greatest common lower bound: the highest index at or below both."""
+    """The greatest common lower bound: the highest index whose order row,
+    with the index itself added, holds both p and q."""
     cat = catalogue(p.n)
-    i, j = cat.index_of[p.parts], cat.index_of[q.parts]
-    common = (cat.below[i] | 1 << i) & (cat.below[j] | 1 << j)
-    return cat.partitions[common.bit_length() - 1]
+    both = 1 << cat.index_of[p.parts] | 1 << cat.index_of[q.parts]
+    common = [k for k, row in enumerate(cat.above) if (row | 1 << k) & both == both]
+    return cat.partitions[common[-1]]
 
 
 def main() -> None:

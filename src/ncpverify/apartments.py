@@ -19,7 +19,7 @@ blocks; ``apartment_contains`` is the per-tree reference for it.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from ncpverify.chains import Chain
 from ncpverify.condition4 import cond_iv
@@ -35,7 +35,6 @@ from ncpverify.core import (
 __all__ = [
     "NCSpanningTree",
     "DominanceReport",
-    "enumerate_nc_spanning_trees",
     "spanning_trees",
     "apartment_contains",
     "tree_membership_bits",
@@ -132,11 +131,12 @@ class DominanceReport(NamedTuple):
     checked_trees: int
 
 
-def enumerate_nc_spanning_trees(n: int) -> Iterator[NCSpanningTree]:
+@lru_cache(maxsize=None)
+def spanning_trees(n: int) -> tuple[NCSpanningTree, ...]:
     """Every non-crossing spanning tree on 1..n, each exactly once.
 
-    Trees are emitted in ascending lexicographic order of their sorted
-    chord lists.  The count equals C(3n-3, n-1)/(2n-1).
+    Trees come in ascending lexicographic order of their sorted chord
+    lists.  The count equals C(3n-3, n-1)/(2n-1).
     """
     if not 3 <= n <= MAX_N:
         raise ValueError(f"universe size {n} outside 3..{MAX_N}")
@@ -159,10 +159,11 @@ def enumerate_nc_spanning_trees(n: int) -> Iterator[NCSpanningTree]:
         return x
 
     chosen: list[tuple[int, int]] = []
+    trees: list[NCSpanningTree] = []
 
-    def extend(start: int, needed: int, banned: int) -> Iterator[NCSpanningTree]:
+    def extend(start: int, needed: int, banned: int) -> None:
         if needed == 0:
-            yield NCSpanningTree._trusted(n, tuple(chosen))
+            trees.append(NCSpanningTree._trusted(n, tuple(chosen)))
             return
         for idx in range(start, len(chords) - needed + 1):
             if banned >> idx & 1:
@@ -173,17 +174,12 @@ def enumerate_nc_spanning_trees(n: int) -> Iterator[NCSpanningTree]:
                 continue
             parent[ra] = rb
             chosen.append(chords[idx])
-            yield from extend(idx + 1, needed - 1, banned | crossers[idx])
+            extend(idx + 1, needed - 1, banned | crossers[idx])
             chosen.pop()
             parent[ra] = ra
 
-    yield from extend(0, n - 1, 0)
-
-
-@lru_cache(maxsize=None)
-def spanning_trees(n: int) -> tuple[NCSpanningTree, ...]:
-    """All non-crossing spanning trees on 1..n, materialized once."""
-    return tuple(enumerate_nc_spanning_trees(n))
+    extend(0, n - 1, 0)
+    return tuple(trees)
 
 
 def apartment_contains(tree: NCSpanningTree, partition: Partition) -> bool:

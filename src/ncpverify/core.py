@@ -358,9 +358,10 @@ class Chain(_ChainFields):
                 raise UniverseMismatch(f"member over universe {p.n} in a chain over {n}")
             require_noncrossing(p)
             if not 1 <= p.rank <= n - 2:
-                raise InvalidChainError(
-                    f"member {p.text()!r} has rank {p.rank}, outside 1..{n - 2}"
-                )
+                reason = f"outside 1..{n - 2}"
+                if n < 3:
+                    reason = f"but no rank lies in 1..n-2 at n = {n}, so no chain exists"
+                raise InvalidChainError(f"member {p.text()!r} has rank {p.rank}, {reason}")
         for a, b in itertools.pairwise(members):
             if a.parts == b.parts or not leq(a, b):
                 raise InvalidChainError(

@@ -4,10 +4,12 @@ The downstream search problems (condition III intervals, chain
 enumeration, maximal-chain scans) all reduce to questions about the
 finite poset NC(n), so for every n <= 9 (NC(9) has 4 862 elements) we
 build its full catalogue once: the sorted list of partitions together
-with strict order and crossing relations as bitsets over partition
-indices.  Bitset rows make "is there a crossing pair strictly between
-P and Q" one bit read: P's row, built once from its upper covers, holds
-every Q for which the answer is yes.
+with the strict order and the crossing relation as bitsets over
+partition indices.  The order is stored once, upward: ``above[i]`` holds
+every index strictly greater than i, and every walk over NC(n) reads it
+from the lower end.  Bitset rows make "is there a crossing pair strictly
+between P and Q" one bit read: P's row, built once from its upper
+covers, holds every Q for which the answer is yes.
 
 The rows are built block by block, not pair by pair.  p <= q holds
 exactly when every part of p lies inside some part of q, and p crosses
@@ -152,8 +154,8 @@ BOTH_II = NOT_UNIVERSAL | DUAL_NOT_UNIVERSAL
 class Catalogue:
     """NC(n) with strict order and crossing relations as index bitsets.
 
-    ``above[i]`` / ``below[i]`` hold the indices strictly greater/less
-    than partition i; ``crossing[i]`` holds the indices whose partition
+    ``above[i]`` holds the indices strictly greater than partition i, the
+    one order table; ``crossing[i]`` holds the indices whose partition
     crosses partition i.  ``proper_mask`` selects ranks 1..n-2, i.e. the
     proper part of the lattice that chains live in.  Any 1 <= n <= 9
     (``core.MAX_N``) is accepted.
@@ -175,7 +177,6 @@ class Catalogue:
         "index_of",
         "rank_indices",
         "above",
-        "below",
         "crossing",
         "proper_mask",
         "bottom",
@@ -196,14 +197,13 @@ class Catalogue:
         self.n = n
         self.partitions = partitions = tuple(noncrossing_partitions(n))
         self.index_of = {p.parts: i for i, p in enumerate(partitions)}
-        size = len(partitions)
 
         buckets: list[list[int]] = [[] for _ in range(n)]
         for i, p in enumerate(partitions):
             buckets[p.rank].append(i)
         self.rank_indices = tuple(tuple(b) for b in buckets)
         self.bottom = 0
-        self.top = size - 1
+        self.top = len(partitions) - 1
 
         # Block tables, keyed by part mask.  Every nonempty subset of
         # {1..n} is a part of some partition (itself plus singletons), so
@@ -244,15 +244,10 @@ class Catalogue:
                 crossed |= cross_of[s]
             above.append(row)
             crossing.append(crossed)
-        below = [0] * size
-        for i, row in enumerate(above):
-            for j in iter_bits(row):
-                below[j] |= 1 << i
         # The criterion rows read only the 4-element masks; the whole
         # table, kept, would add 64 KB to a process at n = 8.
         self.quad_containers = {s: row for s, row in containers.items() if s.bit_count() == 4}
         self.above = tuple(above)
-        self.below = tuple(below)
         self.crossing = tuple(crossing)
 
         proper = 0

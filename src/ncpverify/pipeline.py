@@ -621,23 +621,24 @@ def _chain_readings(cat) -> list[int]:
     """The number of chains per condition-III reading (``READINGS`` code).
 
     A chain's reading is the OR of its windows, so ``ending[j]`` counts
-    the chains whose greatest member is j by their reading so far: j
-    alone above bottom, or j above a chain that ends at a proper index
-    below it (smaller, so done first).  Each closes with its window to top.
+    the chains whose greatest member is j by their reading so far.  Index
+    order extends rank order, so when j is read every chain below it has
+    been pushed up to it; j adds itself alone above bottom, pushes its
+    counts up its ``above`` row, and closes with its window to top.
     """
     window_code = cat.window_code
     proper = cat.proper_mask
     top = cat.top
     totals = [0] * (READINGS + 1)
-    ending: dict[int, list[int]] = {}
+    ending = [[0] * (READINGS + 1) for _ in cat.partitions]
     for j in iter_bits(proper):
-        counts = [0] * (READINGS + 1)
-        counts[window_code(cat.bottom, j)] = 1
-        for i in iter_bits(cat.below[j] & proper):
-            window = window_code(i, j)
-            for reading, count in enumerate(ending[i]):
-                counts[reading | window] += count
-        ending[j] = counts
+        counts = ending[j]
+        counts[window_code(cat.bottom, j)] += 1
+        for k in iter_bits(cat.above[j] & proper):
+            window = window_code(j, k)
+            pushed = ending[k]
+            for reading, count in enumerate(counts):
+                pushed[reading | window] += count
         window = window_code(j, top)
         for reading, count in enumerate(counts):
             totals[reading | window] += count

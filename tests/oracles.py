@@ -45,6 +45,11 @@ docs/formats.md rather than from the package's bitmask code.
 * ``edelman_count`` -- the number of chains of NC(n) with a given rank
   set, by Edelman's product formula ("Chain enumeration and
   non-crossing partitions", Discrete Math. 31, 1980).
+* ``chain_members``, ``chain_orbit`` and ``burnside_counts`` -- a chain
+  (or its dual) as the set of its members' bitmask part tuples, its orbit
+  under the dihedral group D_n and the Kreweras complement K, and the
+  number of orbits of a set of chains by Burnside's lemma, acting through
+  ``apply_symmetry`` and ``kreweras_dual_via_regions``.
 * ``clause_keys`` -- per 8-bit relation key, the pattern clauses it
   satisfies, each key testing every clause relation by relation: the
   reference for the hit tables that ``ncpverify.condition4`` builds
@@ -55,6 +60,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 Part = frozenset[int]
@@ -174,6 +180,59 @@ def edelman_count(n: int, ranks) -> int:
     if remainder:
         raise ValueError(f"the product {product} is not a multiple of n = {n}")
     return count
+
+
+def _masks(partition: Partition) -> tuple[int, ...]:
+    """A partition as a bitmask part tuple sorted by least element, the
+    form ``apply_symmetry`` returns."""
+    masks = (sum(1 << e - 1 for e in part) for part in partition)
+    return tuple(sorted(masks, key=lambda m: m & -m))
+
+
+@lru_cache(maxsize=None)
+def _member(n: int, text: str, dual: bool) -> tuple[int, ...]:
+    partition = kreweras_dual_via_regions(n, text) if dual else parse_partition(n, text)
+    return _masks(partition)
+
+
+@lru_cache(maxsize=None)
+def _image(perm: tuple[int, ...], member: tuple[int, ...]) -> tuple[int, ...]:
+    return apply_symmetry(perm, member)
+
+
+def chain_members(n: int, text: str, dual: bool = False) -> frozenset[tuple[int, ...]]:
+    """The chain, or its Kreweras dual, as the set of its members.  K
+    reverses the order, so the duals of the members are the dual chain."""
+    return frozenset(_member(n, member, dual) for member in text.split("<"))
+
+
+def _dihedral_images(n: int, chain) -> list[frozenset[tuple[int, ...]]]:
+    return [frozenset(_image(perm, m) for m in chain) for perm in dihedral_perms(n)]
+
+
+def chain_orbit(n: int, text: str) -> frozenset[frozenset[tuple[int, ...]]]:
+    """The chain's orbit under D_n and K D_n, each chain as its member set."""
+    images = _dihedral_images(n, chain_members(n, text))
+    return frozenset(images + _dihedral_images(n, chain_members(n, text, True)))
+
+
+def burnside_counts(n: int, texts) -> tuple[Fraction, Fraction]:
+    """The mean number of the chains ``texts`` fixed by an element of D_n,
+    and by an element of D_n together with K D_n.
+
+    When ``texts`` is a union of orbits, each mean is the number of orbits
+    (the Cauchy-Frobenius lemma, also called Burnside's).  K K is the
+    rotation r_{-1}, so K commutes with every rotation, and K s_c =
+    s_{c-1} K; so D_n and K D_n = D_n K make a group of order 4n.  Its
+    coset is the 2n maps g K, and g K fixes C exactly when g(K C) = C, so
+    each chain is dualised once.
+    """
+    fixed = dual_fixed = 0
+    for text in texts:
+        chain = chain_members(n, text)
+        fixed += _dihedral_images(n, chain).count(chain)
+        dual_fixed += _dihedral_images(n, chain_members(n, text, True)).count(chain)
+    return Fraction(fixed, 2 * n), Fraction(fixed + dual_fixed, 4 * n)
 
 
 def clause_keys(clauses, strict: bool) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -59,6 +59,18 @@ def test_check_incomparable_members(capsys):
     assert "not strictly increasing" in captured.err
 
 
+@pytest.mark.parametrize("n, text, rank", [(1, "", 0), (2, "", 0), (2, "12", 1)])
+def test_check_below_three_points_says_no_chain_exists(capsys, n, text, rank):
+    # Ranks 1..n-2 are empty for n < 3, so the error names no range.
+    code = main(["check", "--n", str(n), "--chain", text])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == (
+        f"error: member {text!r} has rank {rank}, but no rank lies in 1..n-2"
+        f" at n = {n}, so no chain exists\n"
+    )
+
+
 # The supported n of each command (docs/formats.md, "Supported n per
 # command"): the arguments after the command, the lowest and highest n,
 # and the exit code at each of those two.

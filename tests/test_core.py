@@ -250,8 +250,9 @@ def _join(cat, i, j):
 
 
 def _meet(cat, i, j):
-    common = (cat.below[i] | 1 << i) & (cat.below[j] | 1 << j)
-    return common.bit_length() - 1
+    # The highest index whose ``above`` row, with the index added, holds both.
+    both = 1 << i | 1 << j
+    return max(k for k, row in enumerate(cat.above) if (row | 1 << k) & both == both)
 
 
 def test_join_meet():

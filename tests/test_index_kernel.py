@@ -101,8 +101,9 @@ def reference_criterion(chain: Chain) -> bool:
 def reference_literal(cat, indices) -> bool:
     """Literal condition III: a crossing pair strictly below the first
     member, between consecutive members, or above the last member."""
-    regions = [cat.below[indices[0]], cat.above[indices[-1]]]
-    regions += [cat.above[i] & cat.below[j] for i, j in itertools.pairwise(indices)]
+    below = _below(cat)
+    regions = [below[indices[0]], cat.above[indices[-1]]]
+    regions += [cat.above[i] & below[j] for i, j in itertools.pairwise(indices)]
     return any(_has_crossing_pair(cat, region & cat.proper_mask) for region in regions)
 
 
@@ -251,6 +252,13 @@ def _transpose(table) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _below(cat) -> tuple[int, ...]:
+    """``below[j]``: the indices strictly less than j, the catalogue's
+    ``above`` read the other way."""
+    return _transpose(cat.above)
+
+
 # -- catalogue tables -------------------------------------------------------
 
 
@@ -258,7 +266,8 @@ def _transpose(table) -> tuple[int, ...]:
 def test_catalogue_matches_pairwise_reference(n):
     cat = catalogue(n)
     for name, table in reference_tables(n).items():
-        assert getattr(cat, name) == table, name
+        built = _below(cat) if name == "below" else getattr(cat, name)
+        assert built == table, name
 
 
 def test_catalogue_n8_rows_match_pairwise_reference():
@@ -279,7 +288,7 @@ def test_catalogue_n8_rows_match_pairwise_reference():
                 below |= 1 << j
             if oracles.partitions_cross(sets[i], sets[j]):
                 crossing |= 1 << j
-        assert (cat.above[i], cat.below[i], cat.crossing[i]) == (above, below, crossing)
+        assert (cat.above[i], _below(cat)[i], cat.crossing[i]) == (above, below, crossing)
         assert cat.dual_index[i] == cat.index_of[kreweras_dual(p).parts]
         assert [table[i] for table in cat.symmetries] == [
             cat.index_of[oracles.apply_symmetry(perm, p.parts)] for perm in group
@@ -290,14 +299,21 @@ def test_catalogue_n8_rows_match_pairwise_reference():
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_order_tables_are_a_strict_order_and_its_transpose(n):
+    # The catalogue's ``above`` and the transpose ``_below`` that these
+    # tests build from it: each a strict order, running up and down the
+    # index order, with a full bottom and top row respectively.
     cat = catalogue(n)
-    assert cat.below == _transpose(cat.above)
     for i, j in _pairs(cat.above):
         assert i < j  # index order extends the rank order
         assert cat.above[j] & ~cat.above[i] == 0  # transitive
+    below = _below(cat)
+    for j, i in _pairs(below):
+        assert i < j
+        assert below[i] & ~below[j] == 0
+    assert len(_pairs(below)) == len(_pairs(cat.above))
     everything = (1 << len(cat.partitions)) - 1
     assert cat.above[cat.bottom] == everything ^ 1 << cat.bottom
-    assert cat.below[cat.top] == everything ^ 1 << cat.top
+    assert below[cat.top] == everything ^ 1 << cat.top
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -306,7 +322,7 @@ def test_crossing_is_symmetric_irreflexive_and_incomparable(n):
     assert cat.crossing == _transpose(cat.crossing)
     for i, row in enumerate(cat.crossing):
         assert not row >> i & 1
-        assert row & (cat.above[i] | cat.below[i]) == 0
+        assert row & (cat.above[i] | _below(cat)[i]) == 0
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -447,7 +463,7 @@ def test_window_codes_match_the_region_search_and_the_cycle_law(n):
     # it against a pairwise search of the open interval's proper members
     # and against the interval law, on every window up to n = 8.
     for cat, lower, upper in _windows(n, {9: _WINDOW_STRIDES[9]}):
-        region = cat.above[lower] & cat.below[upper] & cat.proper_mask
+        region = cat.above[lower] & _below(cat)[upper] & cat.proper_mask
         literal = bool(cat.window_code(lower, upper) & LITERAL)
         assert literal == _has_crossing_pair(cat, region), (cat.texts[lower], cat.texts[upper])
         lengths = oracles.cycle_type(cat.partitions[lower].parts, cat.partitions[upper].parts)

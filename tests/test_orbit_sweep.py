@@ -24,8 +24,12 @@ from ncpverify.enumeration import all_chain_index_tuples, orbit_classes
 from ncpverify.lattice import catalogue
 from ncpverify.pipeline import run_theorem5
 
+import oracles
+
 CANDIDATE_COUNTS = {7: 2667}
 CLASS_COUNTS = {7: 232}
+# Orbit classes before and after duality where there are any (n = 6, 7).
+BURNSIDE_COUNTS = {6: (14, 7), 7: (232, 119)}
 
 
 @lru_cache(maxsize=None)
@@ -97,3 +101,23 @@ def test_sweep_matches_reference_on_every_chain(n):
 
 def test_sweep_of_nothing_is_empty():
     assert orbit_classes([], 7) == []
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_burnside_counts_the_orbit_classes(n):
+    # Burnside's lemma, taken by the package-free oracle: the mean number of
+    # candidates fixed by an element of D_n is the number of orbit classes
+    # before duality, and over D_n and K D_n the number of classes kept.
+    report = run_theorem5(n)
+    over_dihedral, over_both = oracles.burnside_counts(n, report.candidates)
+    assert (over_dihedral, over_both) == BURNSIDE_COUNTS.get(n, (0, 0))
+    assert over_dihedral == len(orbit_classes(candidate_tuples(n), n))
+    assert over_both == len(report.classes)
+    # The kept classes' orbits under both lie in the candidates, are
+    # pairwise disjoint and cover them.
+    candidates = {oracles.chain_members(n, text) for text in report.candidates}
+    assert len(candidates) == len(report.candidates)
+    orbits = [oracles.chain_orbit(n, cls.representative) for cls in report.classes]
+    covered = set().union(*orbits)
+    assert covered == candidates
+    assert sum(map(len, orbits)) == len(covered)

@@ -21,17 +21,25 @@ from ncpverify import pipeline
 from ncpverify.chains import (
     Chain,
     canonical_prime_signature,
+    chain_from_indices,
     chain_indices,
     cond_i,
     cond_ii,
     cond_iii_bruteforce,
     cond_iii_criterion,
     dual_indices,
+    index_text,
     neighbor_mask,
     smallest_blocks,
 )
-from ncpverify.enumeration import enumerate_chains, maximal_chain_index, sample_chains
-from ncpverify.lattice import catalogue
+from ncpverify.condition4 import cond_iv
+from ncpverify.enumeration import (
+    enumerate_chains,
+    maximal_chain_index,
+    orbit_classes,
+    sample_chains,
+)
+from ncpverify.lattice import DUAL_LITERAL, LITERAL, catalogue
 from ncpverify.pipeline import (
     LEMMA3_SAMPLE_SIZE,
     LEMMA3_SEED,
@@ -453,6 +461,61 @@ def test_reduced_classes_are_the_report_classes(n):
         (Chain.from_text(n, c.representative), Chain.from_text(n, c.dual_representative))
         for c in report.classes
     ]
+
+
+# The candidates on which condition IV holds, where there are any.
+IV_SATISFIED_CANDIDATES = {7: 91}
+
+
+@lru_cache(maxsize=None)
+def _walk_families(n: int) -> frozenset[int]:
+    """The distinct C families of the maximal chains, by the package-free
+    merge walk, packed n bits per element."""
+    walk = oracles.walk_maximal_chains(n, (0,) * n)
+    return frozenset(sum(c << e * n for e, c in enumerate(family)) for _, family in walk)
+
+
+def _oracle_iv(n: int, text: str) -> bool:
+    """Condition IV read by the oracles: some maximal chain's C family
+    avoids the chain's F' family element by element."""
+    blocks = oracles.smallest_blocks(n, text)
+    demand = 0
+    for i in range(1, n + 1):
+        for e in blocks[i] & {(i - 2) % n + 1, i % n + 1}:
+            demand |= 1 << (i - 1) * n + e - 1
+    return any(not family & demand for family in _walk_families(n))
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_theorem5_holds_without_the_orbit_reduction(n):
+    # Condition IV on every candidate, not only on the class
+    # representatives: it holds exactly on the orbits of the IV-satisfied
+    # classes and of their duals, that set is closed under K, and none of
+    # it passes literal III on both sides, which is why no class survives.
+    cat = catalogue(n)
+    reduced = pipeline.reduced_classes(n)
+    report = run_theorem5(n)
+    orbits = {c.rep_indices: c.members for c in orbit_classes(list(reduced.candidates), n)}
+    expected = set()
+    for cls, row in zip(reduced.classes, report.classes, strict=True):
+        assert cls.representative.text() == row.representative
+        if row.iv_satisfied:
+            expected.update(orbits[cls.rep_indices], orbits[cls.dual_rep_indices])
+    satisfied = {
+        indices
+        for indices in reduced.candidates
+        if cond_iv(chain_from_indices(cat, indices)).satisfied
+    }
+    assert satisfied == expected
+    assert len(satisfied) == IV_SATISFIED_CANDIDATES.get(n, 0)
+    assert {dual_indices(cat, indices) for indices in satisfied} == satisfied
+    both = LITERAL | DUAL_LITERAL
+    assert not [t for t in satisfied if reduced.candidates[t] & both == both]
+    assert report.survivors == ()
+    # The index's answer against the package-free walk on a stride.
+    for indices in list(reduced.candidates)[::13]:
+        text = index_text(cat, indices)
+        assert cond_iv(Chain.from_text(n, text)).satisfied == _oracle_iv(n, text), text
 
 
 def test_validate_lemma3_runs_no_condition_iv_work(monkeypatch):

@@ -18,13 +18,14 @@ import pytest
 
 import ncpverify
 from ncpverify.chains import Chain, chain_from_indices, chain_indices
-from ncpverify.condition4 import RefutationCertificate, cond_iv, pattern_refute
+from ncpverify.condition4 import RefutationCertificate, pattern_refute
 from ncpverify.enumeration import enumerate_chains
 from ncpverify.lattice import catalogue
 from ncpverify.pipeline import report_to_json, run_theorem5
 from ncpverify.replay import _family_sets, _Reject, _Replayer, replay_certificate
 
 import oracles
+from replay_sweep import retarget_sweep
 
 
 def _cert(text: str = "12,46"):
@@ -417,22 +418,6 @@ def test_replay_accepts_a_retargeted_certificate_only_where_iv_fails(
     # every chain of the stride: replay may accept only where the full
     # scan refutes condition IV.  The foreign acceptances, pinned above,
     # show that the sweep does not pass by rejecting everything.
-    chains = list(itertools.islice(enumerate_chains(n), 0, None, stride))
-    satisfied = {chain.text() for chain in chains if cond_iv(chain).satisfied}
-    if classes_only:
-        certificates = [c.certificate for c in run_theorem5(n).classes if c.certificate]
-    else:
-        certificates = [c for c in map(pattern_refute, enumerate_chains(n)) if c is not None]
-    # Beyond the chain, a replay reads only n, strict, the steps and the
-    # conclusion, so one certificate per (strict, steps) stands for all.
-    distinct = {}
-    for cert in certificates:
-        distinct.setdefault((cert.strict, json.dumps(cert.steps)), cert)
-    certificates = list(distinct.values())
-    accepted = 0
-    for text in (chain.text() for chain in chains):
-        for cert in certificates:
-            if cert.chain != text and replay_certificate(cert._replace(chain=text)).ok:
-                assert text not in satisfied, (cert.chain, text)
-                accepted += 1
-    assert (len(chains), len(satisfied), len(certificates), accepted) == counts
+    swept = retarget_sweep(n, stride, classes_only)
+    assert swept.misplaced == ()
+    assert swept[:4] == counts
