@@ -9,20 +9,20 @@ runs five stages, each reading the output of the one before:
    enumeration);
 2. orbit sweep -- the candidates grouped into dihedral orbit classes;
 3. duality -- one class kept per duality pair;
-4. condition IV on every kept representative, with the exhaustive scan as
-   ground truth and the pattern engine adding a replayable certificate
-   wherever it can;
-5. alignment keys and verdict -- each class's F' signatures and reference
-   case, and the verdict line, the literal "THEOREM 5 VERIFIED" exactly
-   when no class survives all four conditions on both sides.
+4. condition IV and the verdict -- the exhaustive scan as ground truth,
+   a replayable pattern certificate wherever one exists, and the literal
+   "THEOREM 5 VERIFIED" exactly when no class survives all four
+   conditions on both sides; no reference data is read up to here;
+5. the reference tables: alignment, matched case, unresolved classes --
+   only at the tables' n, against the embedded data (58 chains in 39
+   cases, ``compare_fixture``), so transcription drift is
+   distinguishable from a mathematical failure.
 
 Stages 1-3 are cached per n in ``reduced_classes``.  ``validate_lemma3``
-reads its corpus from there and runs neither stage 4 nor stage 5.
-After the verdict, the report gains the alignment with the embedded
-reference data (58 chains in 39 cases, ``compare_fixture``), so
-transcription drift is distinguishable from a mathematical failure, and
-the condition-III survey.  The text, JSON and CSV reports live in
-``ncpverify.reports``, read only the report and are re-exported here.
+reads its corpus from there and runs neither stage 4 nor stage 5.  The
+report then gains the condition-III survey.  The text, JSON and CSV
+reports live in ``ncpverify.reports``, read only the report and are
+re-exported here.
 
 Condition III exists in two forms: the four-member union criterion used
 to enumerate the reference tables, and the literal two-witness search it
@@ -56,7 +56,6 @@ from ncpverify.chains import (
 )
 from ncpverify.condition4 import (
     RefutationCertificate,
-    WitnessOrRefutation,
     cond_iv,
     detect_patterns,
     exclusion_mask,
@@ -142,8 +141,9 @@ class ClassReport(NamedTuple):
 
 
 class PipelineReport(NamedTuple):
-    """One theorem5 run.  ``alignment`` (``None`` unless n is the reference
-    tables' n) and ``survey`` are added by ``run_theorem5`` after the verdict."""
+    """One theorem5 run.  After the verdict, stage 5 fills each class's
+    ``matched_case``, ``unresolved`` and ``alignment`` (left ``None``, empty
+    and ``None`` unless n is the reference tables' n), then ``survey``."""
 
     n: int
     cond_i_sets: tuple[tuple[int, ...], ...]
@@ -239,11 +239,6 @@ def duality_reduced_rank_sets(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rs for rs in cond_i_rank_sets(n) if rs <= _dual_rank_set(n, rs))
 
 
-def _orbit_text(cat, indices) -> str:
-    """The text of the least dihedral image: the orbit's class representative."""
-    return index_text(cat, canonical_indices(cat, indices))
-
-
 # -- stages 1-3: scan, orbit sweep, duality --------------------------------
 
 
@@ -308,15 +303,25 @@ def reduced_classes(n: int = 7) -> ReducedClasses:
     )
 
 
-# -- stages 4-5: condition IV, alignment keys and verdict -------------------
+# -- stage 4: condition IV and the verdict ----------------------------------
 
 
-def _decide_condition_iv(
-    reduced: ReducedClasses,
-) -> list[tuple[WitnessOrRefutation, RefutationCertificate | None]]:
-    """Stage 4: the exhaustive verdict and the pattern certificate per class."""
-    decisions = []
-    for cls in reduced.classes:
+def _decide(reduced: ReducedClasses) -> tuple[PipelineReport, list[set[tuple[int, ...]]]]:
+    """Stage 4: condition IV per class and the verdict, as the report, with
+    each class's F' signatures for stage 5.  It reads no reference data, so
+    every ``matched_case`` is ``None`` and ``unresolved`` is empty."""
+    n = reduced.n
+    cat = catalogue(n)
+    # The F' family of each kept class up to symmetry (the least image of
+    # its necklace word), on both duality sides: two classes whose families
+    # coincide on either side are interchangeable as far as condition IV is
+    # concerned, because the pattern clauses and the exclusion sets read
+    # nothing but F' (and refuting one side of a dual pair refutes the other).
+    signatures: list[set[tuple[int, ...]]] = []
+    # A class's earliest signature sharer is the least first class of its signatures.
+    first_class: dict[tuple[int, ...], int] = {}
+    reports: list[ClassReport] = []
+    for position, cls in enumerate(reduced.classes):
         rep = cls.representative
         verdict_iv = cond_iv(rep)
         certificate = pattern_refute(rep)
@@ -324,51 +329,11 @@ def _decide_condition_iv(
             raise RuntimeError(
                 f"pattern engine refuted {rep.text()!r} but an exhaustive witness exists"
             )
-        decisions.append((verdict_iv, certificate))
-    return decisions
-
-
-def _align_and_decide(reduced: ReducedClasses, decisions) -> PipelineReport:
-    """Stage 5: signatures, reference cases and the verdict, as the report."""
-    n = reduced.n
-    cat = catalogue(n)
-    fixtures = load_fixtures()
-    reference = n == fixtures.n
-    # The orbit text of each reference chain and of its dual -> first case.
-    # Both sides are keys, so a class's own text finds any case it holds.
-    fixture_cases: dict[str, int] = {}
-    if reference:
-        for case in fixtures.cases:
-            for text in case.chains:
-                indices = chain_indices(cat, Chain.from_text(n, text))
-                for variant in (indices, dual_indices(cat, indices)):
-                    fixture_cases.setdefault(_orbit_text(cat, variant), case.case_id)
-
-    # The F' family of each kept class up to symmetry (the least image of
-    # its necklace word), on both duality sides: two classes whose families
-    # coincide on either side are interchangeable as far as condition IV is
-    # concerned, because the pattern clauses and the exclusion sets read
-    # nothing but F' (and refuting one side of a dual pair refutes the other).
-    signatures = [
-        {
-            canonical_prime_signature(cls.representative),
-            canonical_prime_signature(cls.dual_representative),
-        }
-        for cls in reduced.classes
-    ]
-    # A class's earliest signature sharer is the least first class of its signatures.
-    first_class: dict[tuple[int, ...], int] = {}
-    for position, found in enumerate(signatures):
+        found = {canonical_prime_signature(c) for c in (rep, cls.dual_representative)}
+        signatures.append(found)
         for signature in found:
             first_class.setdefault(signature, position)
-
-    reports: list[ClassReport] = []
-    for position, (cls, (verdict_iv, certificate)) in enumerate(
-        zip(reduced.classes, decisions)
-    ):
-        rep_text = cls.representative.text()
-        earliest = min(first_class[signature] for signature in signatures[position])
-        duplicate_of = reports[earliest].representative if earliest < position else None
+        earliest = min(first_class[signature] for signature in found)
 
         # The representative is itself a candidate (the filter is dihedral
         # invariant), and condition III is invariant too, so the dual side
@@ -378,8 +343,8 @@ def _align_and_decide(reduced: ReducedClasses, decisions) -> PipelineReport:
         dual_literal_iii = bool(code & DUAL_LITERAL)
         reports.append(
             ClassReport(
-                representative=rep_text,
-                ranks=cls.representative.ranks(),
+                representative=rep.text(),
+                ranks=rep.ranks(),
                 orbit_size=cls.orbit_size,
                 dual_representative=cls.dual_representative.text(),
                 cond_iii_criterion=bool(code & CRITERION),
@@ -390,8 +355,10 @@ def _align_and_decide(reduced: ReducedClasses, decisions) -> PipelineReport:
                 iv_witness=verdict_iv.witness.text() if verdict_iv.witness else None,
                 iv_checked=verdict_iv.checked,
                 certificate=certificate,
-                matched_case=fixture_cases.get(rep_text),
-                signature_duplicate_of=duplicate_of,
+                matched_case=None,
+                signature_duplicate_of=(
+                    reports[earliest].representative if earliest < position else None
+                ),
                 # A genuine counterexample to the theorem must satisfy the
                 # literal condition III on both sides, not merely the
                 # four-member criterion, which is known to over-fire.
@@ -399,29 +366,13 @@ def _align_and_decide(reduced: ReducedClasses, decisions) -> PipelineReport:
             )
         )
 
-    # A class is resolved if its F' signatures meet those of the classes a
-    # reference chain lands in (its own, if it is one): the reference tables
-    # list one chain per family and rely on condition IV reading nothing
-    # else.  One step suffices: at the tables' n (7), the only n that
-    # computes it, any two classes joined through shared signatures share
-    # one themselves.
-    matched = set()
-    for found, report in zip(signatures, reports):
-        if report.matched_case is not None:
-            matched |= found
-    unresolved = tuple(
-        report.representative
-        for found, report in zip(signatures, reports)
-        if reference and not found & matched
-    )
-
     survivors = tuple(r.representative for r in reports if r.survives)
     verdict = (
         VERDICT_VERIFIED
         if not survivors
         else f"NOT VERIFIED: {len(survivors)} surviving class(es)"
     )
-    return PipelineReport(
+    report = PipelineReport(
         n=n,
         cond_i_sets=reduced.cond_i_sets,
         reduced_sets=duality_reduced_rank_sets(n),
@@ -429,20 +380,53 @@ def _align_and_decide(reduced: ReducedClasses, decisions) -> PipelineReport:
         candidates=tuple(index_text(cat, indices) for indices in reduced.candidates),
         classes=tuple(reports),
         iii_disagreements=reduced.iii_disagreements,
-        unresolved=unresolved,
+        unresolved=(),
         survivors=survivors,
         verdict=verdict,
     )
+    return report, signatures
+
+
+# -- stage 5: the reference tables ------------------------------------------
+
+
+def _align(report: PipelineReport, signatures) -> PipelineReport:
+    """Stage 5: the alignment, each class's matched case and the unresolved
+    classes, all from ``compare_fixture``'s one join of chains to classes."""
+    alignment = compare_fixture(report)
+    # A class's case is the first, in case order, with a chain in the class.
+    first_case: dict[str, int] = {}
+    for row in alignment.rows:
+        if row.found_in_class is not None:
+            first_case.setdefault(row.found_in_class, row.case_id)
+    classes = tuple(
+        cls._replace(matched_case=first_case.get(cls.representative))
+        for cls in report.classes
+    )
+
+    # A class is resolved if its F' signatures meet those of the classes a
+    # reference chain lands in (its own, if it is one): the reference tables
+    # list one chain per family and rely on condition IV reading nothing
+    # else.  One step suffices: at the tables' n (7), the only n that
+    # computes it, any two classes joined through shared signatures share
+    # one themselves.
+    matched = set().union(
+        *(found for found, cls in zip(signatures, classes) if cls.matched_case is not None)
+    )
+    unresolved = tuple(
+        cls.representative for found, cls in zip(signatures, classes) if not found & matched
+    )
+    return report._replace(classes=classes, unresolved=unresolved, alignment=alignment)
 
 
 @lru_cache(maxsize=None)
 def run_theorem5(n: int = 7) -> PipelineReport:
     """Run the full enumeration-and-refutation pipeline for one n: the
     verdict, then the reference alignment and the survey, which never feed it."""
-    reduced = reduced_classes(n)
-    report = _align_and_decide(reduced, _decide_condition_iv(reduced))
-    alignment = compare_fixture(report) if n == load_fixtures().n else None
-    return report._replace(alignment=alignment, survey=condition_iii_survey(n))
+    report, signatures = _decide(reduced_classes(n))
+    if n == load_fixtures().n:
+        report = _align(report, signatures)
+    return report._replace(survey=condition_iii_survey(n))
 
 
 class LemmaThreeReport(NamedTuple):
@@ -656,6 +640,9 @@ def _certificate_style(certificate: RefutationCertificate | None) -> str:
 def compare_fixture(report: PipelineReport) -> AlignmentTable:
     """Align the pipeline's classes with the embedded reference data.
 
+    This is the one join of reference chains to classes: each row's
+    ``found_in_class`` is the class holding the chain or its dual, and
+    stage 5 of ``run_theorem5`` reads each class's matched case from it.
     A chain is *aligned* when it lands in some class, its quoted hits are
     reproduced under the non-strict convention, and condition IV is
     refuted for it.  The certificate-style column is informational: the
@@ -668,8 +655,9 @@ def compare_fixture(report: PipelineReport) -> AlignmentTable:
     if report.n != fixtures.n:
         raise ValueError(f"report is for n={report.n}, fixtures for n={fixtures.n}")
 
-    # Each class under both duality sides' orbit texts, so one lookup of a
-    # chain's own orbit finds it whether the chain or its dual is in it.
+    # Each class under both duality sides' orbit texts (the text of the least
+    # dihedral image), so one lookup of a chain's own orbit text finds the
+    # class whether the chain or its dual is in it.
     cat = catalogue(report.n)
     class_of: dict[str, str] = {}
     for cls in report.classes:
@@ -683,7 +671,8 @@ def compare_fixture(report: PipelineReport) -> AlignmentTable:
         case_strict = True
         for text in case.chains:
             chain = Chain.from_text(fixtures.n, text)
-            found = class_of.get(_orbit_text(cat, chain_indices(cat, chain)))
+            orbit = canonical_indices(cat, chain_indices(cat, chain))
+            found = class_of.get(index_text(cat, orbit))
             claimed = set(case.claimed_hits)
             nonstrict = claimed <= set(detect_patterns(chain, strict=False))
             strict = claimed <= set(detect_patterns(chain, strict=True))

@@ -173,11 +173,12 @@ def report_to_text(report: PipelineReport) -> str:
         f"classes refuted by exhaustive scan: "
         f"{sum(1 for cls in report.classes if not cls.iv_satisfied)}"
     )
-    matched = sum(1 for cls in report.classes if cls.matched_case is not None)
-    lines.append(
-        f"classes matched to a reference case: {matched}"
-        f" (by duplicate F' family: {len(report.classes) - matched - len(report.unresolved)})"
-    )
+    if report.alignment is not None:
+        matched = sum(1 for cls in report.classes if cls.matched_case is not None)
+        lines.append(
+            f"classes matched to a reference case: {matched}"
+            f" (by duplicate F' family: {len(report.classes) - matched - len(report.unresolved)})"
+        )
     criterion_gap = [
         cls
         for cls in report.classes

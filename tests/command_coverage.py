@@ -17,6 +17,13 @@ one listed for it.  Standard library only; pytest does not collect it::
 
     python3 tests/command_coverage.py
 
+It then prints the verdict map: the lines per module that stages 1-4 of
+``theorem5`` at n = 7 run, the stages that decide the verdict, traced in
+a fresh interpreter so the catalogue and index builds are in it.  It
+exits 1 if any line of a module in ``VERDICT_FORBIDDEN`` runs there: the
+verdict must not read the reference tables, the reports or the
+rendering and apartment code.
+
 Executable lines are read from the compiled code objects (``co_lines``),
 without a function's own first line, which the tracer never reports.  A
 line counts as run once any command reports it; a code object whose lines
@@ -27,6 +34,8 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -113,6 +122,9 @@ UNRUN = {
     "core.Chain.__repr__": ("debugging aid", "a readable repr"),
 }
 
+# The modules no line of which may run while stages 1-4 decide the verdict.
+VERDICT_FORBIDDEN = ("fixtures", "reports", "svg", "apartments")
+
 CO_OPTIMIZED = 0x1  # set on function code, not on module or class bodies
 
 
@@ -191,17 +203,16 @@ def run_commands(tracer: Tracer) -> list[str]:
     return problems
 
 
-def main() -> int:
-    tracer = Tracer()
-    problems = run_commands(tracer)
-    rows = []
-    unrun: dict[str, list[str]] = {}  # UNRUN entry (or the name itself) -> functions
+def census(tracer: Tracer):
+    """Per module: (module, lines run, lines, functions entered, functions,
+    the (qualified name, code) of each function not entered)."""
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
         code = compile(path.read_text(encoding="utf-8"), str(path), "exec")
         lines: set[int] = set()
         ran: set[int] = set()
         functions = entered = 0
+        missed = []
         for name, obj in _walk(code):
             lines |= _lines(obj)
             remaining = tracer.pending.get(_key(obj))
@@ -211,11 +222,53 @@ def main() -> int:
                 functions += 1
                 if remaining is not None:
                     entered += 1
-                    continue
-                name = f"{module}.{name}"
-                entry = next((e for e in (name, module + ".*") if e in UNRUN), name)
-                unrun.setdefault(entry, []).append(f"{name} ({path.name}:{obj.co_firstlineno})")
-        rows.append((module, len(ran), len(lines), entered, functions))
+                else:
+                    missed.append((name, obj))
+        yield module, len(ran), len(lines), entered, functions, missed
+
+
+def trace_verdict() -> None:
+    """Print, as JSON, the lines per module that stages 1-4 of theorem5 at
+    n = 7 run, the package imported first.  Run it in a fresh interpreter."""
+    sys.path.insert(0, str(SRC))
+    from ncpverify import pipeline
+
+    tracer = Tracer()
+    sys.settrace(tracer.on_call)
+    try:
+        pipeline._decide(pipeline.reduced_classes(7))
+    finally:
+        sys.settrace(None)
+    print(json.dumps({module: ran for module, ran, *_ in census(tracer) if ran}))
+
+
+def verdict_map() -> list[str]:
+    """Print the verdict map; return the forbidden modules that ran on it."""
+    child = subprocess.run(
+        [sys.executable, "-c", "import command_coverage; command_coverage.trace_verdict()"],
+        cwd=Path(__file__).parent,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    ran = json.loads(child.stdout)
+    print(f"\nverdict map (stages 1-4 of theorem5 at n = 7): {sum(ran.values())} lines run")
+    for module, count in ran.items():
+        print(f"  {module:<12} {count:>6}")
+    return [f"the verdict path ran {module}" for module in VERDICT_FORBIDDEN if module in ran]
+
+
+def main() -> int:
+    tracer = Tracer()
+    problems = run_commands(tracer)
+    rows = []
+    unrun: dict[str, list[str]] = {}  # UNRUN entry (or the name itself) -> functions
+    for module, *row, missed in census(tracer):
+        rows.append((module, *row))
+        for name, obj in missed:
+            name = f"{module}.{name}"
+            entry = next((e for e in (name, module + ".*") if e in UNRUN), name)
+            unrun.setdefault(entry, []).append(f"{name} ({module}.py:{obj.co_firstlineno})")
     rows.append(("total", *(sum(column) for column in list(zip(*rows))[1:])))
 
     print(f"{'module':<12} {'lines run':>13} {'functions run':>14}")
@@ -231,6 +284,7 @@ def main() -> int:
             problems.append(f"unrun and not in UNRUN: {entry}")
     for entry in UNRUN.keys() - unrun.keys():
         problems.append(f"UNRUN names no function that exists and no command runs: {entry}")
+    problems += verdict_map()
     for problem in problems:
         print("error:", problem, file=sys.stderr)
     return 1 if problems else 0

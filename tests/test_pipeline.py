@@ -32,7 +32,7 @@ from ncpverify.chains import (
     neighbor_mask,
     smallest_blocks,
 )
-from ncpverify.condition4 import cond_iv
+from ncpverify.condition4 import PatternHit, cond_iv
 from ncpverify.enumeration import (
     enumerate_chains,
     maximal_chain_index,
@@ -564,6 +564,56 @@ def test_run_theorem5_holds_the_alignment_and_the_survey(n):
         assert report.alignment == pipeline.compare_fixture(report)
     else:
         assert report.alignment is None
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_stage_four_reads_no_reference_table(monkeypatch, n):
+    # Stage 4 decides condition IV and the verdict.  With the reference
+    # tables unreadable it must reach the full run's verdict and classes,
+    # leaving every matched case to stage 5.
+    report = run_theorem5(n)
+
+    def unreadable():
+        raise AssertionError("stage 4 read the reference tables")
+
+    monkeypatch.setattr(pipeline, "load_fixtures", unreadable)
+    decided, _ = pipeline._decide(pipeline.reduced_classes(n))
+    assert decided.verdict == report.verdict
+    assert decided.survivors == report.survivors
+    assert decided.classes == tuple(c._replace(matched_case=None) for c in report.classes)
+    if n != 7:
+        # No tables at this n, so stage 5 does not run and adds nothing.
+        assert report == decided._replace(survey=report.survey)
+        assert all(c.matched_case is None for c in report.classes)
+        assert report.unresolved == ()
+        assert report.alignment is None
+        assert "reference" not in report_to_text(report)
+
+
+def test_wrong_reference_tables_move_only_the_alignment(
+    monkeypatch, pipeline_report, fixture_set
+):
+    # Every quoted hit replaced by one that holds on no reference chain
+    # under either convention, and every argument style flipped: the
+    # verdict, the classes (matched cases included) and the unresolved
+    # classes stay; only the alignment reads the quoted values.
+    wrong_hit = PatternHit.from_text("(4,+,3)(8)")
+    wrong = fixture_set._replace(
+        cases=tuple(
+            case._replace(
+                claimed_hits=(wrong_hit,),
+                expects_forced_argument=not case.expects_forced_argument,
+            )
+            for case in fixture_set.cases
+        )
+    )
+    monkeypatch.setattr(pipeline, "load_fixtures", lambda: wrong)
+    report = run_theorem5.__wrapped__(7)
+    assert report._replace(alignment=None) == pipeline_report._replace(alignment=None)
+    rows, real_rows = report.alignment.rows, pipeline_report.alignment.rows
+    assert [r.found_in_class for r in rows] == [r.found_in_class for r in real_rows]
+    assert not any(r.hits_reproduced or r.strict_also_reproduces or r.aligned for r in rows)
+    assert [r.style_matches for r in rows] == [not r.style_matches for r in real_rows]
 
 
 def test_compare_fixture_refuses_a_report_of_another_n():
