@@ -103,6 +103,9 @@ class PatternHit(_PatternHitFields):
     __slots__ = ()
 
     def __new__(cls, k: int, sign: str, i: int, variant: int):
+        for what, value in (("pattern length", k), ("base index", i), ("clause", variant)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{what} {value!r} is not an int")
         if k not in CLAUSES:
             raise ValueError(f"pattern length {k} outside 1..{MAX_PATTERN_LENGTH}")
         if sign not in ("+", "-"):

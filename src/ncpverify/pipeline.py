@@ -14,9 +14,9 @@ runs five stages, each reading the output of the one before:
    "THEOREM 5 VERIFIED" exactly when no class survives all four
    conditions on both sides; no reference data is read up to here;
 5. the reference tables: alignment, matched case, unresolved classes --
-   only at the tables' n, against the embedded data (58 chains in 39
-   cases, ``compare_fixture``), so transcription drift is
-   distinguishable from a mathematical failure.
+   only at the tables' n, from the stage-4 report and the embedded data
+   (58 chains in 39 cases, ``compare_fixture``) alone, so transcription
+   drift is distinguishable from a mathematical failure.
 
 Stages 1-3 are cached per n in ``reduced_classes``.  ``validate_lemma3``
 reads its corpus from there and runs neither stage 4 nor stage 5.  The
@@ -141,9 +141,10 @@ class ClassReport(NamedTuple):
 
 
 class PipelineReport(NamedTuple):
-    """One theorem5 run.  After the verdict, stage 5 fills each class's
-    ``matched_case``, ``unresolved`` and ``alignment`` (left ``None``, empty
-    and ``None`` unless n is the reference tables' n), then ``survey``."""
+    """One theorem5 run.  From the verdict's record and the tables alone,
+    stage 5 fills each class's ``matched_case``, ``unresolved`` and
+    ``alignment`` (left ``None``, empty and ``None`` unless n is the
+    reference tables' n); then ``survey`` is added."""
 
     n: int
     cond_i_sets: tuple[tuple[int, ...], ...]
@@ -306,10 +307,10 @@ def reduced_classes(n: int = 7) -> ReducedClasses:
 # -- stage 4: condition IV and the verdict ----------------------------------
 
 
-def _decide(reduced: ReducedClasses) -> tuple[PipelineReport, list[set[tuple[int, ...]]]]:
+def _decide(reduced: ReducedClasses) -> PipelineReport:
     """Stage 4: condition IV per class and the verdict, as the report, with
-    each class's F' signatures for stage 5.  It reads no reference data, so
-    every ``matched_case`` is ``None`` and ``unresolved`` is empty."""
+    each class's F' signature group named for stage 5.  It reads no reference
+    data, so every ``matched_case`` is ``None`` and ``unresolved`` is empty."""
     n = reduced.n
     cat = catalogue(n)
     # The F' family of each kept class up to symmetry (the least image of
@@ -317,7 +318,6 @@ def _decide(reduced: ReducedClasses) -> tuple[PipelineReport, list[set[tuple[int
     # coincide on either side are interchangeable as far as condition IV is
     # concerned, because the pattern clauses and the exclusion sets read
     # nothing but F' (and refuting one side of a dual pair refutes the other).
-    signatures: list[set[tuple[int, ...]]] = []
     # A class's earliest signature sharer is the least first class of its signatures.
     first_class: dict[tuple[int, ...], int] = {}
     reports: list[ClassReport] = []
@@ -330,7 +330,6 @@ def _decide(reduced: ReducedClasses) -> tuple[PipelineReport, list[set[tuple[int
                 f"pattern engine refuted {rep.text()!r} but an exhaustive witness exists"
             )
         found = {canonical_prime_signature(c) for c in (rep, cls.dual_representative)}
-        signatures.append(found)
         for signature in found:
             first_class.setdefault(signature, position)
         earliest = min(first_class[signature] for signature in found)
@@ -372,7 +371,7 @@ def _decide(reduced: ReducedClasses) -> tuple[PipelineReport, list[set[tuple[int
         if not survivors
         else f"NOT VERIFIED: {len(survivors)} surviving class(es)"
     )
-    report = PipelineReport(
+    return PipelineReport(
         n=n,
         cond_i_sets=reduced.cond_i_sets,
         reduced_sets=duality_reduced_rank_sets(n),
@@ -384,15 +383,15 @@ def _decide(reduced: ReducedClasses) -> tuple[PipelineReport, list[set[tuple[int
         survivors=survivors,
         verdict=verdict,
     )
-    return report, signatures
 
 
 # -- stage 5: the reference tables ------------------------------------------
 
 
-def _align(report: PipelineReport, signatures) -> PipelineReport:
+def _align(report: PipelineReport) -> PipelineReport:
     """Stage 5: the alignment, each class's matched case and the unresolved
-    classes, all from ``compare_fixture``'s one join of chains to classes."""
+    classes, from ``compare_fixture``'s one join of chains to classes and
+    the report's signature groups."""
     alignment = compare_fixture(report)
     # A class's case is the first, in case order, with a chain in the class.
     first_case: dict[str, int] = {}
@@ -404,18 +403,16 @@ def _align(report: PipelineReport, signatures) -> PipelineReport:
         for cls in report.classes
     )
 
-    # A class is resolved if its F' signatures meet those of the classes a
+    # A class is resolved if it shares an F' signature with a class a
     # reference chain lands in (its own, if it is one): the reference tables
     # list one chain per family and rely on condition IV reading nothing
-    # else.  One step suffices: at the tables' n (7), the only n that
-    # computes it, any two classes joined through shared signatures share
-    # one themselves.
-    matched = set().union(
-        *(found for found, cls in zip(signatures, classes) if cls.matched_case is not None)
-    )
-    unresolved = tuple(
-        cls.representative for found, cls in zip(signatures, classes) if not found & matched
-    )
+    # else.  Sharing is transitive at every n the pipeline accepts, so a
+    # class's group is named by its ``signature_duplicate_of``, or by itself.
+    def group(cls: ClassReport) -> str:
+        return cls.signature_duplicate_of or cls.representative
+
+    matched = {group(cls) for cls in classes if cls.matched_case is not None}
+    unresolved = tuple(cls.representative for cls in classes if group(cls) not in matched)
     return report._replace(classes=classes, unresolved=unresolved, alignment=alignment)
 
 
@@ -423,9 +420,9 @@ def _align(report: PipelineReport, signatures) -> PipelineReport:
 def run_theorem5(n: int = 7) -> PipelineReport:
     """Run the full enumeration-and-refutation pipeline for one n: the
     verdict, then the reference alignment and the survey, which never feed it."""
-    report, signatures = _decide(reduced_classes(n))
+    report = _decide(reduced_classes(n))
     if n == load_fixtures().n:
-        report = _align(report, signatures)
+        report = _align(report)
     return report._replace(survey=condition_iii_survey(n))
 
 

@@ -22,7 +22,10 @@ It then prints the verdict map: the lines per module that stages 1-4 of
 a fresh interpreter so the catalogue and index builds are in it.  It
 exits 1 if any line of a module in ``VERDICT_FORBIDDEN`` runs there: the
 verdict must not read the reference tables, the reports or the
-rendering and apartment code.
+rendering and apartment code.  Last comes the stage-5 map, the lines
+that stage 5 runs on that decided report in the same interpreter; it
+exits 1 if stage 5 enters a function in ``STAGE5_FORBIDDEN``, which would
+recompute what the report already holds.
 
 Executable lines are read from the compiled code objects (``co_lines``),
 without a function's own first line, which the tracer never reports.  A
@@ -33,6 +36,7 @@ have all run is no longer line-traced, which keeps the run to seconds.
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import json
 import subprocess
@@ -124,6 +128,17 @@ UNRUN = {
 
 # The modules no line of which may run while stages 1-4 decide the verdict.
 VERDICT_FORBIDDEN = ("fixtures", "reports", "svg", "apartments")
+
+# The functions stage 5 must not enter: the scan, the orbit sweep, stage 4
+# and the F' signatures, whose results the stage-4 report already holds.
+STAGE5_FORBIDDEN = (
+    "pipeline._scan",
+    "pipeline._decide",
+    "pipeline.reduced_classes",
+    "enumeration._grow_chains",
+    "enumeration.orbit_classes",
+    "chains.canonical_prime_signature",
+)
 
 CO_OPTIMIZED = 0x1  # set on function code, not on module or class bodies
 
@@ -227,35 +242,64 @@ def census(tracer: Tracer):
         yield module, len(ran), len(lines), entered, functions, missed
 
 
-def trace_verdict() -> None:
-    """Print, as JSON, the lines per module that stages 1-4 of theorem5 at
-    n = 7 run, the package imported first.  Run it in a fresh interpreter."""
-    sys.path.insert(0, str(SRC))
-    from ncpverify import pipeline
-
+def _traced(call):
+    """``call()`` under a fresh ``Tracer``; return the tracer and the result."""
     tracer = Tracer()
     sys.settrace(tracer.on_call)
     try:
-        pipeline._decide(pipeline.reduced_classes(7))
+        result = call()
     finally:
         sys.settrace(None)
-    print(json.dumps({module: ran for module, ran, *_ in census(tracer) if ran}))
+    return tracer, result
 
 
-def verdict_map() -> list[str]:
-    """Print the verdict map; return the forbidden modules that ran on it."""
+def _code(name: str):
+    """The code of the function ``name`` ("module.function") runs."""
+    module, attribute = name.split(".")
+    function = getattr(importlib.import_module(f"ncpverify.{module}"), attribute)
+    return getattr(function, "__wrapped__", function).__code__
+
+
+def trace_stages() -> None:
+    """Print, as JSON, the lines per module that stages 1-4 of theorem5 at
+    n = 7 run, the package imported first, then those that stage 5 runs on
+    their report, and the ``STAGE5_FORBIDDEN`` functions stage 5 entered.
+    Run it in a fresh interpreter."""
+    sys.path.insert(0, str(SRC))
+    from ncpverify import pipeline
+
+    verdict, report = _traced(lambda: pipeline._decide(pipeline.reduced_classes(7)))
+    stage5, _ = _traced(lambda: pipeline._align(report))
+    maps = {
+        title: {module: ran for module, ran, *_ in census(tracer) if ran}
+        for title, tracer in (("verdict", verdict), ("stage 5", stage5))
+    }
+    entered = [name for name in STAGE5_FORBIDDEN if _key(_code(name)) in stage5.pending]
+    print(json.dumps({"maps": maps, "stage 5 entered": entered}))
+
+
+def stage_maps() -> list[str]:
+    """Print the verdict and stage-5 maps; return the forbidden modules
+    that ran on the verdict path and the forbidden functions stage 5 entered."""
     child = subprocess.run(
-        [sys.executable, "-c", "import command_coverage; command_coverage.trace_verdict()"],
+        [sys.executable, "-c", "import command_coverage; command_coverage.trace_stages()"],
         cwd=Path(__file__).parent,
         capture_output=True,
         text=True,
         check=True,
     )
-    ran = json.loads(child.stdout)
-    print(f"\nverdict map (stages 1-4 of theorem5 at n = 7): {sum(ran.values())} lines run")
-    for module, count in ran.items():
-        print(f"  {module:<12} {count:>6}")
-    return [f"the verdict path ran {module}" for module in VERDICT_FORBIDDEN if module in ran]
+    found = json.loads(child.stdout)
+    verdict = found["maps"]["verdict"]
+    titles = {
+        "verdict": "verdict map (stages 1-4 of theorem5 at n = 7)",
+        "stage 5": "stage-5 map (stage 5 on the decided n = 7 report)",
+    }
+    for title, ran in found["maps"].items():
+        print(f"\n{titles[title]}: {sum(ran.values())} lines run")
+        for module, count in ran.items():
+            print(f"  {module:<12} {count:>6}")
+    problems = [f"the verdict path ran {m}" for m in VERDICT_FORBIDDEN if m in verdict]
+    return problems + [f"stage 5 entered {name}" for name in found["stage 5 entered"]]
 
 
 def main() -> int:
@@ -284,7 +328,7 @@ def main() -> int:
             problems.append(f"unrun and not in UNRUN: {entry}")
     for entry in UNRUN.keys() - unrun.keys():
         problems.append(f"UNRUN names no function that exists and no command runs: {entry}")
-    problems += verdict_map()
+    problems += stage_maps()
     for problem in problems:
         print("error:", problem, file=sys.stderr)
     return 1 if problems else 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -354,21 +355,29 @@ def test_theorem5_writes_reports_to_a_device_and_a_pipe(tmp_path):
 
 def test_theorem5_reports_do_not_depend_on_the_hash_seed(tmp_path):
     # Sets and dicts of strings iterate in an order that the hash seed
-    # picks; no report may follow it.
-    reports = []
-    for seed in ("0", "12345"):
-        json_path, csv_path = tmp_path / f"{seed}.json", tmp_path / f"{seed}.csv"
-        proc = run_cli(
-            "theorem5", "--n", "6", "--json", str(json_path), "--csv", str(csv_path),
-            stdout=subprocess.PIPE,
-            PYTHONHASHSEED=seed,
-        )
-        assert (proc.returncode, proc.stderr) == (0, b"")
-        reports.append((proc.stdout, json_path.read_bytes(), csv_path.read_bytes()))
-    assert reports[0] == reports[1]
-    assert reports[0] == tuple(
-        (GOLDENS / f"theorem5-n6.{suffix}").read_bytes() for suffix in ("txt", "json", "csv")
-    )
+    # picks; no report may follow it.  Stage 5 runs only at n = 7, where
+    # the JSON golden is a digest.
+    for n, code in ((6, 0), (7, 2)):
+        golden = {
+            suffix: (GOLDENS / f"theorem5-n{n}.{suffix}").read_bytes()
+            for suffix in ("txt", "csv", "json.sha256" if n == 7 else "json")
+        }
+        for seed in ("0", "12345"):
+            json_path = tmp_path / f"{n}-{seed}.json"
+            csv_path = tmp_path / f"{n}-{seed}.csv"
+            proc = run_cli(
+                "theorem5", "--n", str(n), "--json", str(json_path), "--csv", str(csv_path),
+                stdout=subprocess.PIPE,
+                PYTHONHASHSEED=seed,
+            )
+            assert (proc.returncode, proc.stderr) == (code, b"")
+            assert proc.stdout == golden["txt"]
+            assert csv_path.read_bytes() == golden["csv"]
+            if n == 7:
+                digest = hashlib.sha256(json_path.read_bytes()).hexdigest()
+                assert digest == golden["json.sha256"].decode("ascii").strip()
+            else:
+                assert json_path.read_bytes() == golden["json"]
 
 
 def test_closed_stdout_is_an_error_before_any_command_runs(tmp_path):

@@ -113,15 +113,29 @@ def test_pipeline_class_invariants(pipeline_report):
             assert order[c.signature_duplicate_of] < order[c.representative]
 
 
-def class_signatures(classes) -> list[set]:
+def class_signatures(classes, n: int = 7) -> list[set]:
     """Each class's F' signatures, on both duality sides."""
     return [
         {
-            canonical_prime_signature(Chain.from_text(7, text))
+            canonical_prime_signature(Chain.from_text(n, text))
             for text in (c.representative, c.dual_representative)
         }
         for c in classes
     ]
+
+
+def unresolved_fixpoint(classes, signatures) -> tuple[str, ...]:
+    """The classes that no run of shared signatures joins to a matched
+    class: resolve through any resolved class until nothing changes."""
+    sharing = [[j for j, other in enumerate(signatures) if own & other] for own in signatures]
+    resolved = {i for i, c in enumerate(classes) if c.matched_case is not None}
+    frontier = list(resolved)
+    while frontier:
+        for j in sharing[frontier.pop()]:
+            if j not in resolved:
+                resolved.add(j)
+                frontier.append(j)
+    return tuple(c.representative for i, c in enumerate(classes) if i not in resolved)
 
 
 def test_signature_duplicate_is_the_earliest_class_sharing_a_signature(pipeline_report):
@@ -222,18 +236,49 @@ def test_unresolved_classes_need_one_step_from_a_matched_class(pipeline_report):
     for g in groups:
         for i, j in itertools.combinations(g, 2):
             assert signatures[i] & signatures[j]
-    # so stage 5's one-step rule gives the fixpoint: resolve through any
-    # resolved class until nothing changes
-    resolved = [c.matched_case is not None for c in classes]
-    changed = True
-    while changed:
-        changed = False
-        for i, j in itertools.permutations(range(len(classes)), 2):
-            if resolved[j] and not resolved[i] and signatures[i] & signatures[j]:
-                resolved[i] = changed = True
-    fixpoint = tuple(c.representative for c, done in zip(classes, resolved) if not done)
+    # so stage 5's group rule gives the fixpoint
+    fixpoint = unresolved_fixpoint(classes, signatures)
     assert len(fixpoint) == 8
     assert pipeline_report.unresolved == fixpoint
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_signature_groups_are_named_by_their_earliest_class(n):
+    # Stage 5 reads a class's group off its row: the earliest class sharing
+    # an F' signature with it, or itself.  That names the group only if
+    # sharing is transitive, so two classes share a signature exactly when
+    # their group names agree.
+    classes = run_theorem5(n).classes
+    signatures = class_signatures(classes, n)
+    names = [c.signature_duplicate_of or c.representative for c in classes]
+    for i, j in itertools.combinations(range(len(classes)), 2):
+        assert bool(signatures[i] & signatures[j]) == (names[i] == names[j])
+    assert (len(classes), len(set(names))) == {6: (7, 3), 7: (119, 27)}.get(n, (0, 0))
+
+
+def test_unresolved_classes_are_the_fixpoint_under_other_reference_tables(
+    monkeypatch, fixture_set
+):
+    # The group rule against the transitive fixpoint beyond the bundled
+    # tables: each case dropped in turn, and seeded subsets of the cases.
+    decided = pipeline._decide(pipeline.reduced_classes(7))
+    signatures = class_signatures(decided.classes)
+    cases = fixture_set.cases
+    rng = random.Random(7)
+    variants = [cases[:k] + cases[k + 1 :] for k in range(len(cases))]
+    variants += [
+        tuple(cases[k] for k in sorted(rng.sample(range(len(cases)), rng.randrange(len(cases)))))
+        for _ in range(60)
+    ]
+    sizes = []
+    for variant in variants:
+        monkeypatch.setattr(pipeline, "load_fixtures", lambda: fixture_set._replace(cases=variant))
+        aligned = pipeline._align(decided)
+        assert aligned.unresolved == unresolved_fixpoint(aligned.classes, signatures)
+        sizes.append(len(aligned.unresolved))
+    # dropping one case leaves 8 classes unresolved, as the full tables do,
+    # except for three cases that each hold a group's only matched classes
+    assert sorted(sizes[: len(cases)]) == [8] * (len(cases) - 3) + [9, 12, 18]
 
 
 def test_pipeline_disagreements_match_direct_measurement(pipeline_report):
@@ -577,7 +622,7 @@ def test_stage_four_reads_no_reference_table(monkeypatch, n):
         raise AssertionError("stage 4 read the reference tables")
 
     monkeypatch.setattr(pipeline, "load_fixtures", unreadable)
-    decided, _ = pipeline._decide(pipeline.reduced_classes(n))
+    decided = pipeline._decide(pipeline.reduced_classes(n))
     assert decided.verdict == report.verdict
     assert decided.survivors == report.survivors
     assert decided.classes == tuple(c._replace(matched_case=None) for c in report.classes)
@@ -588,6 +633,19 @@ def test_stage_four_reads_no_reference_table(monkeypatch, n):
         assert report.unresolved == ()
         assert report.alignment is None
         assert "reference" not in report_to_text(report)
+
+
+def test_stage_five_reads_the_stage_four_report_alone(monkeypatch):
+    # Stage 5 needs nothing from stage 4 but its report: given the decided
+    # report it reproduces the full run, and computes no F' signature.
+    decided = pipeline._decide(pipeline.reduced_classes(7))
+
+    def recomputed(chain):
+        raise AssertionError("stage 5 computed an F' signature")
+
+    monkeypatch.setattr(pipeline, "canonical_prime_signature", recomputed)
+    aligned = pipeline._align(decided)
+    assert aligned._replace(survey=condition_iii_survey(7)) == run_theorem5(7)
 
 
 def test_wrong_reference_tables_move_only_the_alignment(

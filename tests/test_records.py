@@ -201,6 +201,32 @@ def test_pattern_hit_validates():
     _both_ways(
         lambda: PatternHit.from_text("(4,-,0)(6)"), lambda: good._replace(i=0), ValueError, "index"
     )
+    # a bool or a float passes every range test above, yet prints as no
+    # designator parses and reads as no element
+    _both_ways(
+        lambda: PatternHit(True, "+", 1, 1), lambda: good._replace(k=True), ValueError, "length"
+    )
+    _both_ways(
+        lambda: PatternHit(4.0, "-", 3, 6), lambda: good._replace(k=4.0), ValueError, "length"
+    )
+    _both_ways(
+        lambda: PatternHit(1, "+", 2.0, 1), lambda: good._replace(i=2.0), ValueError, "index"
+    )
+    _both_ways(
+        lambda: PatternHit(1, "+", True, 1), lambda: good._replace(i=True), ValueError, "index"
+    )
+    _both_ways(
+        lambda: PatternHit(1, "+", 1, True),
+        lambda: good._replace(variant=True),
+        ValueError,
+        "clause",
+    )
+    _both_ways(
+        lambda: PatternHit(4, "-", 3, 6.0),
+        lambda: good._replace(variant=6.0),
+        ValueError,
+        "clause",
+    )
     # a hit's base index lies on the circle of the n it is read against
     with pytest.raises(ValueError, match="index"):
         exclusion_elements(3, good._replace(i=4))
